@@ -38,11 +38,16 @@ type BenchFile struct {
 	// Compare artifacts recorded at the same width: parallel lanes make
 	// jobs part of the measurement, not just the machine environment.
 	Jobs int `json:"jobs,omitempty"`
+	// NumCPU and GOMAXPROCS describe the machine the samples ran on. A
+	// parallel speedup measured with one CPU is no speedup. Artifacts
+	// recorded before these fields existed read them as 0.
+	NumCPU     int `json:"num_cpu,omitempty"`
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 
 	Benchmarks []BenchResult `json:"benchmarks"`
 }
 
-// BenchResult is one benchmark's best sample.
+// BenchResult is one benchmark's best sample, plus every sample taken.
 type BenchResult struct {
 	Name        string  `json:"name"`
 	Iters       int64   `json:"iters"`
@@ -52,6 +57,18 @@ type BenchResult struct {
 	// McyclesPerS reports simulated-cycle throughput for the engine
 	// benchmarks (0 elsewhere).
 	McyclesPerS float64 `json:"mcycles_per_s,omitempty"`
+	// Samples holds all -count measurements in the order taken, the
+	// best one included, so a reader can see the spread. Empty in
+	// artifacts recorded before the field existed.
+	Samples []BenchSample `json:"samples,omitempty"`
+}
+
+// BenchSample is one measurement of a benchmark.
+type BenchSample struct {
+	Iters       int64   `json:"iters"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
 // benchCase is one measurable unit: fn runs a single iteration and
@@ -342,10 +359,7 @@ func runBenchJSON(w io.Writer, ref string, benchtime time.Duration, count, jobs 
 	if err != nil {
 		return err
 	}
-	if count < 1 {
-		count = 1
-	}
-	file := BenchFile{
+	return recordBench(w, cases, BenchFile{
 		Schema:      benchSchema,
 		Ref:         ref,
 		GoVersion:   runtime.Version(),
@@ -355,18 +369,30 @@ func runBenchJSON(w io.Writer, ref string, benchtime time.Duration, count, jobs 
 		BenchtimeMS: benchtime.Milliseconds(),
 		Count:       count,
 		Jobs:        jobs,
-	}
+	}, benchtime, progress)
+}
+
+// recordBench measures each case file.Count times (at least once) and
+// writes the artifact: file's header completed with the machine's CPU
+// count and GOMAXPROCS, then per case its best sample and every sample.
+func recordBench(w io.Writer, cases []benchCase, file BenchFile, benchtime time.Duration, progress io.Writer) error {
+	file.Count = max(file.Count, 1)
+	file.NumCPU = runtime.NumCPU()
+	file.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	for _, c := range cases {
 		best := BenchResult{}
-		for s := 0; s < count; s++ {
+		var samples []BenchSample
+		for s := 0; s < file.Count; s++ {
 			r, err := measure(c, benchtime)
 			if err != nil {
 				return err
 			}
+			samples = append(samples, BenchSample{Iters: r.Iters, NsPerOp: r.NsPerOp, BytesPerOp: r.BytesPerOp, AllocsPerOp: r.AllocsPerOp})
 			if best.Iters == 0 || r.NsPerOp < best.NsPerOp {
 				best = r
 			}
 		}
+		best.Samples = samples
 		if progress != nil {
 			fmt.Fprintf(progress, "%-18s %12.0f ns/op  %8d allocs/op\n", c.name, best.NsPerOp, best.AllocsPerOp)
 		}

@@ -240,3 +240,67 @@ func TestBenchJSONSmoke(t *testing.T) {
 		t.Errorf("round trip = %+v", back)
 	}
 }
+
+// TestBenchArtifactSamplesAndCompat: an artifact records the machine's
+// CPU count and GOMAXPROCS and every sample of each case, best one
+// included, and -bench-compare still reads the committed baselines,
+// which predate those fields, in either direction.
+func TestBenchArtifactSamplesAndCompat(t *testing.T) {
+	dir := t.TempDir()
+	cases := []benchCase{{name: "engine/reference", fn: func() (int64, error) { return 1000, nil }}}
+	var buf bytes.Buffer
+	if err := recordBench(&buf, cases, BenchFile{Schema: benchSchema, Ref: "new", Count: 3}, time.Millisecond, nil); err != nil {
+		t.Fatal(err)
+	}
+	var f BenchFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.NumCPU < 1 || f.GOMAXPROCS < 1 {
+		t.Errorf("machine not recorded: num_cpu %d gomaxprocs %d", f.NumCPU, f.GOMAXPROCS)
+	}
+	if len(f.Benchmarks) != 1 || len(f.Benchmarks[0].Samples) != 3 {
+		t.Fatalf("benchmarks %+v, want one case with 3 samples", f.Benchmarks)
+	}
+	best := f.Benchmarks[0]
+	for _, s := range best.Samples {
+		if s.Iters < 1 || s.NsPerOp <= 0 || s.NsPerOp < best.NsPerOp {
+			t.Errorf("sample %+v inconsistent with best %v ns/op", s, best.NsPerOp)
+		}
+	}
+	newPath := filepath.Join(dir, "new.json")
+	if err := os.WriteFile(newPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	baselines, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := 0
+	for _, old := range baselines {
+		data, err := os.ReadFile(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var probe struct {
+			Ref string `json:"ref"`
+		}
+		if json.Unmarshal(data, &probe) != nil || probe.Ref == "" {
+			continue // a comparison or a bespoke record, not a bench artifact
+		}
+		read++
+		for _, pair := range [][2]string{{old, newPath}, {newPath, old}} {
+			cmp, err := compareBench(pair[0], pair[1], math.Inf(1), math.Inf(1))
+			if err != nil {
+				t.Fatalf("%s vs %s: %v", pair[0], pair[1], err)
+			}
+			if len(cmp.Benchmarks) != 1 || cmp.Benchmarks[0].Name != "engine/reference" {
+				t.Errorf("%s vs %s: compared %+v", pair[0], pair[1], cmp.Benchmarks)
+			}
+		}
+	}
+	if read < 3 {
+		t.Errorf("read %d committed bench artifacts, want at least 3", read)
+	}
+}

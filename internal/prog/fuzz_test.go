@@ -156,3 +156,63 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// drainReference replays src through a Stream and returns what Drain
+// reports, the oracle Profile must reproduce.
+func drainReference(p *Program, src *SliceSource, maxVL int64) (Stats, error) {
+	_, st, err := NewStreamVL(p, src, maxVL).Drain()
+	return st, err
+}
+
+// profileSlices runs Profile over a SliceSource's streams with the
+// source's own error semantics: the first exhausted draw names the
+// error.
+func profileSlices(p *Program, src *SliceSource, maxVL int64) (Stats, error) {
+	bbs := make([]int32, len(src.BBs))
+	for i, b := range src.BBs {
+		bbs[i] = int32(b)
+	}
+	var dryErr error
+	st, err := Profile(p, bbs, src.VLs, len(src.Strides), len(src.Addrs), maxVL, func(stream string) {
+		if dryErr == nil {
+			dryErr = exhausted(stream)
+		}
+	})
+	if err == nil {
+		err = dryErr
+	}
+	return st, err
+}
+
+// FuzzProfile is the differential harness for the per-block profile:
+// over arbitrary traces of fuzzProgram, Profile must report exactly the
+// Stats and terminal error of draining a Stream — including traces that
+// name block -1 or a block past the end, that run any value stream dry,
+// that carry VLs below 1 or above maxVL, and maxVL <= 0.
+func FuzzProfile(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 2, 0, 100, 0, 16, 0x10, 0x00, 0, 100, 0, 8, 0x14, 0x00}, int64(0))
+	f.Add([]byte{6, 1, 2, 3, 4, 2, 2, 0, 128, 1, 8, 0x20, 0x00, 1, 0, 2, 64, 0x30, 0x00, 0x11, 0x22}, int64(128))
+	f.Add([]byte{1, 0}, int64(1))                                                        // block -1
+	f.Add([]byte{2, 1, 5, 0, 200, 0, 8}, int64(64))                                      // a block past the end
+	f.Add([]byte{2, 1, 4, 0, 200, 0, 8}, int64(64))                                      // VL runs dry in "revl"
+	f.Add([]byte{1, 1, 0, 200}, int64(64))                                               // stride runs dry
+	f.Add([]byte{2, 1, 2, 0, 200, 0, 8, 0x10, 0}, int64(64))                             // address runs dry
+	f.Add([]byte{3, 1, 2, 4, 0, 0, 0, 8, 0x10, 0, 0, 50, 0, 8, 0x20, 0}, int64(64))      // VL < 1
+	f.Add([]byte{3, 1, 2, 4, 0xff, 0, 0, 8, 0x10, 0, 0x80, 0, 0, 8, 0x20, 0}, int64(64)) // VL > maxVL
+	f.Add([]byte{3, 1, 2, 4, 0xff, 0, 0, 8, 0x10, 0, 0x80, 0, 0, 8, 0x20, 0}, int64(-3)) // maxVL <= 0
+	f.Add([]byte{1, 2, 0, 0, 0, 8, 0x10, 0, 0, 0, 0, 8, 0x20, 0}, int64(1<<20+5))        // initial VL wraps uint16
+	f.Add([]byte{}, int64(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, maxVL int64) {
+		p := fuzzProgram()
+		blocks := len(p.Blocks)
+		want, wantErr := drainReference(p, fuzzSource(data, blocks), maxVL)
+		got, gotErr := profileSlices(p, fuzzSource(data, blocks), maxVL)
+		if got != want {
+			t.Fatalf("Profile stats differ from Drain:\ngot  %+v\nwant %+v", got, want)
+		}
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("Profile error %v, Drain error %v", gotErr, wantErr)
+		}
+	})
+}

@@ -60,8 +60,13 @@ func (s *SliceSource) NextAddr() uint64 {
 
 func (s *SliceSource) fail(stream string) {
 	if s.err == nil {
-		s.err = fmt.Errorf("prog: %s trace exhausted before basic-block trace", stream)
+		s.err = exhausted(stream)
 	}
+}
+
+// exhausted is the source's error for a value stream that ran dry.
+func exhausted(stream string) error {
+	return fmt.Errorf("prog: %s trace exhausted before basic-block trace", stream)
 }
 
 // Err implements TraceSource.

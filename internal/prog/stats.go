@@ -21,32 +21,38 @@ type Stats struct {
 }
 
 // Add accounts one dynamic instruction.
-func (st *Stats) Add(d *isa.DynInst) {
-	st.PerOp[d.Op]++
-	info := isa.InfoPtr(d.Op)
+func (st *Stats) Add(d *isa.DynInst) { st.addN(d.Op, 1, int64(d.VL)) }
+
+// addN accounts n dynamic instructions of opcode op whose vector
+// lengths sum to elems (ignored for scalar opcodes). Add and Profile
+// share it, so the per-instruction and per-block accountings classify
+// opcodes identically.
+func (st *Stats) addN(op isa.Op, n, elems int64) {
+	st.PerOp[op] += n
+	info := isa.InfoPtr(op)
 	switch info.Kind {
 	case isa.KindVector:
-		st.VectorInsts++
-		st.VectorOps += int64(d.VL)
+		st.VectorInsts += n
+		st.VectorOps += elems
 		if info.Arith {
-			st.VectorArithElems += int64(d.VL)
-			if d.Op.FU2Only() {
-				st.FU2OnlyArithElems += int64(d.VL)
+			st.VectorArithElems += elems
+			if op.FU2Only() {
+				st.FU2OnlyArithElems += elems
 			}
 		}
 	case isa.KindVectorMem:
-		st.VectorInsts++
-		st.VectorOps += int64(d.VL)
-		st.VectorMemElems += int64(d.VL)
+		st.VectorInsts += n
+		st.VectorOps += elems
+		st.VectorMemElems += elems
 		if info.Load {
-			st.VectorLoadElems += int64(d.VL)
+			st.VectorLoadElems += elems
 		} else {
-			st.VectorStoreElems += int64(d.VL)
+			st.VectorStoreElems += elems
 		}
 	default:
-		st.ScalarInsts++
+		st.ScalarInsts += n
 		if info.Load || info.Store {
-			st.ScalarMemRefs++
+			st.ScalarMemRefs += n
 		}
 	}
 }
@@ -65,6 +71,36 @@ func (st *Stats) Merge(other *Stats) {
 	for i := range st.PerOp {
 		st.PerOp[i] += other.PerOp[i]
 	}
+}
+
+// Fingerprint hashes the whole profile (FNV-1a over every counter,
+// including the per-opcode histogram). It is a pure function of the
+// counts, so it is identical across processes and build orders.
+func (st *Stats) Fingerprint() uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	mix := func(v int64) {
+		for i := 0; i < 8; i++ {
+			h ^= uint64(byte(v >> (8 * i)))
+			h *= prime64
+		}
+	}
+	mix(st.ScalarInsts)
+	mix(st.VectorInsts)
+	mix(st.VectorOps)
+	mix(st.VectorArithElems)
+	mix(st.FU2OnlyArithElems)
+	mix(st.VectorMemElems)
+	mix(st.ScalarMemRefs)
+	mix(st.VectorLoadElems)
+	mix(st.VectorStoreElems)
+	for _, n := range st.PerOp {
+		mix(n)
+	}
+	return h
 }
 
 // Insts returns the total dynamic instruction count (decode-slot demand).

@@ -123,3 +123,30 @@ func TestMergeEqualsSequentialAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFingerprint: the fingerprint is pinned (persist keys embed it, so
+// stores written earlier stay addressable) and moves with every counter,
+// the per-opcode histogram included.
+func TestFingerprint(t *testing.T) {
+	var st Stats
+	if got := st.Fingerprint(); got != 0xc86ec345c0ee8125 {
+		t.Errorf("zero-stats fingerprint = %#x", got)
+	}
+	st.Add(dyn(isa.OpVAdd, 100))
+	st.Add(dyn(isa.OpVLoad, 64))
+	st.Add(dyn(isa.OpSLoad, 0))
+	base := st.Fingerprint()
+	if base != st.Fingerprint() {
+		t.Fatal("fingerprint is not deterministic")
+	}
+	fields := []*int64{&st.ScalarInsts, &st.VectorInsts, &st.VectorOps, &st.VectorArithElems,
+		&st.FU2OnlyArithElems, &st.VectorMemElems, &st.ScalarMemRefs, &st.VectorLoadElems,
+		&st.VectorStoreElems, &st.PerOp[isa.OpVMul]}
+	for i, f := range fields {
+		*f++
+		if st.Fingerprint() == base {
+			t.Errorf("counter %d does not reach the fingerprint", i)
+		}
+		*f--
+	}
+}

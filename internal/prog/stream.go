@@ -231,7 +231,9 @@ func (s *Stream) Next(d *isa.DynInst) bool {
 }
 
 // Drain consumes the rest of the stream, returning the number of dynamic
-// instructions seen and accumulated statistics.
+// instructions seen and accumulated statistics. Profile computes the
+// same statistics per basic block without expanding instructions; Drain
+// is the per-instruction reference it is tested against.
 func (s *Stream) Drain() (int64, Stats, error) {
 	var st Stats
 	var d isa.DynInst

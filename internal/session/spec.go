@@ -9,7 +9,6 @@ import (
 	"mtvec/internal/arch"
 	"mtvec/internal/core"
 	"mtvec/internal/memsys"
-	"mtvec/internal/prog"
 	"mtvec/internal/sched"
 	"mtvec/internal/vcomp"
 	"mtvec/internal/workload"
@@ -620,38 +619,7 @@ func stableWorkloadID(w *workload.Workload) (string, bool) {
 	if rf := w.Opts.RegFile.BuildKey(); rf != arch.DefaultRegFile().BuildKey() {
 		id += fmt.Sprintf("+rf%d.%d.%d", rf.VRegs, rf.VLen, rf.VRegsPerBank)
 	}
-	return id + "+fp" + strconv.FormatUint(statsFingerprint(&w.Stats), 16), true
-}
-
-// statsFingerprint hashes a dynamic profile (FNV-1a over every counter,
-// including the per-opcode histogram). It is a pure function of the
-// workload's content, so it is identical across processes and build
-// orders.
-func statsFingerprint(st *prog.Stats) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v int64) {
-		for i := 0; i < 8; i++ {
-			h ^= uint64(byte(v >> (8 * i)))
-			h *= prime64
-		}
-	}
-	mix(st.ScalarInsts)
-	mix(st.VectorInsts)
-	mix(st.VectorOps)
-	mix(st.VectorArithElems)
-	mix(st.FU2OnlyArithElems)
-	mix(st.VectorMemElems)
-	mix(st.ScalarMemRefs)
-	mix(st.VectorLoadElems)
-	mix(st.VectorStoreElems)
-	for _, n := range st.PerOp {
-		mix(n)
-	}
-	return h
+	return id + "+fp" + strconv.FormatUint(w.Fingerprint(), 16), true
 }
 
 // appendNum is the keys' shared integer encoding.

@@ -17,7 +17,15 @@
 // payload. A record that fails any of those checks — truncated write,
 // bit rot, schema from a future version, key mismatch — is treated as a
 // miss and deleted, so corrupt or stale entries are recomputed rather
-// than served. The same envelope travels the wire between peers, and
+// than served.
+//
+// The envelope has one canonical byte form, the one EncodeRecord
+// writes: {"schema":N,"key":<key>,"sum":"<64 hex>","report":<report>}
+// in that order, compact, with the key encoded as encoding/json encodes
+// a string, optionally followed by one newline. DecodeRecord accepts
+// only that form. Any other JSON, however equivalent, is corrupt, so a
+// read matches the envelope by prefix and parses JSON once, for the
+// report. The same envelope travels the wire between peers, and
 // HTTPPeer re-verifies it on receipt: a peer is trusted no more than
 // the local disk.
 //
@@ -37,6 +45,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -45,8 +54,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"mtvec/internal/runner"
 	"mtvec/internal/stats"
@@ -161,14 +172,34 @@ func (s *Dir) Stats() Stats {
 	}
 }
 
-// record is the on-disk (and on-wire) envelope.
-type record struct {
-	Schema int    `json:"schema"`
-	Key    string `json:"key"`
-	// Sum is the SHA-256 of the Report payload bytes, hex-encoded.
-	Sum    string          `json:"sum"`
-	Report json.RawMessage `json:"report"`
+// appendHead appends the canonical envelope (see the package comment)
+// for key up to the hex sum.
+func appendHead(b []byte, key string) []byte {
+	b = append(b, `{"schema":`...)
+	b = strconv.AppendInt(b, Schema, 10)
+	b = append(b, `,"key":`...)
+	b = appendKey(b, key)
+	return append(b, `,"sum":"`...)
 }
+
+// appendKey appends key as encoding/json encodes a string. Keys are
+// plain printable ASCII in practice and are copied between quotes;
+// anything that might need escaping goes through json.Marshal, which
+// defines the encoding.
+func appendKey(b []byte, key string) []byte {
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			k, _ := json.Marshal(key) // a string always marshals
+			return append(b, k...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, key...)
+	return append(b, '"')
+}
+
+// envelopeMid sits between the hex sum and the report payload.
+const envelopeMid = `","report":`
 
 // EncodeRecord builds the self-describing envelope for a report — the
 // exact bytes Dir persists and the record API serves. Envelope bytes
@@ -180,39 +211,48 @@ func EncodeRecord(key string, rep *stats.Report) ([]byte, error) {
 		return nil, fmt.Errorf("store: encode report: %w", err)
 	}
 	sum := sha256.Sum256(payload)
-	data, err := json.Marshal(record{
-		Schema: Schema,
-		Key:    key,
-		Sum:    hex.EncodeToString(sum[:]),
-		Report: payload,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: encode record: %w", err)
-	}
-	return data, nil
+	// One allocation for a plain key, with room for the newline that Put
+	// and the record API append.
+	data := make([]byte, 0, len(key)+len(payload)+128)
+	data = appendHead(data, key)
+	data = hex.AppendEncode(data, sum[:])
+	data = append(data, envelopeMid...)
+	data = append(data, payload...)
+	return append(data, '}'), nil
 }
 
 // DecodeRecord verifies an envelope against the key it was requested
-// under — schema, key echo, payload integrity hash — and decodes the
-// report. It is the single verification path for records read from
-// disk and records received from peers.
+// under and decodes the report. It is the single verification path for
+// records read from disk and records received from peers. It accepts
+// only the canonical envelope EncodeRecord writes for key, optionally
+// followed by one newline, whose sum matches the SHA-256 of the report
+// payload: any other bytes — another schema or key, reordered fields,
+// added whitespace, trailing data — are rejected as corrupt.
 func DecodeRecord(data []byte, key string) (*stats.Report, error) {
-	var rec record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("store: envelope: %w", err)
+	if !utf8.ValidString(key) {
+		// encoding/json would rewrite the key, so no record can echo it.
+		return nil, errors.New("store: key is not valid UTF-8")
 	}
-	if rec.Schema != Schema {
-		return nil, fmt.Errorf("store: schema %d, want %d", rec.Schema, Schema)
+	var buf [512]byte
+	head := appendHead(buf[:0], key)
+	body, _ := bytes.CutSuffix(data, []byte{'\n'})
+	if !bytes.HasPrefix(body, head) {
+		return nil, errors.New("store: envelope does not match the schema and key")
 	}
-	if rec.Key != key {
-		return nil, errors.New("store: key mismatch")
+	rest := body[len(head):]
+	const hexLen = sha256.Size * 2
+	if len(rest) < hexLen+len(envelopeMid)+1 || string(rest[hexLen:hexLen+len(envelopeMid)]) != envelopeMid || rest[len(rest)-1] != '}' {
+		return nil, errors.New("store: malformed envelope")
 	}
-	sum := sha256.Sum256(rec.Report)
-	if hex.EncodeToString(sum[:]) != rec.Sum {
+	payload := rest[hexLen+len(envelopeMid) : len(rest)-1]
+	sum := sha256.Sum256(payload)
+	var want [hexLen]byte
+	hex.Encode(want[:], sum[:])
+	if string(rest[:hexLen]) != string(want[:]) {
 		return nil, errors.New("store: integrity hash mismatch")
 	}
 	rep := new(stats.Report)
-	if err := json.Unmarshal(rec.Report, rep); err != nil {
+	if err := json.Unmarshal(payload, rep); err != nil {
 		return nil, fmt.Errorf("store: report payload: %w", err)
 	}
 	return rep, nil

@@ -289,7 +289,7 @@ func ImportRVV(r io.Reader) (*Trace, error) {
 	}
 	// End-to-end validation: the reconstructed trace must replay cleanly
 	// through the engine's own stream expansion.
-	if _, _, err := prog.NewStreamVL(imp.t.Prog, imp.t.Source(), imp.t.MaxVL).Drain(); err != nil {
+	if _, err := imp.t.Profile(); err != nil {
 		return nil, fmt.Errorf("trace: rvv: imported trace does not replay: %w", err)
 	}
 	return imp.t, nil

@@ -111,6 +111,26 @@ func (t *Trace) Decoded() []prog.DecodedInst {
 	return t.dec
 }
 
+// Profile returns the trace's dynamic statistics and replay error —
+// exactly what draining a Stream of it returns — computed per basic
+// block rather than per instruction (see prog.Profile). It reads the
+// streams without materializing the predecode cache.
+func (t *Trace) Profile() (prog.Stats, error) {
+	var dryErr error
+	st, err := prog.Profile(t.Prog, t.BBs, t.VLs, len(t.Strides), len(t.Addrs), t.MaxVL, func(stream string) {
+		dryErr = exhausted(stream) // like replay, the last dry draw names the error
+	})
+	if err == nil {
+		err = dryErr
+	}
+	return st, err
+}
+
+// exhausted is the replay error for a value stream that ran dry.
+func exhausted(stream string) error {
+	return fmt.Errorf("trace: %s stream exhausted", stream)
+}
+
 type replay struct {
 	t              *Trace
 	bi, vi, si, ai int
@@ -128,7 +148,7 @@ func (r *replay) NextBB() (int, bool) {
 
 func (r *replay) NextVL() int64 {
 	if r.vi >= len(r.t.VLs) {
-		r.err = fmt.Errorf("trace: vector-length stream exhausted")
+		r.err = exhausted("vector-length")
 		return 1
 	}
 	v := r.t.VLs[r.vi]
@@ -138,7 +158,7 @@ func (r *replay) NextVL() int64 {
 
 func (r *replay) NextStride() int64 {
 	if r.si >= len(r.t.Strides) {
-		r.err = fmt.Errorf("trace: stride stream exhausted")
+		r.err = exhausted("stride")
 		return 0
 	}
 	v := r.t.Strides[r.si]
@@ -148,7 +168,7 @@ func (r *replay) NextStride() int64 {
 
 func (r *replay) NextAddr() uint64 {
 	if r.ai >= len(r.t.Addrs) {
-		r.err = fmt.Errorf("trace: address stream exhausted")
+		r.err = exhausted("address")
 		return 0
 	}
 	v := r.t.Addrs[r.ai]

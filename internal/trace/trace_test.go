@@ -241,3 +241,36 @@ func TestRecordPropagatesSourceError(t *testing.T) {
 		t.Fatal("source error not propagated")
 	}
 }
+
+// TestProfileMatchesReplay: Trace.Profile reports the Stats and error
+// of draining a source-driven replay, including replays that run
+// streams dry (the replay's error names the last dry draw), name a bad
+// block, clamp VLs, or run at a non-reference MaxVL.
+func TestProfileMatchesReplay(t *testing.T) {
+	mk := func(edit func(*Trace)) *Trace {
+		tr := sampleTrace(5)
+		edit(tr)
+		return tr
+	}
+	cases := map[string]*Trace{
+		"clean":          sampleTrace(5),
+		"addr-dry":       mk(func(tr *Trace) { tr.Addrs = tr.Addrs[:3] }),
+		"vl-and-addr":    mk(func(tr *Trace) { tr.VLs, tr.Addrs = nil, nil }),
+		"stride-and-vl":  mk(func(tr *Trace) { tr.VLs, tr.Strides = nil, nil }),
+		"bad-block":      mk(func(tr *Trace) { tr.BBs[3] = 7 }),
+		"negative-block": mk(func(tr *Trace) { tr.BBs[2] = -1 }),
+		"vl-clamped":     mk(func(tr *Trace) { tr.VLs[0] = 1000; tr.MaxVL = 64 }),
+		"vl-below-one":   mk(func(tr *Trace) { tr.VLs[0] = -5 }),
+		"no-blocks":      mk(func(tr *Trace) { tr.BBs = nil }),
+	}
+	for name, tr := range cases {
+		n, want, wantErr := prog.NewStreamVL(tr.Prog, tr.Source(), tr.MaxVL).Drain()
+		got, err := tr.Profile()
+		if got != want || got.Insts() != n {
+			t.Errorf("%s: profile %+v, drain %+v", name, got, want)
+		}
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Errorf("%s: profile error %v, drain error %v", name, err, wantErr)
+		}
+	}
+}

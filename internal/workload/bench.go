@@ -23,16 +23,12 @@ import (
 // which is what makes the suite sweepable, store-persistable and
 // servable with no session or cluster changes.
 func BenchSpecs() []*Spec {
-	benchOnce.Do(func() { benchShared = buildBenchSpecs() })
-	out := make([]*Spec, len(benchShared))
-	copy(out, benchShared)
-	return out
+	return append([]*Spec(nil), benchSpecsShared()...)
 }
 
-var (
-	benchOnce   sync.Once
-	benchShared []*Spec
-)
+// benchSpecsShared is the shared registry behind BenchSpecs; callers
+// must not modify it.
+var benchSpecsShared = sync.OnceValue(buildBenchSpecs)
 
 // BenchOrder returns the suite in its fixed catalog order; the
 // ext-benchsuite experiment queues the kernels in this order.

@@ -26,16 +26,12 @@ import (
 // once and shared (they are immutable recipes); each call returns a
 // fresh slice so callers may reorder freely.
 func Specs() []*Spec {
-	specsOnce.Do(func() { specsShared = buildSpecs() })
-	out := make([]*Spec, len(specsShared))
-	copy(out, specsShared)
-	return out
+	return append([]*Spec(nil), specsShared()...)
 }
 
-var (
-	specsOnce   sync.Once
-	specsShared []*Spec
-)
+// specsShared is the shared registry behind Specs; callers must not
+// modify it.
+var specsShared = sync.OnceValue(buildSpecs)
 
 func buildSpecs() []*Spec {
 	return []*Spec{

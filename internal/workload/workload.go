@@ -102,6 +102,19 @@ type Workload struct {
 	// which is what lets the persistent result store key runs on content
 	// instead of process-local object identity.
 	Opts vcomp.Options
+
+	fp uint64 // Stats.Fingerprint(), taken once at build
+}
+
+// Fingerprint returns the fingerprint of the workload's dynamic profile
+// (prog.Stats.Fingerprint), the content part of its persist key. Build
+// and FromTrace compute it once; a hand-assembled Workload hashes its
+// Stats on every call. Stats must not change after a build.
+func (w *Workload) Fingerprint() uint64 {
+	if w.fp != 0 {
+		return w.fp
+	}
+	return w.Stats.Fingerprint()
 }
 
 // Build compiles the benchmark and solves the invocation schedule for the
@@ -135,15 +148,15 @@ func (s *Spec) BuildOpts(scale float64, opts vcomp.Options) (*Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", s.Name, err)
 	}
-	// Validate the replay and measure its dynamic statistics through the
-	// source path, leaving the trace's predecode cache to the first run
-	// that actually streams it (build-only consumers like the Table 3
-	// counts never pay for materialization).
-	_, st, err := prog.NewStreamVL(tr.Prog, tr.Source(), tr.MaxVL).Drain()
+	// Validate the replay and measure its dynamic statistics per basic
+	// block, leaving the trace's predecode cache to the first run that
+	// actually streams it (build-only consumers like the Table 3 counts
+	// never pay for materialization).
+	st, err := tr.Profile()
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: generated trace does not replay: %w", s.Name, err)
 	}
-	return &Workload{Spec: s, Scale: scale, Trace: tr, Stats: st, Opts: opts}, nil
+	return &Workload{Spec: s, Scale: scale, Trace: tr, Stats: st, Opts: opts, fp: st.Fingerprint()}, nil
 }
 
 // Stream returns a fresh dynamic instruction stream of the workload.
@@ -174,30 +187,23 @@ func BuildAll(scale float64) ([]*Workload, error) {
 // ByShort returns the registered spec with the given short tag — from
 // the Table 3 catalog or the bench suite — or nil.
 func ByShort(short string) *Spec {
-	for _, s := range Specs() {
-		if s.Short == short {
-			return s
-		}
-	}
-	for _, s := range BenchSpecs() {
-		if s.Short == short {
-			return s
-		}
-	}
-	return nil
+	return lookup(func(s *Spec) bool { return s.Short == short })
 }
 
 // ByName returns the registered spec with the given program name — from
 // the Table 3 catalog or the bench suite — or nil.
 func ByName(name string) *Spec {
-	for _, s := range Specs() {
-		if s.Name == name {
-			return s
-		}
-	}
-	for _, s := range BenchSpecs() {
-		if s.Name == name {
-			return s
+	return lookup(func(s *Spec) bool { return s.Name == name })
+}
+
+// lookup scans both shared registries in place: the session layer
+// resolves a name on every persist key, so it must not copy them.
+func lookup(match func(*Spec) bool) *Spec {
+	for _, reg := range [][]*Spec{specsShared(), benchSpecsShared()} {
+		for _, s := range reg {
+			if match(s) {
+				return s
+			}
 		}
 	}
 	return nil
@@ -223,12 +229,12 @@ func FromTrace(name string, tr *trace.Trace) (*Workload, error) {
 	if name == "" {
 		return nil, fmt.Errorf("workload: FromTrace: trace has no program name")
 	}
-	_, st, err := prog.NewStreamVL(tr.Prog, tr.Source(), tr.MaxVL).Drain()
+	st, err := tr.Profile()
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: trace does not replay: %w", name, err)
 	}
 	spec := &Spec{Name: name, Short: name, Suite: "Import"}
-	return &Workload{Spec: spec, Scale: 1, Trace: tr, Stats: st}, nil
+	return &Workload{Spec: spec, Scale: 1, Trace: tr, Stats: st, fp: st.Fingerprint()}, nil
 }
 
 // QueueOrder returns the ten specs in the fixed random order of the

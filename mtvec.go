@@ -409,11 +409,11 @@ func RenderResultMarkdown(w io.Writer, res *ExperimentResult) error {
 // DynInst is one dynamic instruction of a stream.
 type DynInst = isa.DynInst
 
-// TraceStats replays a trace and returns its dynamic statistics and
-// instruction count.
+// TraceStats returns a trace's dynamic statistics and instruction
+// count, with the error its replay would end on.
 func TraceStats(t *Trace) (ProgramStats, int64, error) {
-	n, st, err := t.Stream().Drain()
-	return st, n, err
+	st, err := t.Profile()
+	return st, st.Insts(), err
 }
 
 // EncodeTrace / DecodeTrace expose the Dixie-analogue trace container.

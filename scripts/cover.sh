@@ -28,16 +28,16 @@ declare -A FLOOR=(
   [mtvec/internal/kernel]=90
   [mtvec/internal/memsys]=85
   [mtvec/internal/metrics]=88
-  [mtvec/internal/prog]=88
+  [mtvec/internal/prog]=92
   [mtvec/internal/report]=95
   [mtvec/internal/runner]=75
   [mtvec/internal/sched]=90
   [mtvec/internal/session]=75
   [mtvec/internal/stats]=95
-  [mtvec/internal/store]=78
+  [mtvec/internal/store]=80
   [mtvec/internal/trace]=85
   [mtvec/internal/vcomp]=88
-  [mtvec/internal/workload]=90
+  [mtvec/internal/workload]=91
 )
 
 out=$(go test -coverprofile="$PROFILE" -covermode=atomic ./...) || {
