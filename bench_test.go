@@ -179,13 +179,10 @@ func BenchmarkSessionRunMemoized(b *testing.B) {
 	}
 }
 
-// Lockstep batch engine: the same memo-missed eight-point latency sweep
-// over one compiled kernel, dispatched per point (batching off) and
-// through the batch engine. Both sessions run on a single gate slot so
-// the comparison is work per core, not parallelism: the batch's win is
-// the trace synthesis + predecode hoisted out of the per-point loop and
-// the shared trace window staying cache-hot across the eight lanes
-// (docs/PERF.md, "Lockstep batching").
+// Compiled sweep: a memo-missed eight-point latency sweep over one
+// compiled kernel on a single gate slot, so ns/op is work per core. The
+// points share one synthesized and predecoded trace for the call
+// (docs/PERF.md, "Sweeps run point by point").
 
 func benchSweepCompiled(b *testing.B) *mtvec.Compiled {
 	b.Helper()
@@ -211,7 +208,7 @@ func benchSweepCompiled(b *testing.B) *mtvec.Compiled {
 	return c
 }
 
-func benchBatchSweep(b *testing.B, batching bool) {
+func BenchmarkCompiledSweep(b *testing.B) {
 	c := benchSweepCompiled(b)
 	sched := []mtvec.Invocation{
 		{Unit: 1, N: 1 << 14},
@@ -222,11 +219,7 @@ func benchBatchSweep(b *testing.B, batching bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := []mtvec.SessionOption{mtvec.WithJobs(1)}
-		if !batching {
-			opts = append(opts, mtvec.WithoutBatching())
-		}
-		ses := mtvec.NewSession(opts...)
+		ses := mtvec.NewSession(mtvec.WithJobs(1))
 		specs := make([]mtvec.RunSpec, 8)
 		for k := range specs {
 			specs[k] = mtvec.CompiledRun(c, sched, mtvec.WithMemLatency(30+10*k))
@@ -236,6 +229,3 @@ func benchBatchSweep(b *testing.B, batching bool) {
 		}
 	}
 }
-
-func BenchmarkBatchSweep(b *testing.B)    { benchBatchSweep(b, true) }
-func BenchmarkPerPointSweep(b *testing.B) { benchBatchSweep(b, false) }

@@ -35,8 +35,9 @@ type BenchFile struct {
 	BenchtimeMS int64   `json:"benchtime_ms"`
 	Count       int     `json:"count"`
 	// Jobs is the gate width the sweep cases ran under (-bench-jobs).
-	// Compare artifacts recorded at the same width: parallel lanes make
-	// jobs part of the measurement, not just the machine environment.
+	// Compare artifacts recorded at the same width: sweep points run
+	// side by side, so jobs is part of the measurement, not just the
+	// machine environment.
 	Jobs int `json:"jobs,omitempty"`
 	// NumCPU and GOMAXPROCS describe the machine the samples ran on. A
 	// parallel speedup measured with one CPU is no speedup. Artifacts
@@ -82,7 +83,7 @@ type benchCase struct {
 // environment per iteration, mirroring the repository's testing.B suite)
 // plus the raw engine throughput cases. jobs is the session gate width
 // the sweep cases run under: 1 measures work per core, >1 additionally
-// measures the parallel lane engine.
+// measures points running side by side.
 func benchCases(scale float64, jobs int) ([]benchCase, error) {
 	var cases []benchCase
 	for _, e := range mtvec.Experiments() {
@@ -211,13 +212,10 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 		sessionCase("session/memoized", memo, false),
 	)
 
-	// Lockstep batch engine vs per-point dispatch: the same memo-missed
-	// eight-point latency sweep over one compiled kernel, under the
-	// -bench-jobs gate width either way. At jobs=1 the comparison is
-	// work per core; at jobs>1 the batch side also exercises parallel
-	// lanes and adaptive shaping. sweep/perpoint ns/op over
-	// sweep/batch8 ns/op is the recorded batch speedup (docs/PERF.md,
-	// "Lockstep batching" and "Parallel lanes").
+	// Sweeps: the same memo-missed eight-point latency sweep over one
+	// compiled kernel, under the -bench-jobs gate width. The points share
+	// one synthesized and predecoded trace for the call (docs/PERF.md,
+	// "Sweeps run point by point").
 	sweepKernel, err := compileSweepKernel()
 	if err != nil {
 		return nil, err
@@ -227,12 +225,8 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 		{Unit: 0, N: 1 << 14},
 		{Unit: 1, N: 1 << 14},
 	}
-	runSweep := func(specs []mtvec.RunSpec, batching bool) (int64, error) {
-		opts := []mtvec.SessionOption{mtvec.WithJobs(jobs)}
-		if !batching {
-			opts = append(opts, mtvec.WithoutBatching())
-		}
-		ses := mtvec.NewSession(opts...)
+	runSweep := func(specs []mtvec.RunSpec) (int64, error) {
+		ses := mtvec.NewSession(mtvec.WithJobs(jobs))
 		reps, err := ses.RunAll(ctx, specs...)
 		if err != nil {
 			return 0, err
@@ -243,25 +237,21 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 		}
 		return cycles, nil
 	}
-	sweep := func(batching bool) func() (int64, error) {
-		return func() (int64, error) {
+	cases = append(cases, benchCase{
+		name: "sweep/perpoint",
+		fn: func() (int64, error) {
 			specs := make([]mtvec.RunSpec, 8)
 			for k := range specs {
 				specs[k] = mtvec.CompiledRun(sweepKernel, sweepSched, mtvec.WithMemLatency(30+10*k))
 			}
-			return runSweep(specs, batching)
-		}
-	}
-	cases = append(cases,
-		benchCase{name: "sweep/batch8", fn: sweep(true)},
-		benchCase{name: "sweep/perpoint", fn: sweep(false)},
-	)
+			return runSweep(specs)
+		},
+	})
 
 	// Long-vector sweep: the gemm and spmv bench-suite supplies are
-	// simulation-dominated (high cycles per instruction), the regime the
-	// adaptive model shapes narrow-but-parallel — the opposite corner
-	// from the scalar-heavy daxpy-setup sweep above. Two provenance
-	// groups of four latency points each.
+	// simulation-dominated (high cycles per instruction) — the opposite
+	// corner from the scalar-heavy daxpy-setup sweep above. Two supplies
+	// of four latency points each.
 	var gemmW, spmvW *mtvec.Workload
 	for i, spec := range mtvec.BenchWorkloads() {
 		switch spec.Short {
@@ -274,26 +264,23 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 	if gemmW == nil || spmvW == nil {
 		return nil, fmt.Errorf("bench suite is missing the gemm or spmv workload")
 	}
-	longvec := func(batching bool) func() (int64, error) {
-		return func() (int64, error) {
+	cases = append(cases, benchCase{
+		name: "sweep/longvec-perpoint",
+		fn: func() (int64, error) {
 			var specs []mtvec.RunSpec
 			for _, w := range []*mtvec.Workload{gemmW, spmvW} {
 				for k := 0; k < 4; k++ {
 					specs = append(specs, mtvec.Solo(w, mtvec.WithMemLatency(30+30*k)))
 				}
 			}
-			return runSweep(specs, batching)
-		}
-	}
-	cases = append(cases,
-		benchCase{name: "sweep/longvec-batch", fn: longvec(true)},
-		benchCase{name: "sweep/longvec-perpoint", fn: longvec(false)},
-	)
+			return runSweep(specs)
+		},
+	})
 	return cases, nil
 }
 
-// compileSweepKernel builds the daxpy-plus-setup kernel the batch-sweep
-// cases run, mirroring the repository's BenchmarkBatchSweep.
+// compileSweepKernel builds the daxpy-plus-setup kernel the sweep case
+// runs, mirroring the repository's BenchmarkCompiledSweep.
 func compileSweepKernel() (*mtvec.Compiled, error) {
 	x := &mtvec.Array{Name: "x", Base: 0x10000, Stride: 8}
 	y := &mtvec.Array{Name: "y", Base: 0x20000, Stride: 8}

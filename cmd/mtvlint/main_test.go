@@ -31,7 +31,7 @@ func TestJSONSmoke(t *testing.T) {
 	if !strings.HasSuffix(f.File, "j.go") || f.Line == 0 || f.Col == 0 {
 		t.Errorf("position = %s:%d:%d, want a real j.go position", f.File, f.Line, f.Col)
 	}
-	if !strings.Contains(f.Message, "g.TryAcquire") {
+	if !strings.Contains(f.Message, "g.Acquire") {
 		t.Errorf("message = %q, want the unmatched acquire named", f.Message)
 	}
 }

@@ -3,112 +3,43 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"mtvec/internal/stats"
 )
 
-// DefaultBatchWindow is the lockstep window in dispatched dynamic
-// instructions: how far one lane advances before the batch moves on to
-// the next. Small enough that the trace region the lanes are walking
-// stays cache-resident across all of them, large enough to amortize the
-// resume overhead; SetWindow tunes it.
-const DefaultBatchWindow = 2048
-
-// batchSlab is the shared structure-of-arrays allocation behind a
-// Batch: every lane's hardware contexts, vector register windows and
-// bank port windows live in one contiguous block per state kind, so the
-// lockstep loop walks dense memory instead of N scattered machines.
-type batchSlab struct {
-	ctxs  []hwContext
-	vregs []vregState
-	banks []bankState
-	wins  []portWindow
-}
-
-func (s *batchSlab) takeCtxs(n int) []hwContext {
-	out := s.ctxs[:n:n]
-	s.ctxs = s.ctxs[n:]
-	return out
-}
-
-func (s *batchSlab) takeVRegs(n int) []vregState {
-	out := s.vregs[:n:n]
-	s.vregs = s.vregs[n:]
-	return out
-}
-
-func (s *batchSlab) takeBanks(n int) []bankState {
-	out := s.banks[:n:n]
-	s.banks = s.banks[n:]
-	return out
-}
-
-func (s *batchSlab) takeWins(n int) []portWindow {
-	out := s.wins[:n:n]
-	s.wins = s.wins[n:]
-	return out
-}
+// batchWindow is how many dynamic instructions one lane dispatches
+// before the batch moves on to the next lane.
+const batchWindow = 2048
 
 // Batch advances N independently configured machines ("lanes") in
-// lockstep windows over their instruction streams. Lanes share no
-// mutable state — each is a complete Machine with its own clock,
-// scoreboards and memory model, carved out of one batch-wide
-// structure-of-arrays slab — so every lane's Report is byte-identical
-// to the same configuration run solo, by construction. What lanes do
-// share is their input: when all lanes replay the same predecoded
-// trace (a sweep over machine parameters), the lockstep window keeps
-// the trace region being walked hot in cache across all of them
-// instead of re-streaming the whole trace once per lane.
+// turn, one window of dispatched instructions per lane per round, over
+// their instruction streams. Lanes share no mutable state — each is a
+// complete Machine built by New — so every lane's Report is
+// byte-identical to the same configuration run solo, by construction:
+// a lane pauses only between cycles and resumes from exactly the state
+// it paused in.
+//
+// The session layer runs every point on its own Machine; Batch remains
+// as the differential check that pausing and resuming a run is
+// invisible in its results.
 //
 // A Batch is single-use, like the machines it owns: build it, attach
 // each lane's threads through Machine(i), run once, read the per-lane
 // results. Batches are not safe for concurrent use.
 type Batch struct {
-	lanes  []*Machine
-	window int64
-	par    int      // max goroutines advancing lanes per round (1 = sequential)
-	slots  SlotPool // optional limiter the extra goroutines borrow slots from
-	ran    bool
+	lanes []*Machine
+	ran   bool
 }
 
-// SlotPool is a concurrency limiter a Batch can borrow extra slots
-// from. TryAcquire claims up to max free slots without blocking and
-// returns how many it got; Release returns them. *runner.Gate satisfies
-// it. The caller's own admission (the slot it entered the batch under)
-// is implicit and never released by the batch.
-type SlotPool interface {
-	TryAcquire(max int) int
-	Release(n int)
-}
-
-// NewBatch builds one machine per config, allocating all lanes' mutable
-// state out of shared structure-of-arrays slabs. Any invalid config
-// fails the whole batch.
+// NewBatch builds one machine per config. Any invalid config fails the
+// whole batch.
 func NewBatch(cfgs []Config) (*Batch, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("core: batch needs at least one lane config")
 	}
-	// Pre-derive every lane's shape to size the shared slabs.
-	var slab batchSlab
-	nctx, nvregs, nbanks := 0, 0, 0
+	b := &Batch{lanes: make([]*Machine, len(cfgs))}
 	for i := range cfgs {
-		cfg := cfgs[i].Normalized()
-		der, err := cfg.Spec.Derive(cfg.Contexts)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch lane %d: %w", i, err)
-		}
-		nctx += cfg.Contexts
-		nvregs += cfg.Contexts * der.CtxVRegs
-		nbanks += cfg.Contexts * der.NumBanks
-	}
-	slab.ctxs = make([]hwContext, nctx)
-	slab.vregs = make([]vregState, nvregs)
-	slab.banks = make([]bankState, nbanks)
-	slab.wins = make([]portWindow, 2*bankWinReserve*nbanks)
-	b := &Batch{lanes: make([]*Machine, len(cfgs)), window: DefaultBatchWindow}
-	for i := range cfgs {
-		m, err := newMachine(cfgs[i], &slab)
+		m, err := New(cfgs[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: batch lane %d: %w", i, err)
 		}
@@ -117,76 +48,28 @@ func NewBatch(cfgs []Config) (*Batch, error) {
 	return b, nil
 }
 
-// Lanes returns the number of lanes.
-func (b *Batch) Lanes() int { return len(b.lanes) }
-
 // Machine returns lane i's machine for thread attachment (SetThread,
 // SetThreadStream). Do not call its Run methods — the batch drives it.
 func (b *Batch) Machine(i int) *Machine { return b.lanes[i] }
 
-// SetWindow changes the lockstep window (dispatched instructions per
-// lane per round); n <= 0 keeps the current value. The window never
-// affects results, only locality.
-func (b *Batch) SetWindow(n int64) {
-	if n > 0 {
-		b.window = n
-	}
-}
-
-// SetParallel allows up to n goroutines to advance live lanes within
-// one lockstep round; n <= 1 (the default) keeps the sequential walk.
-// Lanes are independent machines sharing only immutable inputs, so the
-// setting never affects results — each lane's Report is the same
-// whichever goroutine advances it.
-func (b *Batch) SetParallel(n int) {
-	if n > 1 {
-		b.par = n
-	} else {
-		b.par = 1
-	}
-}
-
-// SetSlots attaches a concurrency limiter the parallel rounds cooperate
-// with: each round runs on 1 + TryAcquire(min(par, live)-1) goroutines,
-// so the batch widens across idle capacity and narrows back as lanes
-// retire or the pool fills. Without a pool (the default), SetParallel
-// alone bounds the round width. Results never depend on the pool.
-func (b *Batch) SetSlots(p SlotPool) { b.slots = p }
-
 // Run advances all lanes to completion and returns the per-lane reports
-// and errors (both always len Lanes(); exactly one of reps[i], errs[i]
-// is non-nil).
+// and errors (one entry per lane; exactly one of reps[i], errs[i] is
+// non-nil). stops[i] is lane i's stop rule.
 func (b *Batch) Run(stops []Stop) ([]*stats.Report, []error) {
-	return b.RunContext(context.Background(), stops)
-}
-
-// RunContext is Run with cancellation: lanes that have not finished
-// when ctx is cancelled report ctx.Err() and no Report, exactly like a
-// cancelled solo RunContext. stops[i] is lane i's stop rule.
-//
-// The lockstep loop raises a shared dispatched-instruction target each
-// round and advances every live lane up to it; lanes that finish (or
-// fail) drop out of the active mask, and the loop ends when the mask is
-// empty. Because each lane pauses only between cycles and resumes from
-// exactly the machine state it paused in, the schedule of pauses is
-// invisible in the results.
-func (b *Batch) RunContext(ctx context.Context, stops []Stop) ([]*stats.Report, []error) {
 	n := len(b.lanes)
 	reps := make([]*stats.Report, n)
 	errs := make([]error, n)
-	if len(stops) != n {
-		err := fmt.Errorf("core: batch has %d lanes, got %d stops", n, len(stops))
+	fail := func(err error) ([]*stats.Report, []error) {
 		for i := range errs {
 			errs[i] = err
 		}
 		return reps, errs
 	}
+	if len(stops) != n {
+		return fail(fmt.Errorf("core: batch has %d lanes, got %d stops", n, len(stops)))
+	}
 	if b.ran {
-		err := fmt.Errorf("core: batch already ran; build a new one")
-		for i := range errs {
-			errs[i] = err
-		}
-		return reps, errs
+		return fail(fmt.Errorf("core: batch already ran; build a new one"))
 	}
 	b.ran = true
 
@@ -200,116 +83,23 @@ func (b *Batch) RunContext(ctx context.Context, stops []Stop) ([]*stats.Report, 
 		active[i] = true
 		live++
 	}
-	if b.par > 1 && live > 1 {
-		b.runRounds(ctx, stops, reps, errs, active, live)
-		return reps, errs
-	}
-	for target := b.window; live > 0; target += b.window {
-		for i := range b.lanes {
+	for target := int64(batchWindow); live > 0; target += batchWindow {
+		for i, m := range b.lanes {
 			if !active[i] {
 				continue
 			}
-			finished, err := b.lanes[i].runLoop(ctx, stops[i], target)
+			finished, err := m.runLoop(context.Background(), stops[i], target)
 			if err != nil {
 				errs[i], active[i] = err, false
 				live--
 				continue
 			}
 			if finished {
-				reps[i], errs[i] = b.lanes[i].finish(stops[i])
+				reps[i], errs[i] = m.finish(stops[i])
 				active[i] = false
 				live--
 			}
 		}
 	}
 	return reps, errs
-}
-
-// runRounds is the parallel round loop: each lockstep round, up to
-// min(par, live) goroutines claim live lanes off a shared cursor and
-// advance them to the round target. A lane is touched by exactly one
-// goroutine per round (the atomic cursor hands out each index once),
-// and the round barrier orders one round's writes before the next
-// round's reads, so the loop is data-race free without per-lane locks.
-// With a SlotPool attached, the extra goroutines (beyond the caller,
-// who participates on its own admission) each occupy one borrowed slot;
-// the batch re-sizes its claim every round as lanes retire and returns
-// everything on exit.
-func (b *Batch) runRounds(ctx context.Context, stops []Stop, reps []*stats.Report, errs []error, active []bool, live int) {
-	var (
-		cursor  atomic.Int64 // next lane index to claim this round
-		retired atomic.Int64 // lanes finished or failed this round
-		target  int64        // current round's dispatched-instruction target
-	)
-	round := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(b.lanes) {
-				return
-			}
-			if !active[i] {
-				continue
-			}
-			finished, err := b.lanes[i].runLoop(ctx, stops[i], target)
-			if err != nil {
-				errs[i], active[i] = err, false
-				retired.Add(1)
-				continue
-			}
-			if finished {
-				reps[i], errs[i] = b.lanes[i].finish(stops[i])
-				active[i] = false
-				retired.Add(1)
-			}
-		}
-	}
-
-	// Persistent helper goroutines, spawned lazily up to the widest round
-	// ever needed: a round wakes `extra` of them, runs the caller's share
-	// inline, then joins. done is buffered so a helper never blocks
-	// publishing its round completion.
-	start := make(chan struct{})
-	done := make(chan struct{}, b.par)
-	helper := func() {
-		for range start {
-			round()
-			done <- struct{}{}
-		}
-	}
-	spawned, held := 0, 0
-	defer func() {
-		close(start)
-		if b.slots != nil && held > 0 {
-			b.slots.Release(held)
-		}
-	}()
-
-	for target = b.window; live > 0; target += b.window {
-		extra := min(b.par, live) - 1
-		if b.slots != nil {
-			// Hold exactly as many borrowed slots as helpers we can use:
-			// shrink as lanes retire, top up when the pool has room.
-			if held > extra {
-				b.slots.Release(held - extra)
-				held = extra
-			} else if held < extra {
-				held += b.slots.TryAcquire(extra - held)
-			}
-			extra = held
-		}
-		for spawned < extra {
-			go helper()
-			spawned++
-		}
-		cursor.Store(0)
-		retired.Store(0)
-		for k := 0; k < extra; k++ {
-			start <- struct{}{}
-		}
-		round()
-		for k := 0; k < extra; k++ {
-			<-done
-		}
-		live -= int(retired.Load())
-	}
 }

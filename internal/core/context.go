@@ -62,10 +62,10 @@ func (v *vregState) addReader(now, end Cycle) bool {
 // portWindow is a busy window [S, E) on a register-bank port.
 type portWindow struct{ S, E Cycle }
 
-// bankWinReserve is the slab-backed initial capacity of each bank's
-// read and write window lists (see newMachine). Pruning keeps the live
-// window count near the in-flight instruction depth, so a small reserve
-// covers the steady state without growth while keeping the slab cheap.
+// bankWinReserve is the preallocated initial capacity of each bank's
+// read and write window lists (see New). Pruning keeps the live window
+// count near the in-flight instruction depth, so a small reserve covers
+// the steady state without growth while keeping the block cheap.
 const bankWinReserve = 4
 
 // bankState tracks the port occupancy of one two-register bank: two read

@@ -218,12 +218,7 @@ type Machine struct {
 }
 
 // New builds a machine from cfg.
-func New(cfg Config) (*Machine, error) { return newMachine(cfg, nil) }
-
-// newMachine builds a machine, carving its mutable state out of slab
-// when non-nil (batch lanes share one structure-of-arrays allocation
-// per state kind) and self-allocating otherwise.
-func newMachine(cfg Config, slab *batchSlab) (*Machine, error) {
+func New(cfg Config) (*Machine, error) {
 	cfg = cfg.Normalized()
 	// Derive runs the spec- and context-level validation; only the two
 	// cross-knob checks of Config.Validate remain.
@@ -290,31 +285,17 @@ func newMachine(cfg Config, slab *batchSlab) (*Machine, error) {
 
 	// One contiguous block per state kind: the contexts themselves, then
 	// every context's register and bank windows, sliced out of shared
-	// backing arrays so multi-context scans stay cache-friendly. Batch
-	// lanes take their blocks from one batch-wide slab instead, keeping
-	// all lanes' state dense for the lockstep loop.
-	var (
-		vregs []vregState
-		banks []bankState
-		wins  []portWindow
-	)
-	if slab != nil {
-		m.ctxs = slab.takeCtxs(cfg.Contexts)
-		vregs = slab.takeVRegs(cfg.Contexts * der.CtxVRegs)
-		banks = slab.takeBanks(cfg.Contexts * der.NumBanks)
-		wins = slab.takeWins(2 * bankWinReserve * cfg.Contexts * der.NumBanks)
-	} else {
-		m.ctxs = make([]hwContext, cfg.Contexts)
-		vregs = make([]vregState, cfg.Contexts*der.CtxVRegs)
-		banks = make([]bankState, cfg.Contexts*der.NumBanks)
-		wins = make([]portWindow, 2*bankWinReserve*cfg.Contexts*der.NumBanks)
-	}
-	// Seed every bank's port-window lists with a slab-backed reserve:
+	// backing arrays so multi-context scans stay cache-friendly.
+	m.ctxs = make([]hwContext, cfg.Contexts)
+	vregs := make([]vregState, cfg.Contexts*der.CtxVRegs)
+	banks := make([]bankState, cfg.Contexts*der.NumBanks)
+	wins := make([]portWindow, 2*bankWinReserve*cfg.Contexts*der.NumBanks)
+	// Seed every bank's port-window lists with a preallocated reserve:
 	// pruning keeps live windows to a few in-flight instructions, so
 	// bankWinReserve covers the steady state and only a genuinely deep
 	// window list spills to an append-grown heap slice. The chunks are
-	// capacity-capped and disjoint, so lanes sharing one slab never
-	// alias each other's windows.
+	// capacity-capped and disjoint, so an append never runs into a
+	// neighbouring bank's windows.
 	for i := range banks {
 		o := 2 * bankWinReserve * i
 		banks[i].reads = wins[o : o : o+bankWinReserve]

@@ -307,8 +307,8 @@ func (e *Env) suiteFor(rf arch.RegFile) ([]*workload.Workload, error) {
 // (workload.BenchOrder) compiled for the given register-file
 // organization; the zero organization is the reference build. The
 // kernels resolve through the same registry as the Table 3 programs, so
-// they run through the identical session machinery (memoization, store
-// persistence, lockstep batching).
+// they run through the identical session machinery (memoization and
+// store persistence).
 func (e *Env) BenchSuite(rf arch.RegFile) ([]*workload.Workload, error) {
 	key := arch.RegFile{}
 	if !rf.IsZero() && rf.BuildKey() != arch.DefaultRegFile().BuildKey() {

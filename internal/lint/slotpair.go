@@ -6,16 +6,16 @@ import (
 	"strings"
 )
 
-// SlotPair enforces the Gate.TryAcquire protocol introduced in PR 9:
-// every slot (or pooled resource) claimed through an Acquire-family
-// method must be returned by the matching Release on all paths out of
-// the claiming function — including panics and early returns, which is
-// exactly what a deferred Release guarantees and ad-hoc call-site
-// pairing does not.
+// SlotPair enforces acquire/release pairing: every slot (or pooled
+// resource) claimed through an Acquire-family method, such as
+// stats.UnitTimeline.AcquireBacking, must be returned by the matching
+// Release on all paths out of the claiming function — including panics
+// and early returns, which is exactly what a deferred Release
+// guarantees and ad-hoc call-site pairing does not.
 //
-// Mechanically: a call x.M(...) where M is "Acquire", "TryAcquire" or
-// "Acquire<Suffix>"/"TryAcquire<Suffix>", and x's type also has the
-// matching "Release"/"Release<Suffix>" method, creates an obligation in
+// Mechanically: a call x.M(...) where M is "Acquire" or
+// "Acquire<Suffix>", and x's type also has the matching
+// "Release"/"Release<Suffix>" method, creates an obligation in
 // the enclosing function. The obligation is met by a `defer` — either
 // `defer x.Release(...)` directly or a deferred closure whose body
 // calls x.Release — on the same receiver expression. Protocols that
@@ -24,7 +24,7 @@ import (
 // site naming where the release lives.
 var SlotPair = &Analyzer{
 	Name: "slotpair",
-	Doc:  "every Acquire/TryAcquire must be matched by a deferred Release on all paths (panic- and early-return-safe)",
+	Doc:  "every Acquire must be matched by a deferred Release on all paths (panic- and early-return-safe)",
 	Run:  runSlotPair,
 }
 
@@ -103,7 +103,7 @@ func noteCall(pass *Pass, call *ast.CallExpr, deferred bool, acquires *[]acquire
 		released[recv+"\x00"+name] = true
 		return
 	}
-	suffix, isAcquire := acquireSuffix(name)
+	suffix, isAcquire := strings.CutPrefix(name, "Acquire")
 	if !isAcquire {
 		return
 	}
@@ -112,19 +112,6 @@ func noteCall(pass *Pass, call *ast.CallExpr, deferred bool, acquires *[]acquire
 		return // not a paired protocol (e.g. sync/semaphore-unrelated names)
 	}
 	*acquires = append(*acquires, acquireCall{call: call, recv: recv, releaseName: releaseName})
-}
-
-// acquireSuffix matches the Acquire-family method names and returns the
-// pairing suffix ("" for Acquire/TryAcquire, "Backing" for
-// AcquireBacking, ...).
-func acquireSuffix(name string) (string, bool) {
-	if s, ok := strings.CutPrefix(name, "TryAcquire"); ok {
-		return s, true
-	}
-	if s, ok := strings.CutPrefix(name, "Acquire"); ok {
-		return s, true
-	}
-	return "", false
 }
 
 // hasMethod reports whether t (or *t) has a method with the given name.

@@ -5,22 +5,22 @@ package pool
 
 type Gate struct{ n int }
 
-func (g *Gate) TryAcquire(max int) int { return max }
-func (g *Gate) Release(n int)          {}
+func (g *Gate) Acquire(max int) int { return max }
+func (g *Gate) Release(n int)       {}
 
 type Pool struct{ slots *Gate }
 
 func leak(p *Pool) int {
-	return p.slots.TryAcquire(4) // want `p.slots.TryAcquire result is not matched by a deferred p.slots.Release`
+	return p.slots.Acquire(4) // want `p.slots.Acquire result is not matched by a deferred p.slots.Release`
 }
 
 func good(p *Pool) {
-	n := p.slots.TryAcquire(4)
+	n := p.slots.Acquire(4)
 	defer p.slots.Release(n)
 }
 
 func goodClosure(p *Pool) {
-	n := p.slots.TryAcquire(4)
+	n := p.slots.Acquire(4)
 	defer func() { p.slots.Release(n) }()
 }
 

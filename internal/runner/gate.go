@@ -70,51 +70,8 @@ func (g *Gate) Do(fn func()) {
 	g.cond.Signal()
 }
 
-// TryAcquire claims up to max free slots without blocking and returns
-// how many it got (possibly zero). It exists for work that can *use*
-// extra parallelism but never needs it: a batched simulation already
-// inside Do widens across idle slots when the machine has them and
-// degrades to its own slot when it does not. Because TryAcquire never
-// waits, it is safe to call while holding a Do slot — the deadlock rule
-// for nested Do does not apply. Every claimed slot must be returned
-// with Release.
-func (g *Gate) TryAcquire(max int) int {
-	if max <= 0 {
-		return 0
-	}
-	g.mu.Lock()
-	n := g.limit - g.in
-	if n > max {
-		n = max
-	}
-	if n < 0 {
-		n = 0
-	}
-	g.in += n
-	g.mu.Unlock()
-	return n
-}
-
-// Release returns n slots claimed by TryAcquire.
-func (g *Gate) Release(n int) {
-	if n <= 0 {
-		return
-	}
-	g.mu.Lock()
-	g.in -= n
-	g.mu.Unlock()
-	if n == 1 {
-		g.cond.Signal()
-	} else {
-		g.cond.Broadcast()
-	}
-}
-
 // Busy returns the cumulative wall time spent inside gated sections —
-// the serial-equivalent cost of the guarded work. Extra slots claimed
-// via TryAcquire do not add to Busy: the section that claimed them is
-// already timing its own wall clock, and counting the helpers again
-// would double-bill the same work.
+// the serial-equivalent cost of the guarded work.
 func (g *Gate) Busy() time.Duration { return time.Duration(g.busy.Load()) }
 
 // Active returns how many sections are inside the gate right now —

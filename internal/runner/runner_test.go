@@ -187,78 +187,6 @@ func TestGateBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestGateTryAcquire(t *testing.T) {
-	g := NewGate(4)
-	if got := g.TryAcquire(0); got != 0 {
-		t.Fatalf("TryAcquire(0) = %d", got)
-	}
-	if got := g.TryAcquire(-3); got != 0 {
-		t.Fatalf("TryAcquire(-3) = %d", got)
-	}
-	// Claim more than the limit: capped at the free slots.
-	if got := g.TryAcquire(10); got != 4 {
-		t.Fatalf("TryAcquire(10) on an idle 4-slot gate = %d", got)
-	}
-	if got := g.Active(); got != 4 {
-		t.Fatalf("Active() = %d after claiming 4", got)
-	}
-	// Fully claimed: nothing free, and TryAcquire must not block.
-	if got := g.TryAcquire(1); got != 0 {
-		t.Fatalf("TryAcquire(1) on a full gate = %d", got)
-	}
-	g.Release(3)
-	if got := g.TryAcquire(10); got != 3 {
-		t.Fatalf("TryAcquire(10) after Release(3) = %d", got)
-	}
-	g.Release(4)
-	if got := g.Active(); got != 0 {
-		t.Fatalf("Active() = %d after releasing everything", got)
-	}
-	// Release of nothing is a no-op.
-	g.Release(0)
-	g.Release(-1)
-	if got := g.Active(); got != 0 {
-		t.Fatalf("Active() = %d after no-op releases", got)
-	}
-}
-
-func TestGateTryAcquireInsideDo(t *testing.T) {
-	// The batched-simulation pattern: a section already inside Do widens
-	// across idle slots. TryAcquire while holding a slot must not block,
-	// and claimed slots must count against concurrent Do admissions.
-	g := NewGate(3)
-	admitted := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan int)
-	go g.Do(func() {
-		got := g.TryAcquire(8) // 2 free beyond our own slot
-		close(admitted)
-		<-release
-		g.Release(got)
-		done <- got
-	})
-	<-admitted
-	// All three slots are spoken for: a second Do must wait.
-	var second atomic.Bool
-	go g.Do(func() { second.Store(true) })
-	time.Sleep(10 * time.Millisecond)
-	if second.Load() {
-		t.Fatal("Do admitted while TryAcquire held every slot")
-	}
-	close(release)
-	if got := <-done; got != 2 {
-		t.Fatalf("TryAcquire(8) inside a 3-slot Do = %d, want 2", got)
-	}
-	// Released slots wake the parked Do.
-	deadline := time.Now().Add(2 * time.Second)
-	for !second.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("parked Do never admitted after Release")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestCacheForget(t *testing.T) {
 	var c Cache[string, int]
 	calls := 0

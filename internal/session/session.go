@@ -9,8 +9,8 @@
 // execute at once across every layer of a nested orchestration. A
 // RunSpec declares a simulation point (mode, workloads, machine
 // options); Session.Run simulates it under a context.Context, and
-// Session.RunAll fans a batch out over the gate with deterministic
-// collection order.
+// Session.RunAll fans a sweep of points out over the gate with
+// deterministic collection order.
 //
 // # Concurrency and determinism
 //
@@ -58,6 +58,8 @@ import (
 	"mtvec/internal/runner"
 	"mtvec/internal/stats"
 	"mtvec/internal/store"
+	"mtvec/internal/trace"
+	"mtvec/internal/vcomp"
 )
 
 // Session executes RunSpecs: it memoizes results, bounds concurrency,
@@ -67,19 +69,6 @@ type Session struct {
 	jobs atomic.Int64 // concurrency bound, mirrored into gate
 	sims atomic.Int64 // machine runs actually executed
 	memo bool
-
-	// nobatch disables RunAll's lockstep batching (see batch.go); the
-	// zero value means batching is on.
-	nobatch atomic.Bool
-
-	// batchWidth / batchWindow pin RunAll's batch shape; 0 (the zero
-	// value) selects adaptive shaping. cpi refines the shaping model
-	// with measured cycles-per-instruction, keyed by instruction-supply
-	// provenance. All three are scheduling state only — results and
-	// cache keys never depend on them (see batch.go).
-	batchWidth  atomic.Int64
-	batchWindow atomic.Int64
-	cpi         sync.Map // provenance key -> *cpiTrack
 
 	// st boxes the optional persistent second cache tier (nil box or nil
 	// backend = none); storeHits counts runs this session served from it,
@@ -142,6 +131,13 @@ func WithJobs(n int) SessionOption {
 func WithoutMemo() SessionOption {
 	return func(s *Session) { s.memo = false }
 }
+
+// WithoutBatching does nothing: RunAll resolves every point through
+// the per-point path, so there is no batching to turn off. It remains
+// only because repobench's reference checks still call it.
+//
+// Deprecated: RunAll no longer batches; the option is a no-op.
+func WithoutBatching() SessionOption { return func(*Session) {} }
 
 // backendBox wraps a store.Backend for atomic swapping.
 type backendBox struct{ b store.Backend }
@@ -219,12 +215,12 @@ func (s *Session) Active() int { return s.gate.Active() }
 
 // SetPace sets a minimum wall duration per simulation inside a gated
 // slot: a slot that finishes sooner sleeps out the remainder while
-// still holding the slot, and a lockstep batch of n lanes pads n
-// windows. Zero (the default) disables. Results are unaffected
-// — only timing changes. The knob exists for capacity emulation in load
-// tests (see docs/CLUSTER.md): on a machine with fewer cores than the
-// deployment being modelled, pacing makes a node's simulation capacity
-// the bottleneck, so horizontal scaling behaves as it would at size.
+// still holding the slot. Zero (the default) disables. Results are
+// unaffected — only timing changes. The knob exists for capacity
+// emulation in load tests (see docs/CLUSTER.md): on a machine with
+// fewer cores than the deployment being modelled, pacing makes a
+// node's simulation capacity the bottleneck, so horizontal scaling
+// behaves as it would at size.
 func (s *Session) SetPace(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -236,12 +232,10 @@ func (s *Session) SetPace(d time.Duration) {
 func (s *Session) Pace() time.Duration { return time.Duration(s.pace.Load()) }
 
 // paceSlot sleeps out the remainder of the pace window for a gated slot
-// that started at start and ran n machine simulations. A lockstep batch
-// pads n windows, not one: the knob emulates per-simulation capacity,
-// and batching must not make emulated work look free. Called while
-// still inside the gate; a cancelled ctx cuts the sleep short.
-func (s *Session) paceSlot(ctx context.Context, start time.Time, n int) {
-	d := time.Duration(s.pace.Load()) * time.Duration(n)
+// that started at start. Called while still inside the gate; a
+// cancelled ctx cuts the sleep short.
+func (s *Session) paceSlot(ctx context.Context, start time.Time) {
+	d := time.Duration(s.pace.Load())
 	if d <= 0 {
 		return
 	}
@@ -336,6 +330,14 @@ func (s *Session) Run(ctx context.Context, spec RunSpec) (*stats.Report, error) 
 // Waiters that join another caller's in-flight simulation report
 // SourceMemo (they did not run it).
 func (s *Session) RunTracked(ctx context.Context, spec RunSpec) (*stats.Report, Source, error) {
+	return s.runTracked(ctx, spec, nil)
+}
+
+// runTracked is RunTracked with the calling sweep's shared compiled
+// traces. traces is nil outside RunAllTracked, and non-nil marks a
+// sweep point, which resolves a store miss through claimDo instead of
+// the backend's Do.
+func (s *Session) runTracked(ctx context.Context, spec RunSpec, traces *traceShare) (*stats.Report, Source, error) {
 	p, err := spec.prepare()
 	if err != nil {
 		return nil, SourceSim, err
@@ -363,7 +365,7 @@ func (s *Session) RunTracked(ctx context.Context, spec RunSpec) (*stats.Report, 
 				return rep, s.storeSource(tier), nil
 			}
 		}
-		rep, err := s.simulate(ctx, spec, p)
+		rep, err := s.simulate(ctx, spec, p, traces)
 		if err == nil {
 			if persistable {
 				// Write-through is best-effort: a full disk degrades
@@ -386,9 +388,15 @@ func (s *Session) RunTracked(ctx context.Context, spec RunSpec) (*stats.Report, 
 	rep, err := s.runs.DoContext(ctx, spec.memoKey(&p, s.idOf), func() (*stats.Report, error) {
 		if st != nil {
 			if key, ok := spec.persistKey(&p); ok {
-				rep, tier, err := st.Do(ctx, key, func() (*stats.Report, error) {
-					return s.simulate(ctx, spec, p)
-				})
+				compute := func() (*stats.Report, error) { return s.simulate(ctx, spec, p, traces) }
+				var rep *stats.Report
+				var tier store.Tier
+				var err error
+				if traces != nil {
+					rep, tier, err = claimDo(ctx, st, key, compute)
+				} else {
+					rep, tier, err = st.Do(ctx, key, compute)
+				}
 				if tier.Hit() {
 					src = s.storeSource(tier)
 				} else if err == nil {
@@ -398,9 +406,41 @@ func (s *Session) RunTracked(ctx context.Context, spec RunSpec) (*stats.Report, 
 			}
 		}
 		src = SourceSim
-		return s.simulate(ctx, spec, p)
+		return s.simulate(ctx, spec, p, traces)
 	})
 	return rep, src, err
+}
+
+// claimDo is Do's protocol spelled out through a lockable backend's
+// own methods (store.TryLocker): look the key up, claim its lock
+// without waiting, compute and write through. A key whose lock another
+// process holds, or a backend that cannot lock, goes through Do, which
+// waits for the holder's record (a diskless store.Tiered looks its
+// peers up once more there). Sweep points take this path, as batched
+// sweeps did, so a wrapped backend sees each step: repobench's traced
+// sweep times the lookup, lock and write separately. The lock stays
+// advisory: a holder that finishes between the lookup and the claim
+// costs a duplicate simulation, never a wrong record.
+func claimDo(ctx context.Context, st store.Backend, key string, compute func() (*stats.Report, error)) (*stats.Report, store.Tier, error) {
+	tl, ok := st.(store.TryLocker)
+	if !ok {
+		return st.Do(ctx, key, compute)
+	}
+	if rep, tier := st.Get(key); tier.Hit() {
+		return rep, tier, nil
+	}
+	release := tl.TryLock(key)
+	if release == nil {
+		return st.Do(ctx, key, compute)
+	}
+	defer release()
+	rep, err := compute()
+	if err != nil {
+		return nil, store.TierMiss, err
+	}
+	// Write-through is best-effort, as in Do.
+	_ = st.Put(key, rep)
+	return rep, store.TierMiss, nil
 }
 
 // Cached returns the spec's Report if some cache tier already holds it
@@ -437,12 +477,10 @@ func (s *Session) Cached(spec RunSpec) (*stats.Report, Source, bool) {
 // RunAll simulates the specs concurrently under the session's jobs
 // bound and returns the Reports pinned to input order — slot i is
 // specs[i]'s Report (or nil on its error) no matter in which order the
-// points complete, batch together, or get cancelled. Every spec runs
-// even if an earlier one fails; errors are joined in input order, so
-// both results and error text are independent of scheduling.
-// Memo-and-store-missed points that share an instruction supply are
-// simulated in lockstep batches (see RunAllTracked and batch.go);
-// results are byte-identical either way.
+// points complete or get cancelled. Every spec runs even if an earlier
+// one fails; errors are joined in input order, so both results and
+// error text are independent of scheduling. Each point resolves as
+// RunTracked resolves it (see RunAllTracked).
 func (s *Session) RunAll(ctx context.Context, specs ...RunSpec) ([]*stats.Report, error) {
 	results := s.RunAllTracked(ctx, specs...)
 	reps := make([]*stats.Report, len(results))
@@ -453,8 +491,92 @@ func (s *Session) RunAll(ctx context.Context, specs ...RunSpec) ([]*stats.Report
 	return reps, errors.Join(errs...)
 }
 
+// Result is one RunAllTracked point: the Report (nil on error), which
+// cache tier answered, the wall time the point took inside RunAll —
+// from when a pool worker picked it up, so waiting for a gate slot
+// counts — and the point's error, if any.
+type Result struct {
+	Report  *stats.Report
+	Source  Source
+	Elapsed time.Duration
+	Err     error
+}
+
+// RunAllTracked is RunAll plus per-point metadata: for each spec, the
+// Report, the cache tier that answered, the point's wall time inside
+// the call, and its error. Results are pinned to input order no matter
+// how the points are scheduled or cancelled. Every point resolves
+// exactly as RunTracked resolves it — memo singleflight, then the
+// store, then a simulation under the gate. The one thing the points of
+// a call share is the synthesized trace of a compiled kernel, built
+// once per kernel and schedule (see traceShare).
+func (s *Session) RunAllTracked(ctx context.Context, specs ...RunSpec) []Result {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	results := make([]Result, len(specs))
+	traces := &traceShare{idOf: s.idOf}
+	// The pool only orchestrates: simulations admit through the
+	// session's gate, so width beyond Jobs() keeps gate slots fed while
+	// some points read the store or park on shared singleflight entries.
+	pool := runner.New(4 * s.Jobs())
+	_ = pool.Map(len(specs), func(i int) error {
+		start := time.Now()
+		r := &results[i]
+		r.Report, r.Source, r.Err = s.runTracked(ctx, specs[i], traces)
+		r.Elapsed = time.Since(start)
+		return nil
+	})
+	return results
+}
+
+// compiledTrace synthesizes a compiled kernel's trace. Tests swap it to
+// count syntheses.
+var compiledTrace = (*vcomp.Compiled).Trace
+
+// traceShare lets the compiled points of one RunAllTracked call share
+// one synthesized and predecoded trace per kernel and schedule (per
+// provenanceKey): such points replay identical instructions, so the
+// first to simulate builds the trace and the rest reuse it. The share
+// lives only as long as the call, so no trace outlives its sweep. A nil
+// *traceShare builds a fresh trace for every point.
+type traceShare struct {
+	idOf func(any) uint64
+
+	mu sync.Mutex
+	m  map[string]*sharedTrace
+}
+
+// sharedTrace is one lazily built trace of a traceShare.
+type sharedTrace struct {
+	once sync.Once
+	tr   *trace.Trace
+	err  error
+}
+
+// trace returns the compiled spec's trace, building it at most once per
+// share.
+func (t *traceShare) trace(spec RunSpec) (*trace.Trace, error) {
+	if t == nil {
+		return compiledTrace(spec.compiled, spec.schedule)
+	}
+	key := spec.provenanceKey(t.idOf)
+	t.mu.Lock()
+	e := t.m[key]
+	if e == nil {
+		if t.m == nil {
+			t.m = make(map[string]*sharedTrace)
+		}
+		e = &sharedTrace{}
+		t.m[key] = e
+	}
+	t.mu.Unlock()
+	e.once.Do(func() { e.tr, e.err = compiledTrace(spec.compiled, spec.schedule) })
+	return e.tr, e.err
+}
+
 // simulate executes one machine run under the gate.
-func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan) (rep *stats.Report, err error) {
+func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan, traces *traceShare) (rep *stats.Report, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -464,12 +586,12 @@ func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan) (rep *stat
 			return
 		}
 		start := time.Now()
-		defer s.paceSlot(ctx, start, 1)
+		defer s.paceSlot(ctx, start)
 		var m *core.Machine
 		if m, err = core.New(p.cfg); err != nil {
 			return
 		}
-		if err = attachThreads(m, spec, p.cfg); err != nil {
+		if err = attachThreads(m, spec, p.cfg, traces); err != nil {
 			return
 		}
 		s.sims.Add(1)
@@ -479,8 +601,9 @@ func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan) (rep *stat
 }
 
 // attachThreads feeds the machine's contexts according to the spec's
-// mode, reproducing the Run* methodologies exactly.
-func attachThreads(m *core.Machine, spec RunSpec, cfg core.Config) error {
+// mode, reproducing the Run* methodologies exactly. Compiled specs take
+// their trace from traces.
+func attachThreads(m *core.Machine, spec RunSpec, cfg core.Config, traces *traceShare) error {
 	switch spec.mode {
 	case ModeSolo:
 		w := spec.workloads[0]
@@ -512,7 +635,7 @@ func attachThreads(m *core.Machine, spec RunSpec, cfg core.Config) error {
 		}
 		return nil
 	case ModeCompiled:
-		tr, err := spec.compiled.Trace(spec.schedule)
+		tr, err := traces.trace(spec)
 		if err != nil {
 			return err
 		}

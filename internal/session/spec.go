@@ -534,11 +534,9 @@ func (s RunSpec) memoKey(p *plan, idOf func(any) uint64) string {
 
 // provenanceKey encodes the spec's instruction supply — mode, workload
 // identities, compiled kernel and schedule — and nothing of the machine
-// shape. RunAll groups memo-missed points by this key: points that
-// share it replay the same dynamic streams, so simulating them as
-// lockstep batch lanes keeps the shared predecoded trace hot across
-// the whole group. The key orders nothing and caches nothing; it only
-// groups.
+// shape. Points that share it replay the same dynamic streams, so the
+// compiled points of one RunAll call share one synthesized trace per
+// key (see traceShare). The key orders nothing and caches no result.
 func (s RunSpec) provenanceKey(idOf func(any) uint64) string {
 	b := make([]byte, 0, 64)
 	b = append(b, "mode="...)

@@ -482,11 +482,9 @@ func (s *Dir) lock(ctx context.Context, key string) (func(), error) {
 // TryLocker is the optional non-blocking face of a backend's
 // cross-process single-flight. TryLock claims key's lock without
 // waiting and returns its release function, or nil when the lock is
-// held elsewhere (or the backend cannot lock). Batched sweeps use it:
-// they claim every missed key before simulating so concurrent
-// processes skip work they can see in flight, but never wait — the
-// locks stay advisory, exactly like Do's (all writers of one key write
-// identical bytes).
+// held elsewhere (or the backend cannot lock). The locks stay
+// advisory, exactly like Do's (all writers of one key write identical
+// bytes). Session sweeps claim their points' locks through it.
 type TryLocker interface {
 	TryLock(key string) (release func())
 }
@@ -494,8 +492,8 @@ type TryLocker interface {
 // TryLock claims key's lock file without blocking: one creation
 // attempt, plus one steal-and-retry when the existing lock is older
 // than the staleness bound (its holder crashed — without this, an
-// abandoned lock would disable batched-sweep coordination for the key
-// forever). Returns nil when the lock is live elsewhere.
+// abandoned lock would block the key's claims forever). Returns nil
+// when the lock is live elsewhere.
 func (s *Dir) TryLock(key string) (release func()) {
 	path := s.path(key) + ".lock"
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -213,7 +213,7 @@ func lookup(match func(*Spec) bool) *Spec {
 // file or imported from an RVV-flavoured text trace — as a runnable
 // Workload. The trace is replay-validated and profiled exactly like a
 // built workload. The synthesized Spec is deliberately NOT registered:
-// the session layer will run, memoize and batch the workload normally,
+// the session layer will run and memoize the workload normally,
 // but never persist it to the store (an external trace has no
 // content-addressed recipe to key on, only process-local identity).
 // Machines replaying the workload must be configured with a register

@@ -21,7 +21,7 @@
 //	rep2, _ := ses.Run(ctx, spec)
 //
 // Sessions are concurrency-safe and memoized: identical specs simulate
-// exactly once, RunAll fans batches out over a bounded worker gate, ctx
+// exactly once, RunAll fans sweeps out over a bounded worker gate, ctx
 // cancellation/deadlines abort cleanly (never a partial Report), and
 // observers (WithObserver, WithSpans) stream progress, thread-switch and
 // execution-profile events from inside a run.
@@ -205,7 +205,7 @@ func QueueOrder() []*WorkloadSpec { return workload.QueueOrder() }
 // dot, gemm, spmv, 1-D/2-D stencils, blackscholes) in catalog order.
 // The kernels register through the same catalog as the Table 3
 // programs — WorkloadByShort/WorkloadByName resolve them, and sessions
-// sweep, memoize, persist, batch and serve them identically. See
+// sweep, memoize, persist and serve them identically. See
 // docs/BENCHMARKS.md.
 func BenchWorkloads() []*WorkloadSpec { return workload.BenchSpecs() }
 

@@ -62,7 +62,6 @@ func TestImportedTraceReplaysIdentically(t *testing.T) {
 	}{
 		{"jobs=1", []mtvec.SessionOption{mtvec.WithJobs(1)}},
 		{"jobs=4", []mtvec.SessionOption{mtvec.WithJobs(4)}},
-		{"unbatched", []mtvec.SessionOption{mtvec.WithoutBatching()}},
 	} {
 		reps, err := mtvec.NewSession(tc.opts...).RunAll(ctx, mk(iax, isp)...)
 		if err != nil {

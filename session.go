@@ -17,7 +17,7 @@ import (
 //	rep, err := ses.Run(ctx, mtvec.Solo(w, mtvec.WithMemLatency(100)))
 //
 // Sessions memoize: identical memoizable specs simulate exactly once,
-// concurrent requesters share the result, and RunAll fans batches out
+// concurrent requesters share the result, and RunAll fans sweeps out
 // over a bounded worker gate with deterministic collection order.
 
 // Session executes RunSpecs with memoization, a global concurrency
@@ -131,29 +131,10 @@ func WithJobs(n int) SessionOption { return session.WithJobs(n) }
 // WithoutMemo disables a new session's run cache: every Run simulates.
 func WithoutMemo() SessionOption { return session.WithoutMemo() }
 
-// WithoutBatching disables RunAll's lockstep batching on a new session:
-// every sweep point dispatches through the per-point path. Results are
-// byte-identical either way (see docs/PERF.md, "Lockstep batching");
-// the knob exists for benchmarking and as an escape hatch. Toggle at
-// runtime with Session.SetBatching.
-func WithoutBatching() SessionOption { return session.WithoutBatching() }
-
-// WithBatchWidth pins how many lanes one lockstep batch carries on a
-// new session, bypassing the adaptive shaping model; 0 restores it.
-// Width is scheduling only — results and cache keys never depend on it.
-// Panics on a value Session.SetBatchWidth would reject.
-func WithBatchWidth(n int) SessionOption { return session.WithBatchWidth(n) }
-
-// WithBatchWindow pins a new session's lockstep window (dispatched
-// instructions per lane per round), bypassing the adaptive shaping
-// model; 0 restores it. Like width, scheduling only. Panics on a value
-// Session.SetBatchWindow would reject.
-func WithBatchWindow(n int64) SessionOption { return session.WithBatchWindow(n) }
-
 // RunResult is one Session.RunAllTracked point: the Report (nil on
 // error), the cache tier that answered, the point's wall time inside
-// the call — for a batched point, the time until its whole batch
-// resolved — and the point's error.
+// the call — including any wait for a gate slot — and the point's
+// error.
 type RunResult = session.Result
 
 // WithStore attaches a persistent result backend to a new session; runs
