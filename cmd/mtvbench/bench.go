@@ -128,6 +128,36 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 		benchCase{name: "engine/4threads", fn: engine(4)},
 	)
 
+	// Solo points on a 4-context machine under every policy: the traffic
+	// a cold sweep serves, where the decode unit never has a choice of
+	// thread (docs/PERF.md, "A lone thread is not scheduled").
+	cases = append(cases, benchCase{
+		name: "engine/solo-policies",
+		fn: func() (int64, error) {
+			var cycles int64
+			for _, name := range mtvec.PolicyNames() {
+				cfg := mtvec.DefaultConfig()
+				cfg.Contexts = 4
+				cfg.Policy = mtvec.PolicyByName(name)
+				for _, w := range suite {
+					m, err := mtvec.NewMachine(cfg)
+					if err != nil {
+						return 0, err
+					}
+					if err := m.SetThreadStream(0, w.Spec.Short, w.Stream()); err != nil {
+						return 0, err
+					}
+					rep, err := m.Run(mtvec.Stop{})
+					if err != nil {
+						return 0, err
+					}
+					cycles += rep.Cycles
+				}
+			}
+			return cycles, nil
+		},
+	})
+
 	// The vectorizable benchmark suite (docs/BENCHMARKS.md): all seven
 	// kernels drained through a 4-context job queue, and the mtvrvv text
 	// frontend importing one exported kernel per iteration.

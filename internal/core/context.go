@@ -271,10 +271,20 @@ func (c *hwContext) refill(m *Machine) bool {
 }
 
 // markExhausted records that the context has drained its job source.
+// When that leaves a single context with work, it becomes the machine's
+// sole context (see Machine.stepShared).
 func (c *hwContext) markExhausted(m *Machine) {
-	if !c.exhausted {
-		c.exhausted = true
-		m.exhaustedCtxs++
+	if c.exhausted {
+		return
+	}
+	c.exhausted = true
+	m.exhaustedCtxs++
+	if m.exhaustedCtxs == len(m.ctxs)-1 {
+		for i := range m.ctxs {
+			if !m.ctxs[i].exhausted {
+				m.sole = i
+			}
+		}
 	}
 }
 

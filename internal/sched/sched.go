@@ -5,6 +5,13 @@
 // chaining windows stay long). The alternatives answer the paper's
 // "studies of other policies are currently underway".
 //
+// The decode unit consults a policy only when it has a choice: while two
+// or more threads have work. Once a single thread is left, the machine
+// dispatches it directly. That is exact for every policy that keeps the
+// Pick contract, because with one thread left Pick could return nothing
+// else, and no later Pick can read the state the skipped calls would
+// have updated (TestPickLoneThread checks the built-in policies).
+//
 // A Policy may carry per-run state (LRU does), so a policy instance
 // belongs to exactly one machine. Machines take ownership by calling
 // Clone at construction, so reusing one policy value — or one
@@ -24,8 +31,11 @@ type MachineView interface {
 // Policy selects the thread the decode unit examines each cycle.
 //
 // current is the thread examined last cycle (-1 at start); blocked
-// reports whether that examination failed to dispatch. Pick returns -1
-// when no thread has work.
+// reports whether that examination failed to dispatch. Pick returns a
+// thread that has work, and -1 only when no thread has work. The decode
+// unit calls Pick only while two or more threads have work; with one
+// thread left, that thread is the only answer the contract allows, so
+// the machine dispatches it without asking.
 //
 // Clone returns an instance safe to hand to a new machine: stateless
 // policies return themselves, stateful ones return a fresh value with

@@ -1,6 +1,9 @@
 package sched
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // fakeView is a scriptable MachineView.
 type fakeView struct {
@@ -149,5 +152,53 @@ func TestLRUCloneDropsState(t *testing.T) {
 	}
 	if p.lastRun == nil {
 		t.Fatal("original lost its state after Clone")
+	}
+}
+
+// TestPickLoneThread is the lemma the decode unit's lone-thread fast path
+// rests on: when exactly one thread has work, every built-in policy picks
+// it, whatever the current thread, whether it blocked, whether the lone
+// thread is dispatchable, and (for LRU) whatever pick history came first.
+func TestPickLoneThread(t *testing.T) {
+	const n = 4
+	rng := rand.New(rand.NewSource(1))
+	for _, name := range Names() {
+		// Pick histories replayed before the lone-thread pick: random
+		// views and arguments, so LRU's recency state is arbitrary. The
+		// stateless policies need only the empty history.
+		histories := [][]func(Policy){nil}
+		for h := 0; name == "lru" && h < 20; h++ {
+			var hist []func(Policy)
+			for k := rng.Intn(30); k > 0; k-- {
+				v := &fakeView{work: make([]bool, n), dispatchable: make([]bool, n)}
+				for th := range v.work {
+					v.work[th] = rng.Intn(4) > 0
+					v.dispatchable[th] = v.work[th] && rng.Intn(2) == 0
+				}
+				cur, blocked := rng.Intn(n+1)-1, rng.Intn(2) == 0
+				hist = append(hist, func(p Policy) { p.Pick(v, cur, blocked) })
+			}
+			histories = append(histories, hist)
+		}
+		for hi, hist := range histories {
+			for lone := 0; lone < n; lone++ {
+				for cur := -1; cur < n; cur++ {
+					for _, blocked := range []bool{false, true} {
+						for _, disp := range []bool{false, true} {
+							p := ByName(name)
+							for _, pick := range hist {
+								pick(p)
+							}
+							v := &fakeView{work: make([]bool, n), dispatchable: make([]bool, n)}
+							v.work[lone], v.dispatchable[lone] = true, disp
+							if got := p.Pick(v, cur, blocked); got != lone {
+								t.Errorf("%s history %d: Pick(current=%d, blocked=%t) with only thread %d (dispatchable=%t) = %d",
+									name, hi, cur, blocked, lone, disp, got)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

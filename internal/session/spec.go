@@ -272,7 +272,8 @@ func WithPolicy(name string) Option {
 
 // WithPolicyInstance installs a custom policy value. The machine clones
 // it per run (sched.Policy.Clone), so the instance may be shared across
-// specs.
+// specs. The policy is consulted only while two or more threads have
+// work; a lone thread is dispatched without calling Pick.
 func WithPolicyInstance(p sched.Policy) Option {
 	return func(b *build) {
 		if p == nil {

@@ -205,7 +205,10 @@ func WithXbar(cycles int) RunOption { return session.WithXbar(cycles) }
 func WithPolicy(name string) RunOption { return session.WithPolicy(name) }
 
 // WithPolicyInstance installs a custom policy value; machines clone it
-// per run, so the instance may be shared across specs.
+// per run, so the instance may be shared across specs. The policy is
+// consulted only when it has a choice: while two or more threads have
+// work. A lone thread is dispatched without calling Pick, so a Solo run
+// never calls it.
 func WithPolicyInstance(p Policy) RunOption { return session.WithPolicyInstance(p) }
 
 // WithDualScalar toggles the Section 9 Fujitsu VP2000 dual-scalar mode
