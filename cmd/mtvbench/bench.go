@@ -112,10 +112,11 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 		}
 		suite = append(suite, w)
 	}
-	engine := func(contexts int) func() (int64, error) {
+	engine := func(contexts int, stepped bool) func() (int64, error) {
 		return func() (int64, error) {
 			cfg := mtvec.DefaultConfig()
 			cfg.Contexts = contexts
+			cfg.DisableFastForward = stepped
 			rep, err := mtvec.RunQueue(suite, cfg)
 			if err != nil {
 				return 0, err
@@ -123,9 +124,13 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 			return rep.Cycles, nil
 		}
 	}
+	// engine/reference-stepped is engine/reference cycle by cycle, with
+	// the all-blocked clock skip off: it prices fast-forward, and the
+	// lone-context loop's per-cycle cost on its own.
 	cases = append(cases,
-		benchCase{name: "engine/reference", fn: engine(1)},
-		benchCase{name: "engine/4threads", fn: engine(4)},
+		benchCase{name: "engine/reference", fn: engine(1, false)},
+		benchCase{name: "engine/reference-stepped", fn: engine(1, true)},
+		benchCase{name: "engine/4threads", fn: engine(4, false)},
 	)
 
 	// Solo points on a 4-context machine under every policy: the traffic

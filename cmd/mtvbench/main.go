@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"mtvec"
+	"mtvec/internal/stats"
 )
 
 func main() {
@@ -89,6 +90,12 @@ func main() {
 		// from disk or simulated, which is what the CI store job proves.
 		if err := run(context.Background(), os.Stdout, "all", mtvec.DefaultScale, "text", *jobs, true, *stored); err != nil {
 			fmt.Fprintln(os.Stderr, "mtvbench:", err)
+			os.Exit(1)
+		}
+		// The gate also holds the engine to its timeline invariant: no
+		// run of the suite may book a unit out of start order.
+		if n := stats.TimelineViolations(); n != 0 {
+			fmt.Fprintf(os.Stderr, "mtvbench: %d busy interval(s) booked out of start order\n", n)
 			os.Exit(1)
 		}
 		return

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mtvec"
+	"mtvec/internal/stats"
 )
 
 func TestRunSingleExperiment(t *testing.T) {
@@ -169,6 +170,9 @@ func TestGoldenPrefixByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), golden[:buf.Len()]) {
 		t.Fatal("default arch spec no longer reproduces docs/GOLDEN.txt (run: go run ./cmd/mtvbench -golden)")
+	}
+	if n := stats.TimelineViolations(); n != 0 {
+		t.Fatalf("%d busy interval(s) booked out of start order", n)
 	}
 }
 

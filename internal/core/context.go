@@ -272,7 +272,7 @@ func (c *hwContext) refill(m *Machine) bool {
 
 // markExhausted records that the context has drained its job source.
 // When that leaves a single context with work, it becomes the machine's
-// sole context (see Machine.stepShared).
+// sole context (see Machine.runSole).
 func (c *hwContext) markExhausted(m *Machine) {
 	if c.exhausted {
 		return

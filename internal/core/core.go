@@ -93,14 +93,14 @@ type Config struct {
 	// DisableFastForward turns off the all-threads-blocked clock skip.
 	// The skip is part of the engine's defined semantics: it is fully
 	// deterministic, observation-invariant (attaching observers never
-	// changes a run), and equivalent to cycle-by-cycle stepping on
-	// single-context machines and the homogeneous configurations the
-	// tests verify. On heterogeneous multi-context runs the skip's
-	// retry hints may overshoot a register-bank port conflict that a
-	// sliding dispatch window would have escaped, so cycle-stepped runs
-	// can differ slightly; the golden-output gate (docs/GOLDEN.txt)
-	// pins the fast-forward behaviour byte-for-byte. This knob exists
-	// for that verification and for debugging.
+	// changes a run), and equivalent to cycle-by-cycle stepping on the
+	// configurations the tests verify. Its retry hints may overshoot a
+	// register-bank port conflict that a sliding dispatch window would
+	// have escaped, so cycle-stepped runs can differ slightly — on
+	// heterogeneous multi-context runs, and on single-context runs of
+	// the Table 3 programs too (docs/PERF.md); the golden-output gate
+	// (docs/GOLDEN.txt) pins the fast-forward behaviour byte-for-byte.
+	// This knob exists for that verification and for debugging.
 	DisableFastForward bool
 }
 
@@ -203,9 +203,9 @@ type Machine struct {
 
 	// sole is the index of the only context that still has work, or -1
 	// while two or more do. Exhaustion is permanent, so once set it
-	// never goes stale. A lone thread is not scheduled: stepShared
-	// dispatches it directly instead of consulting the switch policy
-	// (see stepShared for why this is exact).
+	// never goes stale. A lone thread is not scheduled: on the shared
+	// decoder runLoop hands the rest of the run to runSole (see there
+	// for why this is exact).
 	sole int
 
 	tl             stats.UnitTimeline
@@ -461,6 +461,11 @@ func (m *Machine) begin() error {
 // is a pure function of machine state, so a paced run steps through the
 // same cycles, in the same order, as a single uninterrupted call: this
 // is what makes Batch lanes byte-identical to solo runs by construction.
+//
+// Each iteration steps one cycle of the whole machine: stepShared while
+// two or more contexts have work, stepDualScalar on the dual-scalar
+// machine. Once a single context has work on the shared decoder, the
+// run continues in runSole, which steps that context alone.
 func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (bool, error) {
 	done := ctx.Done()
 	if done != nil {
@@ -528,8 +533,86 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 
 		if m.dual {
 			m.stepDualScalar()
+		} else if m.sole >= 0 {
+			return m.runSole(ctx, stop, paceTarget, nextCheck)
 		} else {
 			m.stepShared()
+		}
+		m.now++
+		if m.hasObs && m.nextProgress <= m.now {
+			m.notifyProgress()
+		}
+	}
+	return true, nil
+}
+
+// runSole is runLoop for a shared-decoder machine on which only one
+// context still has work (m.sole). runLoop hands over to it at the first
+// cycle boundary where that holds — from the first cycle of a solo run,
+// or for the drained tail of a job queue — and it keeps the run until
+// the end, since exhaustion is permanent. Its arguments, results and
+// per-iteration checks are runLoop's.
+//
+// A lone thread is not scheduled. Each cycle makes one fused
+// commitDispatch attempt on its head: no switch policy, no dispatch memo,
+// no scan of the other contexts. This is exact for every policy that
+// keeps the sched.Policy contract: Pick returns a thread with work, and
+// -1 only when none has one, so with one thread left it must return that
+// thread; no other thread can fill an extra issue slot or shorten the
+// skip-ahead hint; and a stateful policy's history (LRU) is never read
+// again, because the decode unit never has a choice to make again. The
+// memo is never read again either: nothing probes a head twice in one
+// cycle from here on. Observer events (switches, progress, spans) are
+// the ones stepShared would emit.
+func (m *Machine) runSole(ctx context.Context, stop Stop, paceTarget int64, nextCheck Cycle) (bool, error) {
+	var (
+		done      = ctx.Done()
+		maxCycles = stop.MaxCycles
+		maxInsts  = stop.MaxThread0Insts
+		c0        = &m.ctxs[0]
+		th        = m.sole
+		c         = &m.ctxs[th]
+		ff        = !m.cfg.DisableFastForward
+	)
+	for {
+		if paceTarget > 0 && m.dispatched >= paceTarget {
+			return false, nil
+		}
+		if done != nil && m.now >= nextCheck {
+			nextCheck = m.now + cancelCheckStride
+			if err := ctx.Err(); err != nil {
+				m.tl.ReleaseBacking() // cancelled: report never runs
+				return false, err
+			}
+		}
+		if maxCycles > 0 && m.now >= maxCycles {
+			break
+		}
+		if maxInsts > 0 && c0.dispatched >= maxInsts {
+			break
+		}
+		// Thread0Complete needs no check of its own: runLoop checked it
+		// just before the hand-off, so when it is set the lone context
+		// is context 0, whose exhaustion ends the run right here.
+		if !c.headValid && !c.refill(m) {
+			break // the lone context drained: no work is left
+		}
+
+		if ok, hint := m.commitDispatch(c); ok {
+			if th != m.lastDisp {
+				if m.hasObs {
+					m.notifySwitch(m.lastDisp, th)
+				}
+				m.lastDisp = th
+			}
+			c.headValid = false
+			c.dispatched++
+			m.dispatched++
+		} else {
+			m.lost++
+			if ff {
+				m.skipTo(hint, 1)
+			}
 		}
 		m.now++
 		if m.hasObs && m.nextProgress <= m.now {
@@ -550,26 +633,17 @@ func (m *Machine) finish(stop Stop) (*stats.Report, error) {
 
 // stepShared is the paper's machine: one decode unit, one thread
 // examined per cycle, IssueWidth extra slots for the future-work
-// simultaneous-issue study.
-//
-// When only one context has work (m.sole), that context is dispatched
-// directly, without the policy's scan. This is exact for every policy
-// that keeps the sched.Policy contract: Pick returns a thread with work,
-// and -1 only when none has one, so with one thread left it must return
-// that thread; no other thread can fill an extra issue slot or shorten
-// the skip-ahead hint; and a stateful policy's history (LRU) can never be
-// read again, because the decode unit never has a choice to make again.
+// simultaneous-issue study. It runs while two or more contexts have
+// work; runSole takes over once only one does.
 func (m *Machine) stepShared() {
-	th := m.sole
+	var th int
+	if m.unfair {
+		th = m.pickUnfair()
+	} else {
+		th = m.cfg.Policy.Pick(m, m.cur, m.curBlocked)
+	}
 	if th < 0 {
-		if m.unfair {
-			th = m.pickUnfair()
-		} else {
-			th = m.cfg.Policy.Pick(m, m.cur, m.curBlocked)
-		}
-		if th < 0 {
-			return
-		}
+		return
 	}
 	c := &m.ctxs[th]
 	if ok, hint := m.tryDispatch(c, true); ok {
@@ -586,9 +660,6 @@ func (m *Machine) stepShared() {
 		m.cur, m.curBlocked = th, true
 		m.maybeSkipAhead(th, hint)
 		return
-	}
-	if m.sole >= 0 {
-		return // no other thread can fill an extra issue slot
 	}
 	// Extra issue slots from other threads (extension; IssueWidth=1 on
 	// the paper's machine).
@@ -616,8 +687,8 @@ func (m *Machine) stepShared() {
 // policy: it makes exactly the picks sched.Unfair.Pick makes (run the
 // current thread until it blocks, then switch to the lowest-numbered
 // thread known not to be blocked) without the MachineView indirection.
-// It serves only cycles where two or more contexts have work (a lone
-// context is dispatched directly) and still pays there: calling
+// It serves only cycles where two or more contexts have work (runSole
+// runs a lone context) and still pays there: calling
 // sched.Unfair.Pick instead made engine/4threads 1.11x slower (median of
 // 8 alternating 2 s samples, slower in 7; 2-vCPU Xeon, Go 1.24).
 func (m *Machine) pickUnfair() int {
@@ -690,10 +761,6 @@ func (m *Machine) completeDispatch(c *hwContext) {
 // so the probes below are memo hits (see tryDispatch), not recomputation.
 func (m *Machine) maybeSkipAhead(failed int, hint Cycle) {
 	if m.cfg.DisableFastForward {
-		return
-	}
-	if m.sole >= 0 {
-		m.skipTo(hint, 1) // the lone thread's hint is the only one
 		return
 	}
 	minHint := hint

@@ -39,7 +39,7 @@ type Stream struct {
 	bb    int
 	idx   int
 	inBB  bool
-	count int64
+	count int64 // source-driven mode only; a predecoded replay counts di
 
 	// Current-block cache: insts and pcBase mirror Blocks[bb] so the
 	// per-instruction path needs no repeated double indexing.
@@ -132,7 +132,12 @@ func DecodeAllVL(p *Program, src TraceSource, n, maxVL int64) ([]DecodedInst, er
 func (s *Stream) Program() *Program { return s.prog }
 
 // Count returns the number of dynamic instructions delivered so far.
-func (s *Stream) Count() int64 { return s.count }
+func (s *Stream) Count() int64 {
+	if s.dec != nil {
+		return int64(s.di)
+	}
+	return s.count
+}
 
 // Err returns the first error encountered (bad block index, failing
 // source). A stream that ends with Err() == nil ended normally.
@@ -151,17 +156,25 @@ func (s *Stream) Err() error {
 // NextDec call: predecoded replays hand out shared immutable entries,
 // source-driven replays reuse an internal buffer. Callers must not
 // mutate it.
+//
+// The predecoded case is small enough to inline into the caller (at the
+// inliner's budget: keep it that way); the end of a replay and the
+// source-driven mode go out of line. Inlining it made
+// engine/solo-policies 0.94x the time of the single out-of-line method
+// (median of 12 alternating 2 s samples, faster in 10; 2-vCPU Xeon,
+// Go 1.24).
 func (s *Stream) NextDec() *DecodedInst {
-	if s.dec != nil {
-		if s.di >= len(s.dec) {
-			return nil
-		}
-		d := &s.dec[s.di]
-		s.di++
-		s.count++
-		return d
+	if s.di >= len(s.dec) {
+		return s.nextDecSlow()
 	}
-	if !s.Next(&s.buf.DynInst) {
+	s.di++
+	return &s.dec[s.di-1]
+}
+
+// nextDecSlow is NextDec past the end of a predecoded replay, and every
+// NextDec of a source-driven one.
+func (s *Stream) nextDecSlow() *DecodedInst {
+	if s.dec != nil || !s.Next(&s.buf.DynInst) {
 		return nil
 	}
 	s.buf.decodeAux()
@@ -177,7 +190,6 @@ func (s *Stream) Next(d *isa.DynInst) bool {
 		}
 		*d = s.dec[s.di].DynInst
 		s.di++
-		s.count++
 		return true
 	}
 	if s.err != nil {

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Cycle counts processor cycles.
@@ -70,14 +71,30 @@ type interval struct{ S, E Cycle }
 
 // UnitTimeline accumulates per-unit busy intervals during a run and
 // sweeps them into a state breakdown afterwards. Intervals must be added
-// per unit in non-decreasing start order with no overlap, which dispatch
-// order guarantees.
+// per unit in non-decreasing start order, which dispatch order
+// guarantees. An interval that overlaps the unit's previous one — two
+// lanes of one functional-unit class busy at once — merges into it, so
+// each unit's list is the union of its busy time.
 type UnitTimeline struct {
 	busy [NumUnits][]interval
 	// box, when non-nil, is the pooled storage AcquireBacking borrowed;
 	// ReleaseBacking hands the (possibly regrown) lists back through it.
 	box *[NumUnits][]interval
 }
+
+// timelineViolations counts, process-wide, the intervals AddBusy was
+// handed out of start order (see TimelineViolations). It is global, not
+// per timeline, so a test can check every run of a package or of the
+// whole suite without reaching into each machine.
+var timelineViolations atomic.Int64
+
+// TimelineViolations returns how many busy intervals, across every
+// timeline in the process, started before the previous interval on
+// their unit. Dispatch order makes that impossible, so a nonzero count
+// is an engine bug; the engine and golden-suite tests assert it stays
+// zero. AddBusy merges such an interval like an overlapping one: only
+// its part past the end of the previous interval counts as busy.
+func TimelineViolations() int64 { return timelineViolations.Load() }
 
 // timelineBacking recycles per-unit interval storage across runs. The
 // lists are the dominant per-lane transient of a simulation — without
@@ -117,25 +134,24 @@ func (tl *UnitTimeline) ReleaseBacking() {
 	tl.box = nil
 }
 
-// AddBusy records that unit was busy over [start, end).
+// AddBusy records that unit was busy over [start, end). An interval
+// that starts at or before the end of the unit's previous one extends
+// it; one that starts before the previous one began is counted as a
+// violation (see TimelineViolations) and merged the same way.
 func (tl *UnitTimeline) AddBusy(unit int, start, end Cycle) {
 	if end <= start {
 		return
 	}
 	list := tl.busy[unit]
-	if n := len(list); n > 0 {
+	if n := len(list); n > 0 && start <= list[n-1].E {
 		last := &list[n-1]
-		if start < last.E {
-			// Clamp defensively; dispatch order should prevent this.
-			start = last.E
-			if end <= start {
-				return
-			}
+		if start < last.S {
+			timelineViolations.Add(1)
 		}
-		if start == last.E {
+		if end > last.E {
 			last.E = end
-			return
 		}
+		return
 	}
 	tl.busy[unit] = append(list, interval{start, end})
 }

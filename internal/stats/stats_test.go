@@ -79,6 +79,33 @@ func TestAddBusyMergesAdjacent(t *testing.T) {
 	}
 }
 
+// TestAddBusyCountsOutOfOrder: an interval starting before its unit's
+// previous one is counted as a violation and still merged as before; an
+// in-order overlap (two lanes of one unit class) is not a violation.
+func TestAddBusyCountsOutOfOrder(t *testing.T) {
+	var tl UnitTimeline
+	before := TimelineViolations()
+	tl.AddBusy(UnitFU2, 10, 20)
+	tl.AddBusy(UnitFU2, 15, 25) // in order, overlapping: merged
+	if got := TimelineViolations() - before; got != 0 {
+		t.Fatalf("in-order overlap counted %d violation(s)", got)
+	}
+	tl.AddBusy(UnitFU2, 5, 30) // starts before the interval it follows
+	if got := TimelineViolations() - before; got != 1 {
+		t.Fatalf("out-of-order interval counted %d violation(s), want 1", got)
+	}
+	if got := tl.busy[UnitFU2]; len(got) != 1 || got[0] != (interval{10, 30}) {
+		t.Fatalf("intervals = %v, want [{10 30}]", got)
+	}
+	tl.AddBusy(UnitFU2, 1, 4) // out of order and inside nothing new
+	if got := TimelineViolations() - before; got != 2 {
+		t.Fatalf("second out-of-order interval: count %d, want 2", got)
+	}
+	if got := tl.BusyCycles(UnitFU2, 100); got != 20 {
+		t.Fatalf("busy = %d, want 20", got)
+	}
+}
+
 func TestMemIdle(t *testing.T) {
 	var b Breakdown
 	b[0] = 10                   // all idle
