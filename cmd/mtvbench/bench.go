@@ -9,16 +9,21 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"time"
 
 	"mtvec"
+	"mtvec/internal/store"
 )
 
 // benchSchema versions the BENCH_*.json format.
@@ -83,9 +88,9 @@ type benchCase struct {
 // environment per iteration, mirroring the repository's testing.B suite)
 // plus the raw engine throughput cases. jobs is the session gate width
 // the sweep cases run under: 1 measures work per core, >1 additionally
-// measures points running side by side.
-func benchCases(scale float64, jobs int) ([]benchCase, error) {
-	var cases []benchCase
+// measures points running side by side. The caller runs cleanup once
+// done with the cases; it removes the store cases' temp directory.
+func benchCases(scale float64, jobs int) (cases []benchCase, cleanup func(), err error) {
 	for _, e := range mtvec.Experiments() {
 		exp := e
 		cases = append(cases, benchCase{
@@ -108,7 +113,7 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 	for _, spec := range mtvec.QueueOrder() {
 		w, err := spec.Build(scale)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		suite = append(suite, w)
 	}
@@ -170,7 +175,7 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 	for _, spec := range mtvec.BenchWorkloads() {
 		w, err := spec.Build(scale)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		bench = append(bench, w)
 	}
@@ -188,7 +193,7 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 	})
 	var rvv bytes.Buffer
 	if err := mtvec.ExportRVVTrace(&rvv, bench[0].Trace); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rvvText := rvv.Bytes()
 	cases = append(cases, benchCase{
@@ -205,7 +210,7 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 	// machine path, a memo-less Session, and the memoized cache hit.
 	solo, err := mtvec.WorkloadByShort("tf").Build(scale)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cases = append(cases, benchCase{
 		name: "machine/direct",
@@ -253,7 +258,7 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 	// "Sweeps run point by point").
 	sweepKernel, err := compileSweepKernel()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sweepSched := []mtvec.Invocation{
 		{Unit: 1, N: 1 << 14},
@@ -297,7 +302,7 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 		}
 	}
 	if gemmW == nil || spmvW == nil {
-		return nil, fmt.Errorf("bench suite is missing the gemm or spmv workload")
+		return nil, nil, fmt.Errorf("bench suite is missing the gemm or spmv workload")
 	}
 	cases = append(cases, benchCase{
 		name: "sweep/longvec-perpoint",
@@ -311,7 +316,69 @@ func benchCases(scale float64, jobs int) ([]benchCase, error) {
 			return runSweep(specs)
 		},
 	})
-	return cases, nil
+
+	// Store records (docs/PERF.md, "Store records"). store/record runs a
+	// real record, the solo point above under its persist key, through
+	// EncodeRecord and DecodeRecord. store/claim is a cold sweep point's
+	// store traffic for a fresh key on a temp directory: Get's miss,
+	// TryLock, Put and the release. It then deletes the record, so every
+	// iteration meets a directory of the same size.
+	recKey, ok := plain.PersistKey(mtvec.Solo(solo))
+	if !ok {
+		return nil, nil, fmt.Errorf("the solo point has no persist key")
+	}
+	recRep, err := plain.Run(ctx, mtvec.Solo(solo))
+	if err != nil {
+		return nil, nil, err
+	}
+	claimDir, err := os.MkdirTemp("", "mtvbench-store-")
+	if err != nil {
+		return nil, nil, err
+	}
+	claimStore, err := store.Open(claimDir)
+	if err != nil {
+		os.RemoveAll(claimDir)
+		return nil, nil, err
+	}
+	claimSeq := 0
+	cases = append(cases,
+		benchCase{
+			name: "store/record",
+			fn: func() (int64, error) {
+				data, err := store.EncodeRecord(recKey, recRep)
+				if err != nil {
+					return 0, err
+				}
+				_, err = store.DecodeRecord(data, recKey)
+				return 0, err
+			},
+		},
+		benchCase{
+			name: "store/claim",
+			fn: func() (int64, error) {
+				claimSeq++
+				key := recKey + "|claim=" + strconv.Itoa(claimSeq)
+				if _, tier := claimStore.Get(key); tier.Hit() {
+					return 0, fmt.Errorf("fresh key %d hit", claimSeq)
+				}
+				release := claimStore.TryLock(key)
+				if release == nil {
+					return 0, fmt.Errorf("fresh key %d is locked", claimSeq)
+				}
+				err := claimStore.Put(key, recRep)
+				release()
+				if err != nil {
+					return 0, err
+				}
+				// The record's path is the store's documented layout,
+				// <dir>/v1/<hh>/<sha256 of the key>.json.
+				sum := sha256.Sum256([]byte(key))
+				name := hex.EncodeToString(sum[:])
+				return 0, os.Remove(filepath.Join(claimDir, "v1", name[:2], name+".json"))
+			},
+		},
+	)
+	return cases, func() { os.RemoveAll(claimDir) }, nil
 }
 
 // compileSweepKernel builds the daxpy-plus-setup kernel the sweep case
@@ -377,10 +444,11 @@ func runBenchJSON(w io.Writer, ref string, benchtime time.Duration, count, jobs 
 	if jobs < 1 {
 		jobs = runtime.NumCPU()
 	}
-	cases, err := benchCases(scale, jobs)
+	cases, cleanup, err := benchCases(scale, jobs)
 	if err != nil {
 		return err
 	}
+	defer cleanup()
 	return recordBench(w, cases, BenchFile{
 		Schema:      benchSchema,
 		Ref:         ref,

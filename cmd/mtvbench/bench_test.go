@@ -208,10 +208,11 @@ func TestBenchJSONSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures wall time")
 	}
-	cases, err := benchCases(1e-5, 1)
+	cases, cleanup, err := benchCases(1e-5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cleanup()
 	if len(cases) < 20 {
 		t.Fatalf("only %d bench cases", len(cases))
 	}
@@ -302,5 +303,30 @@ func TestBenchArtifactSamplesAndCompat(t *testing.T) {
 	}
 	if read < 3 {
 		t.Errorf("read %d committed bench artifacts, want at least 3", read)
+	}
+}
+
+// TestStoreBenchCases runs the store cases a few times each: the record
+// round-trips, and every claim meets a fresh key and deletes its record.
+func TestStoreBenchCases(t *testing.T) {
+	cases, cleanup, err := benchCases(1e-5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	found := 0
+	for _, c := range cases {
+		if !strings.HasPrefix(c.name, "store/") {
+			continue
+		}
+		found++
+		for i := 0; i < 3; i++ {
+			if _, err := c.fn(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+	}
+	if found != 2 {
+		t.Fatalf("found %d store cases, want 2", found)
 	}
 }

@@ -22,26 +22,31 @@
 // The envelope has one canonical byte form, the one EncodeRecord
 // writes: {"schema":N,"key":<key>,"sum":"<64 hex>","report":<report>}
 // in that order, compact, with the key encoded as encoding/json encodes
-// a string, optionally followed by one newline. DecodeRecord accepts
-// only that form. Any other JSON, however equivalent, is corrupt, so a
-// read matches the envelope by prefix and parses JSON once, for the
-// report. The same envelope travels the wire between peers, and
-// HTTPPeer re-verifies it on receipt: a peer is trusted no more than
-// the local disk.
+// a string and the report as json.Marshal writes a stats.Report,
+// optionally followed by one newline. DecodeRecord accepts only that
+// form. Any other JSON, however equivalent, is corrupt, so a read
+// matches the envelope by prefix and parses the report with a
+// hand-written parser for exactly json.Marshal's bytes. The same
+// envelope travels the wire between peers, and HTTPPeer re-verifies it
+// on receipt: a peer is trusted no more than the local disk.
 //
 // # Concurrency
 //
 // A Dir is safe for concurrent use by any number of goroutines and
-// processes sharing the directory. Writes are atomic (temp file +
-// rename), and because every simulation is a pure function of its key,
-// concurrent writers of one key write byte-identical records — last
-// writer wins harmlessly. Do adds cross-process single-flight on top: a
-// lock file elects one computing process per key while the others poll
-// for its result, so a fleet of processes warming one store directory
-// simulates each point once. Lock holders that die are detected by age
-// and their locks stolen (the bound is Options.StealAge); a cancelled
-// compute releases the lock without writing, preserving the engine's
-// forget-on-cancel semantics on disk.
+// processes sharing the directory. Writes are atomic (a complete file
+// renamed over the record path), and because every simulation is a
+// pure function of its key, concurrent writers of one key write
+// byte-identical records — last writer wins harmlessly. Do adds
+// cross-process single-flight on top: a lock file elects one computing
+// process per key while the others poll for its result, so a fleet of
+// processes warming one store directory simulates each point once.
+// TryLock takes the same lock without waiting. The holder writes the
+// record into its lock file and renames it over the record path, so
+// one rename publishes the record and releases the lock; a Put without
+// the lock writes a temp file instead. Lock holders that die are
+// detected by age and their locks stolen (the bound is
+// Options.StealAge); a cancelled compute releases the lock without
+// writing, preserving the engine's forget-on-cancel semantics on disk.
 package store
 
 import (
@@ -55,6 +60,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unicode/utf8"
@@ -100,6 +106,11 @@ type Dir struct {
 	// lockPoll is the interval at which lock waiters re-check for the
 	// holder's result.
 	lockPoll time.Duration
+
+	// held maps each key whose lock file this Dir holds to that file
+	// (see Put).
+	mu   sync.Mutex
+	held map[string]*heldLock
 
 	hits    atomic.Int64
 	misses  atomic.Int64
@@ -154,6 +165,7 @@ func OpenOptions(dir string, o Options) (*Dir, error) {
 		root:      root,
 		lockStale: DefaultStealAge,
 		lockPoll:  25 * time.Millisecond,
+		held:      make(map[string]*heldLock),
 	}
 	d.SetLockTuning(o.StealAge, o.LockPoll)
 	return d, nil
@@ -226,8 +238,9 @@ func EncodeRecord(key string, rep *stats.Report) ([]byte, error) {
 // records read from disk and records received from peers. It accepts
 // only the canonical envelope EncodeRecord writes for key, optionally
 // followed by one newline, whose sum matches the SHA-256 of the report
-// payload: any other bytes — another schema or key, reordered fields,
-// added whitespace, trailing data — are rejected as corrupt.
+// payload and whose payload is the bytes json.Marshal writes for a
+// stats.Report: any other bytes — another schema or key, reordered
+// fields, added whitespace, trailing data — are rejected as corrupt.
 func DecodeRecord(data []byte, key string) (*stats.Report, error) {
 	if !utf8.ValidString(key) {
 		// encoding/json would rewrite the key, so no record can echo it.
@@ -251,11 +264,7 @@ func DecodeRecord(data []byte, key string) (*stats.Report, error) {
 	if string(rest[:hexLen]) != string(want[:]) {
 		return nil, errors.New("store: integrity hash mismatch")
 	}
-	rep := new(stats.Report)
-	if err := json.Unmarshal(payload, rep); err != nil {
-		return nil, fmt.Errorf("store: report payload: %w", err)
-	}
-	return rep, nil
+	return decodeReport(payload)
 }
 
 // path returns the sharded record path for a key.
@@ -296,13 +305,24 @@ func (s *Dir) load(key string) (*stats.Report, bool) {
 	return nil, false
 }
 
+// readBufs recycles the buffers records are read into. A decoded
+// Report copies what it keeps, so a buffer is free again as soon as
+// DecodeRecord returns.
+var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+
 // readRecord loads and verifies one record file.
 func readRecord(path, key string) (*stats.Report, error) {
-	data, err := os.ReadFile(path)
+	buf := readBufs.Get().(*[]byte)
+	data, err := readFile(path, *buf)
 	if err != nil {
+		readBufs.Put(buf)
 		return nil, err
 	}
 	rep, err := DecodeRecord(data, key)
+	if cap(data) <= 64<<10 { // an outsized file does not pin its buffer
+		*buf = data[:0]
+		readBufs.Put(buf)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -313,20 +333,46 @@ func readRecord(path, key string) (*stats.Report, error) {
 // either the old record or the complete new one, never a torn file.
 // Concurrent writers of one key write identical bytes (simulations are
 // pure functions of their key), so last-writer-wins is harmless.
+//
+// When this Dir holds key's lock (TryLock, or Do computing), Put writes
+// the record into the lock file and renames it over the record path:
+// one rename publishes the record and releases the lock, and the key
+// costs one file creation instead of two. Ownership is checked just
+// before the rename; a lock that was stolen meanwhile, or any failure
+// on the way, falls back to a temp file plus rename, as for a Put
+// without a held lock.
 func (s *Dir) Put(key string, rep *stats.Report) error {
 	data, err := EncodeRecord(key, rep)
 	if err != nil {
 		return err
 	}
+	data = append(data, '\n')
 	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if h := s.takeHeld(key); h != nil {
+		fi, ok := h.publish(data, path)
+		if ok {
+			s.writes.Add(1)
+			return nil
+		}
+		// Release the lock only once the fallback's record is in place,
+		// so that a waiter never sees neither.
+		defer func() {
+			if owns(h.path, fi) {
+				os.Remove(h.path)
+			}
+		}()
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		tmp, err = os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
@@ -411,6 +457,114 @@ func (s *Dir) Do(ctx context.Context, key string, compute func() (*stats.Report,
 // instant (two goroutines can lock different keys concurrently).
 var lockSeq atomic.Int64
 
+// heldLock is a lock file this Dir created and still holds open. The
+// held table owns the descriptor: whoever removes an entry closes it.
+type heldLock struct {
+	f    *os.File
+	path string
+}
+
+// createLock creates key's lock file at path and records it as held.
+// It fails with an os.IsExist error while another holder has the lock.
+// The file is created 0600, the mode os.CreateTemp gives a record
+// written through a temp file, because Put may publish it as the
+// record.
+//
+// The file carries a token naming its creator (pid, sequence, time)
+// for a reader diagnosing a stuck lock. Ownership is never read back
+// from it: a holder owns the lock while the lock path still names the
+// file it created (os.SameFile against the open descriptor).
+func (s *Dir) createLock(key, path string) (release func(), err error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return nil, err
+		}
+		f, err = os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
+	}
+	if err != nil {
+		return nil, err
+	}
+	token := fmt.Sprintf("%d.%d %s\n", os.Getpid(), lockSeq.Add(1), time.Now().UTC().Format(time.RFC3339Nano))
+	if _, err := f.WriteString(token); err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	h := &heldLock{f: f, path: path}
+	s.mu.Lock()
+	if old := s.held[key]; old != nil {
+		// A lock of ours that was stolen while its holder ran; the
+		// holder's release finds it displaced and leaves it be.
+		old.f.Close()
+	}
+	s.held[key] = h
+	s.mu.Unlock()
+	return func() { s.release(key, h) }, nil
+}
+
+// takeHeld removes key's held lock from the table and returns it, or
+// nil when this Dir holds none.
+func (s *Dir) takeHeld(key string) *heldLock {
+	s.mu.Lock()
+	h := s.held[key]
+	delete(s.held, key)
+	s.mu.Unlock()
+	return h
+}
+
+// release gives up h: it closes the descriptor and deletes the lock
+// file, if h is still held and the lock path still names its file.
+// After Put published the record through h, release does nothing.
+func (s *Dir) release(key string, h *heldLock) {
+	s.mu.Lock()
+	mine := s.held[key] == h
+	if mine {
+		delete(s.held, key)
+	}
+	s.mu.Unlock()
+	if !mine {
+		return
+	}
+	fi, _ := h.f.Stat()
+	h.f.Close()
+	if owns(h.path, fi) {
+		os.Remove(h.path)
+	}
+}
+
+// publish writes a record into the lock file, closes it, and renames it
+// to path if the lock path still names it. It returns the lock file's
+// identity (nil if unknown) and whether the record was published. The
+// record overwrites the token whole: a token is at most 64 bytes, and
+// a record's hex sum alone is that long.
+func (h *heldLock) publish(data []byte, path string) (os.FileInfo, bool) {
+	_, werr := h.f.WriteAt(data, 0)
+	fi, serr := h.f.Stat()
+	cerr := h.f.Close()
+	if serr != nil {
+		return nil, false
+	}
+	// A holder displaced between the check and the rename would move
+	// its usurper's lock over the record. That needs a steal — a lock
+	// older than the staleness bound, which the write just refreshed —
+	// inside those two calls, and costs one corrupt record that the
+	// next read deletes.
+	if werr != nil || cerr != nil || !owns(h.path, fi) {
+		return fi, false
+	}
+	return fi, os.Rename(h.path, path) == nil
+}
+
+// owns reports whether path names the file fi describes.
+func owns(path string, fi os.FileInfo) bool {
+	if fi == nil {
+		return false
+	}
+	cur, err := os.Stat(path)
+	return err == nil && os.SameFile(fi, cur)
+}
+
 // lock acquires the cross-process lock for key. It returns a release
 // function on acquisition, or (nil, nil) when the previous holder
 // released while we waited (the caller should re-check the store), or
@@ -422,29 +576,15 @@ var lockSeq atomic.Int64
 // simulation. Staleness handling is therefore built to never break
 // another holder's lock by accident: a stale lock is stolen by atomic
 // rename (exactly one stealer wins; the losers just re-poll), and
-// release deletes the lock file only while it still carries this
-// acquisition's unique token — a holder displaced for exceeding the
-// staleness bound will not remove its usurper's lock.
+// release deletes the lock file only while the lock path still names
+// the file this acquisition created — a holder displaced for exceeding
+// the staleness bound will not remove its usurper's lock.
 func (s *Dir) lock(ctx context.Context, key string) (func(), error) {
 	path := s.path(key) + ".lock"
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 	for {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		release, err := s.createLock(key, path)
 		if err == nil {
-			token := fmt.Sprintf("%d.%d %s\n", os.Getpid(), lockSeq.Add(1), time.Now().UTC().Format(time.RFC3339Nano))
-			_, werr := f.WriteString(token)
-			f.Close()
-			if werr != nil {
-				os.Remove(path)
-				return nil, fmt.Errorf("store: lock %s: %w", path, werr)
-			}
-			return func() {
-				if data, rerr := os.ReadFile(path); rerr == nil && string(data) == token {
-					os.Remove(path)
-				}
-			}, nil
+			return release, nil
 		}
 		if !os.IsExist(err) {
 			return nil, fmt.Errorf("store: lock %s: %w", path, err)
@@ -458,10 +598,7 @@ func (s *Dir) lock(ctx context.Context, key string) (func(), error) {
 			// one wins; a lock re-acquired between our stat and rename is
 			// younger than the staleness bound only if the filesystem
 			// clock jumped, and even then the loser merely recomputes.
-			stale := fmt.Sprintf("%s.stale.%d.%d", path, os.Getpid(), lockSeq.Add(1))
-			if os.Rename(path, stale) == nil {
-				os.Remove(stale)
-			}
+			stealLock(path)
 			continue
 		}
 		if serr != nil && os.IsNotExist(serr) {
@@ -479,6 +616,14 @@ func (s *Dir) lock(ctx context.Context, key string) (func(), error) {
 	}
 }
 
+// stealLock moves an abandoned lock file aside and deletes it.
+func stealLock(path string) {
+	stale := fmt.Sprintf("%s.stale.%d.%d", path, os.Getpid(), lockSeq.Add(1))
+	if os.Rename(path, stale) == nil {
+		os.Remove(stale)
+	}
+}
+
 // TryLocker is the optional non-blocking face of a backend's
 // cross-process single-flight. TryLock claims key's lock without
 // waiting and returns its release function, or nil when the lock is
@@ -493,27 +638,15 @@ type TryLocker interface {
 // attempt, plus one steal-and-retry when the existing lock is older
 // than the staleness bound (its holder crashed — without this, an
 // abandoned lock would block the key's claims forever). Returns nil
-// when the lock is live elsewhere.
+// when the lock is live elsewhere. A Put of key before the release
+// publishes the record through the lock file (see Put); the release
+// then has nothing left to do.
 func (s *Dir) TryLock(key string) (release func()) {
 	path := s.path(key) + ".lock"
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil
-	}
 	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		release, err := s.createLock(key, path)
 		if err == nil {
-			token := fmt.Sprintf("%d.%d %s\n", os.Getpid(), lockSeq.Add(1), time.Now().UTC().Format(time.RFC3339Nano))
-			_, werr := f.WriteString(token)
-			f.Close()
-			if werr != nil {
-				os.Remove(path)
-				return nil
-			}
-			return func() {
-				if data, rerr := os.ReadFile(path); rerr == nil && string(data) == token {
-					os.Remove(path)
-				}
-			}
+			return release
 		}
 		if !os.IsExist(err) {
 			return nil
@@ -523,10 +656,7 @@ func (s *Dir) TryLock(key string) (release func()) {
 			return nil // live lock (or vanished: holder just released)
 		}
 		// Stale: steal by atomic rename, then retry the creation once.
-		stale := fmt.Sprintf("%s.stale.%d.%d", path, os.Getpid(), lockSeq.Add(1))
-		if os.Rename(path, stale) == nil {
-			os.Remove(stale)
-		}
+		stealLock(path)
 	}
 	return nil
 }

@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -419,5 +422,275 @@ func TestPathSharding(t *testing.T) {
 	base := filepath.Base(p)
 	if len(dir) != 2 || base[:2] != dir {
 		t.Errorf("path %q not sharded by leading hash byte", rel)
+	}
+}
+
+// shardLeftovers lists the lock and temp files in key's shard.
+func shardLeftovers(t *testing.T, s *Dir, key string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Dir(s.path(key)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range entries {
+		if name := e.Name(); strings.HasSuffix(name, ".lock") || strings.HasPrefix(name, ".tmp-") {
+			left = append(left, name)
+		}
+	}
+	return left
+}
+
+// verifyRecord reads key's record file and checks it decodes to want.
+func verifyRecord(t *testing.T, s *Dir, key string, want *stats.Report) {
+	t.Helper()
+	data, err := os.ReadFile(s.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRecord(data, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("record decodes to %+v, want %+v", got, want)
+	}
+}
+
+// TestPutPublishesThroughHeldLock: a Put of a key this Dir has locked
+// renames the lock file over the record path, which leaves nothing
+// behind and releases the lock; the release afterwards touches neither
+// the record nor a lock taken since.
+func TestPutPublishesThroughHeldLock(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "k"
+	release := s.TryLock(key)
+	if release == nil {
+		t.Fatal("TryLock on a free key failed")
+	}
+	lockPath := s.path(key) + ".lock"
+	lockInfo, err := os.Stat(lockPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key, sampleReport()); err != nil {
+		t.Fatal(err)
+	}
+	verifyRecord(t, s, key, sampleReport())
+	recInfo, err := os.Stat(s.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(lockInfo, recInfo) {
+		t.Error("the record is not the lock file it was written into")
+	}
+	if left := shardLeftovers(t, s, key); len(left) != 0 {
+		t.Errorf("shard holds %v after the Put", left)
+	}
+	if st := s.Stats(); st.Writes != 1 {
+		t.Errorf("stats %+v, want 1 write", st)
+	}
+	// The key is free again; another process locks it before the
+	// first holder's release runs.
+	other, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherRelease := other.TryLock(key)
+	if otherRelease == nil {
+		t.Fatal("lock not released by the Put")
+	}
+	defer otherRelease()
+	release()
+	verifyRecord(t, s, key, sampleReport())
+	if _, err := os.Stat(lockPath); err != nil {
+		t.Errorf("release removed another holder's lock: %v", err)
+	}
+}
+
+// TestPutFallsBackWhenLockReplaced: when the lock this Dir holds was
+// stolen and retaken by another process before the Put, the Put writes
+// through a temp file and leaves the foreign lock exactly as it was,
+// and so does the release, with or without a Put before it.
+func TestPutFallsBackWhenLockReplaced(t *testing.T) {
+	for _, how := range []string{"removed", "renamed", "released-unput"} {
+		t.Run(how, func(t *testing.T) {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			const key = "k"
+			release := s.TryLock(key)
+			if release == nil {
+				t.Fatal("TryLock on a free key failed")
+			}
+			lockPath := s.path(key) + ".lock"
+			if how == "renamed" {
+				err = os.Rename(lockPath, lockPath+".stale.test")
+			} else {
+				err = os.Remove(lockPath)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			foreign := []byte("4242.1 2026-01-01T00:00:00Z\n")
+			if err := os.WriteFile(lockPath, foreign, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if how != "released-unput" {
+				if err := s.Put(key, sampleReport()); err != nil {
+					t.Fatal(err)
+				}
+				verifyRecord(t, s, key, sampleReport())
+			}
+			release()
+			if data, err := os.ReadFile(lockPath); err != nil || !bytes.Equal(data, foreign) {
+				t.Fatalf("foreign lock disturbed: %q, %v", data, err)
+			}
+			if left := shardLeftovers(t, s, key); len(left) != 1 || left[0] != filepath.Base(lockPath) {
+				t.Errorf("shard holds %v, want only the foreign lock", left)
+			}
+		})
+	}
+}
+
+// TestDoPublishesThroughItsLock: Do writes the record it computed into
+// the lock file it took, and leaves no lock behind.
+func TestDoPublishesThroughItsLock(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "k"
+	var lockInfo os.FileInfo
+	_, tier, err := s.Do(context.Background(), key, func() (*stats.Report, error) {
+		var err error
+		lockInfo, err = os.Stat(s.path(key) + ".lock")
+		return sampleReport(), err
+	})
+	if err != nil || tier.Hit() {
+		t.Fatalf("Do: tier %v, err %v", tier, err)
+	}
+	verifyRecord(t, s, key, sampleReport())
+	recInfo, err := os.Stat(s.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(lockInfo, recInfo) {
+		t.Error("Do did not publish through its lock file")
+	}
+	if left := shardLeftovers(t, s, key); len(left) != 0 {
+		t.Errorf("shard holds %v after Do", left)
+	}
+}
+
+// TestRecordModeIndependentOfWritePath: a record published from a lock
+// file has the mode of one written through a temp file.
+func TestRecordModeIndependentOfWritePath(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("plain", sampleReport()); err != nil {
+		t.Fatal(err)
+	}
+	release := s.TryLock("locked")
+	if release == nil {
+		t.Fatal("TryLock on a free key failed")
+	}
+	defer release()
+	if err := s.Put("locked", sampleReport()); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := os.Stat(s.path("plain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	locked, err := os.Stat(s.path("locked"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Mode() != locked.Mode() {
+		t.Errorf("temp-file record mode %v, lock-file record mode %v", plain.Mode(), locked.Mode())
+	}
+}
+
+// TestDirsRaceOnSharedKeys: goroutines on two Dirs over one directory
+// (two processes) Do a shared set of keys in different orders. Each key
+// is computed once, every record verifies, and no lock or temp file is
+// left. Run it with -race -count=10.
+func TestDirsRaceOnSharedKeys(t *testing.T) {
+	dir := t.TempDir()
+	var dirs [2]*Dir
+	for i := range dirs {
+		d, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetLockTuning(time.Minute, time.Millisecond)
+		dirs[i] = d
+	}
+	const nkeys, workers = 16, 8
+	report := func(k int) *stats.Report {
+		rep := sampleReport()
+		rep.Cycles = int64(k)
+		return rep
+	}
+	var computes [nkeys]atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			d := dirs[w%2]
+			for n := 0; n < nkeys; n++ {
+				k := (n*(2*w+1) + w) % nkeys
+				rep, _, err := d.Do(context.Background(), fmt.Sprintf("key-%d", k), func() (*stats.Report, error) {
+					computes[k].Add(1)
+					return report(k), nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(rep, report(k)) {
+					t.Errorf("key %d answered %+v", k, rep)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for k := range computes {
+		key := fmt.Sprintf("key-%d", k)
+		if n := computes[k].Load(); n != 1 {
+			t.Errorf("%s computed %d times, want 1", key, n)
+		}
+		verifyRecord(t, dirs[0], key, report(k))
+		if left := shardLeftovers(t, dirs[0], key); len(left) != 0 {
+			t.Errorf("%s: shard holds %v", key, left)
+		}
+	}
+}
+
+// TestReadFile: readFile returns a file's bytes whatever the buffer it
+// is handed, and a missing file reads as os.IsNotExist.
+func TestReadFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	want := bytes.Repeat([]byte("0123456789abcdef"), 1000)
+	if err := os.WriteFile(path, want, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, buf := range [][]byte{nil, make([]byte, 0, 7), make([]byte, 3, 64<<10)} {
+		got, err := readFile(path, buf)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("cap %d: read %d bytes, %v", cap(buf), len(got), err)
+		}
+	}
+	if _, err := readFile(path+".missing", nil); !os.IsNotExist(err) {
+		t.Fatalf("missing file: %v", err)
 	}
 }

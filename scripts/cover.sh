@@ -34,7 +34,7 @@ declare -A FLOOR=(
   [mtvec/internal/sched]=90
   [mtvec/internal/session]=75
   [mtvec/internal/stats]=95
-  [mtvec/internal/store]=80
+  [mtvec/internal/store]=86
   [mtvec/internal/trace]=85
   [mtvec/internal/vcomp]=88
   [mtvec/internal/workload]=91
