@@ -102,13 +102,14 @@ func benchEngine(b *testing.B, contexts int) {
 		}
 		suite = append(suite, w)
 	}
+	ses := mtvec.NewSession(mtvec.WithoutMemo())
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
 		cfg := mtvec.DefaultConfig()
 		cfg.Contexts = contexts
-		rep, err := mtvec.RunQueue(suite, cfg)
+		rep, err := ses.Run(context.Background(), mtvec.Queue(suite, mtvec.WithConfig(cfg)))
 		if err != nil {
 			b.Fatal(err)
 		}

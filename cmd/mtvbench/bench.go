@@ -117,12 +117,15 @@ func benchCases(scale float64, jobs int) (cases []benchCase, cleanup func(), err
 		}
 		suite = append(suite, w)
 	}
+	// The queue cases simulate on every call: a memo-less session never
+	// answers a repeat from its cache.
+	ses := mtvec.NewSession(mtvec.WithoutMemo())
 	engine := func(contexts int, stepped bool) func() (int64, error) {
 		return func() (int64, error) {
 			cfg := mtvec.DefaultConfig()
 			cfg.Contexts = contexts
 			cfg.DisableFastForward = stepped
-			rep, err := mtvec.RunQueue(suite, cfg)
+			rep, err := ses.Run(context.Background(), mtvec.Queue(suite, mtvec.WithConfig(cfg)))
 			if err != nil {
 				return 0, err
 			}
@@ -184,7 +187,7 @@ func benchCases(scale float64, jobs int) (cases []benchCase, cleanup func(), err
 		fn: func() (int64, error) {
 			cfg := mtvec.DefaultConfig()
 			cfg.Contexts = 4
-			rep, err := mtvec.RunQueue(bench, cfg)
+			rep, err := ses.Run(context.Background(), mtvec.Queue(bench, mtvec.WithConfig(cfg)))
 			if err != nil {
 				return 0, err
 			}

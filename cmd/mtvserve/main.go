@@ -68,7 +68,6 @@ func main() {
 		scale    = flag.Float64("scale", mtvec.DefaultScale, "workload scale relative to Table 3 millions (must match across the cluster)")
 		jobs     = flag.Int("jobs", runtime.NumCPU(), "max concurrent simulations")
 		stealAge = flag.Duration("store-steal-age", 0, "age after which another process's store lock is presumed dead (0 = default)")
-		pace     = flag.Duration("pace", 0, "pad every simulation slot to at least this wall duration (capacity emulation for load tests)")
 		hedge    = flag.Duration("hedge-after", 30*time.Second, "coordinator: race a duplicate sub-sweep against shards slower than this (0 = off)")
 		probe    = flag.Duration("probe-interval", time.Second, "coordinator: worker readiness probe interval")
 		drainFor = flag.Duration("drain-timeout", 10*time.Second, "how long in-flight requests may finish after SIGTERM")
@@ -97,7 +96,6 @@ func main() {
 			StoreDir: *storeDir,
 			StealAge: *stealAge,
 			Peers:    peerList,
-			Pace:     *pace,
 		})
 		if err != nil {
 			log.Fatalln("mtvserve:", err)

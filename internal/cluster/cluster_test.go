@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -18,11 +21,21 @@ type testCluster struct {
 // newTestCluster starts n workers (each with its own store directory)
 // and a coordinator over them.
 func newTestCluster(t *testing.T, n int, cfg CoordinatorConfig) *testCluster {
+	return newSlowCluster(t, n, cfg, 0)
+}
+
+// newSlowCluster is newTestCluster with worker 0's sweeps held back by
+// slow (see slowSweeps); 0 leaves every worker at full speed.
+func newSlowCluster(t *testing.T, n int, cfg CoordinatorConfig, slow time.Duration) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < n; i++ {
 		w := newTestServer(t, t.TempDir())
-		ts := httptest.NewServer(w.Handler())
+		h := w.Handler()
+		if i == 0 && slow > 0 {
+			h = slowSweeps(h, slow)
+		}
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		tc.workers = append(tc.workers, w)
 		tc.servers = append(tc.servers, ts)
@@ -39,6 +52,32 @@ func newTestCluster(t *testing.T, n int, cfg CoordinatorConfig) *testCluster {
 	t.Cleanup(coord.Close)
 	tc.coord = coord
 	return tc
+}
+
+// slowSweeps delays every POST /api/v1/sweep by d before h sees it,
+// and drops the request once its context is done (the client gave up or
+// the connection died). Other routes, /readyz included, pass straight
+// through, so the prober still sees the worker as healthy.
+func slowSweeps(h http.Handler, d time.Duration) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/api/v1/sweep" {
+			// The server notices a closed connection, and cancels the
+			// context, only once the body has been read.
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			timer := time.NewTimer(d)
+			defer timer.Stop()
+			select {
+			case <-r.Context().Done():
+				return
+			case <-timer.C:
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // sweep64 is the differential workload: 8 latencies x 8 context counts
@@ -113,9 +152,9 @@ func TestCoordinatorSweepMatchesStandalone(t *testing.T) {
 }
 
 func TestCoordinatorSurvivesWorkerKilledMidSweep(t *testing.T) {
-	tc := newTestCluster(t, 2, CoordinatorConfig{ProbeInterval: time.Hour}) // no prober help: the failure path alone must recover
-	// Pace the victim so its shard is still in flight when we kill it.
-	tc.workers[0].Session().SetPace(300 * time.Millisecond)
+	// No prober help: the failure path alone must recover. The victim
+	// is slow, so its shard is still in flight when we kill it.
+	tc := newSlowCluster(t, 2, CoordinatorConfig{ProbeInterval: time.Hour}, 30*time.Second)
 
 	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
@@ -178,11 +217,10 @@ func TestCoordinatorCoalescesDuplicatePoints(t *testing.T) {
 }
 
 func TestCoordinatorHedgesSlowShard(t *testing.T) {
-	tc := newTestCluster(t, 2, CoordinatorConfig{HedgeAfter: 100 * time.Millisecond})
-	// Worker 0 is pathologically slow: every cold simulation slot is
-	// padded to 30s, so nothing it owns can come back within this test.
-	// Only the hedge onto worker 1 lets the sweep finish.
-	tc.workers[0].Session().SetPace(30 * time.Second)
+	// Worker 0 is pathologically slow: each sweep it is sent waits 30s
+	// before it starts, so nothing it owns can come back within this
+	// test. Only the hedge onto worker 1 lets the sweep finish.
+	tc := newSlowCluster(t, 2, CoordinatorConfig{HedgeAfter: 100 * time.Millisecond}, 30*time.Second)
 
 	start := time.Now()
 	var resp SweepResponse
@@ -196,7 +234,7 @@ func TestCoordinatorHedgesSlowShard(t *testing.T) {
 		t.Fatal("no hedges recorded though one shard was pathologically slow")
 	}
 	// Every point — worker 0's own shard included — must have been
-	// answered by worker 1, far inside worker 0's 30s pace floor.
+	// answered by worker 1, far inside worker 0's 30s delay.
 	for i, p := range resp.Points {
 		if p.Worker != tc.servers[1].URL {
 			t.Fatalf("point %d answered by %s, want the hedge target %s", i, p.Worker, tc.servers[1].URL)

@@ -39,10 +39,6 @@ type Config struct {
 	// Peers lists other workers' base URLs; the store becomes a tiered
 	// backend that warm-starts from their record APIs before simulating.
 	Peers []string
-	// Pace pads every gated simulation slot to a minimum wall duration —
-	// the capacity-emulation knob for load tests (0 = off; see
-	// Session.SetPace and docs/CLUSTER.md).
-	Pace time.Duration
 }
 
 // Server is one serving node: the full single-node mtvserve API, plus
@@ -101,9 +97,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if s.back != nil {
 		env.SetStore(s.back)
-	}
-	if cfg.Pace > 0 {
-		s.ses.SetPace(cfg.Pace)
 	}
 	s.initMetrics()
 	return s, nil

@@ -77,7 +77,7 @@ func randPoint(seed int64) diffPoint {
 		cfg.IssueWidth = 2
 	}
 	cfg.DisableFastForward = r.Intn(5) == 0
-	cfg.RecordSpans = r.Intn(3) == 0
+	_ = r.Intn(3) // unused, but drawn so the later draws keep their seeds
 	cfg.ProgressStride = []Cycle{256, 1024, 4096}[r.Intn(3)]
 
 	// Per-context supply parameters, captured as values so attach can

@@ -82,14 +82,6 @@ type Config struct {
 	// Observer.Progress events; 0 selects DefaultProgressStride.
 	ProgressStride Cycle
 
-	// RecordSpans enables Figure 9 execution-profile capture in
-	// Report.Spans.
-	//
-	// Deprecated: span capture is an Observer concern now; RecordSpans
-	// is kept as a shorthand that attaches a built-in SpanRecorder and
-	// copies its spans into the Report.
-	RecordSpans bool
-
 	// DisableFastForward turns off the all-threads-blocked clock skip.
 	// The skip is part of the engine's defined semantics: it is fully
 	// deterministic, observation-invariant (attaching observers never
@@ -216,7 +208,6 @@ type Machine struct {
 
 	obs            []Observer
 	hasObs         bool
-	spanRec        *SpanRecorder // backs Config.RecordSpans
 	progressStride Cycle
 	nextProgress   Cycle
 
@@ -282,10 +273,6 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	m.obs = append(m.obs, cfg.Observers...)
-	if cfg.RecordSpans {
-		m.spanRec = &SpanRecorder{}
-		m.obs = append(m.obs, m.spanRec)
-	}
 	m.hasObs = len(m.obs) > 0
 	m.progressStride = cfg.ProgressStride
 	if m.progressStride <= 0 {
@@ -866,9 +853,6 @@ func (m *Machine) report(stop Stop) *stats.Report {
 			PartialInsts: c.partialInsts(),
 			Dispatched:   c.dispatched,
 		})
-	}
-	if m.spanRec != nil {
-		rep.Spans = m.spanRec.Spans
 	}
 	return rep
 }

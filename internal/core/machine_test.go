@@ -135,8 +135,9 @@ func TestJobQueueDrainsInOrder(t *testing.T) {
 		name := name
 		q.Add(name, func() *prog.Stream { return loadUseStream(4) })
 	}
+	rec := &SpanRecorder{}
 	cfg := testConfig(2)
-	cfg.RecordSpans = true
+	cfg.Observers = []Observer{rec}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,15 +145,15 @@ func TestJobQueueDrainsInOrder(t *testing.T) {
 	src := q.Source()
 	m.SetThread(0, src)
 	m.SetThread(1, src)
-	rep, err := m.Run(Stop{})
-	if err != nil {
+	if _, err := m.Run(Stop{}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Spans) != 5 {
-		t.Fatalf("spans = %d, want 5 (one per job)", len(rep.Spans))
+	spans := rec.Spans
+	if len(spans) != 5 {
+		t.Fatalf("spans = %d, want 5 (one per job)", len(spans))
 	}
 	seen := map[string]bool{}
-	for _, sp := range rep.Spans {
+	for _, sp := range spans {
 		if sp.End <= sp.Start {
 			t.Errorf("span %v is empty", sp)
 		}
@@ -162,7 +163,7 @@ func TestJobQueueDrainsInOrder(t *testing.T) {
 		t.Fatalf("distinct programs in spans = %d", len(seen))
 	}
 	// First two jobs start on threads 0 and 1.
-	if rep.Spans[0].Start != 0 && rep.Spans[1].Start != 0 {
+	if spans[0].Start != 0 && spans[1].Start != 0 {
 		t.Error("initial jobs should start at cycle 0")
 	}
 }

@@ -38,8 +38,8 @@ type Observer interface {
 }
 
 // SpanRecorder is the built-in Figure 9 observer: it collects every
-// program span of a run. A machine whose Config sets RecordSpans
-// attaches one internally and copies its spans into the Report.
+// program span of a run. The machine never fills Report.Spans itself;
+// a session run with WithSpans attaches one and copies its spans there.
 type SpanRecorder struct {
 	Spans []stats.Span
 }

@@ -90,29 +90,6 @@ func TestObserverFastForwardEquivalence(t *testing.T) {
 	}
 }
 
-// TestRecordSpansMatchesObserver: the deprecated RecordSpans flag and an
-// attached SpanRecorder observe the same spans.
-func TestRecordSpansMatchesObserver(t *testing.T) {
-	rec := &SpanRecorder{}
-	cfg := testConfig(1)
-	cfg.RecordSpans = true
-	cfg.Observers = []Observer{rec}
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetThreadStream(0, "loaduse", loadUseStream(4)); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.Run(Stop{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Spans) != 1 || !reflect.DeepEqual(rep.Spans, rec.Spans) {
-		t.Fatalf("report spans %v != observer spans %v", rep.Spans, rec.Spans)
-	}
-}
-
 func TestRunContextMatchesRun(t *testing.T) {
 	mkMachine := func() *Machine {
 		m, err := New(testConfig(1))

@@ -38,6 +38,8 @@ func TestPersistKeysPinned(t *testing.T) {
 			"mode=1,|ws=gemm@0.0001+rf8.32.2+fpcb9988fd04ffd366,|policy=default|ctx=1,|rf=8,32,2,2,1,|fu=1,1,8,|lat=0,1,1,1,5,34,34,0,1,;0,2,1,1,2,9,9,0,1,;0,4,4,4,7,20,20,0,0,;1,2,2,|mem=50,4,1,0,0,0,0,|flags=ffff|iw=1,|stop=0,0,"},
 		{"queue", Queue([]*workload.Workload{build("sw", vcomp.Options{}), build("hy", vcomp.Options{})}, WithContexts(2)),
 			"mode=3,|ws=swm256@0.0001+fp5a9f43184ed7b0d7,hydro2d@0.0001+fp9166352ab37fe92c,|policy=default|ctx=2," + tail + "|mem=50,4,1,0,0,0,0,|flags=ffff|iw=1,|stop=0,0,"},
+		{"queue-spans", Queue([]*workload.Workload{build("sw", vcomp.Options{}), build("hy", vcomp.Options{})}, WithContexts(2), WithSpans()),
+			"mode=3,|ws=swm256@0.0001+fp5a9f43184ed7b0d7,hydro2d@0.0001+fp9166352ab37fe92c,|policy=default|ctx=2," + tail + "|mem=50,4,1,0,0,0,0,|flags=ftff|iw=1,|stop=0,0,"},
 	}
 	for _, tc := range cases {
 		p, err := tc.spec.prepare()

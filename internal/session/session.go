@@ -49,6 +49,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,10 +79,6 @@ type Session struct {
 	st        atomic.Pointer[backendBox]
 	storeHits atomic.Int64
 	peerHits  atomic.Int64
-
-	// pace, when positive, is the minimum wall duration of one gated
-	// simulation slot (see SetPace) in nanoseconds.
-	pace atomic.Int64
 
 	// gate admits at most Jobs() concurrent leaf sections (machine runs
 	// and, via Do, workload builds). Orchestration layers above may
@@ -124,10 +121,9 @@ func WithJobs(n int) SessionOption {
 }
 
 // WithoutMemo disables the run cache: every Run simulates, and repeated
-// identical specs return fresh Reports. The legacy Run* entry points
-// use a memo-less default session to keep their original semantics.
-// An attached store is unaffected — persistence is orthogonal to the
-// in-memory memo tier.
+// identical specs return fresh Reports. Benchmarks that time the
+// simulation itself use a memo-less session. An attached store is
+// unaffected — persistence is orthogonal to the in-memory memo tier.
 func WithoutMemo() SessionOption {
 	return func(s *Session) { s.memo = false }
 }
@@ -212,44 +208,6 @@ func (s *Session) PeerHits() int64 { return s.peerHits.Load() }
 // Active returns how many gated leaf sections (simulations, Do work)
 // are executing right now — instantaneous gate occupancy in [0, Jobs()].
 func (s *Session) Active() int { return s.gate.Active() }
-
-// SetPace sets a minimum wall duration per simulation inside a gated
-// slot: a slot that finishes sooner sleeps out the remainder while
-// still holding the slot. Zero (the default) disables. Results are
-// unaffected — only timing changes. The knob exists for capacity
-// emulation in load tests (see docs/CLUSTER.md): on a machine with
-// fewer cores than the deployment being modelled, pacing makes a
-// node's simulation capacity the bottleneck, so horizontal scaling
-// behaves as it would at size.
-func (s *Session) SetPace(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.pace.Store(int64(d))
-}
-
-// Pace returns the gated-slot minimum wall duration (0 = disabled).
-func (s *Session) Pace() time.Duration { return time.Duration(s.pace.Load()) }
-
-// paceSlot sleeps out the remainder of the pace window for a gated slot
-// that started at start. Called while still inside the gate; a
-// cancelled ctx cuts the sleep short.
-func (s *Session) paceSlot(ctx context.Context, start time.Time) {
-	d := time.Duration(s.pace.Load())
-	if d <= 0 {
-		return
-	}
-	rem := d - time.Since(start)
-	if rem <= 0 {
-		return
-	}
-	t := time.NewTimer(rem)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
 
 // PersistKey returns the spec's store persist key — its process-stable
 // content identity — and whether it has one. Specs without stable
@@ -585,24 +543,30 @@ func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan, traces *tr
 		if err = ctx.Err(); err != nil {
 			return
 		}
-		start := time.Now()
-		defer s.paceSlot(ctx, start)
+		cfg := p.cfg
+		var spans *core.SpanRecorder
+		if p.spans {
+			spans = &core.SpanRecorder{}
+			cfg.Observers = append(slices.Clip(cfg.Observers), spans)
+		}
 		var m *core.Machine
-		if m, err = core.New(p.cfg); err != nil {
+		if m, err = core.New(cfg); err != nil {
 			return
 		}
-		if err = attachThreads(m, spec, p.cfg, traces); err != nil {
+		if err = attachThreads(m, spec, cfg, traces); err != nil {
 			return
 		}
 		s.sims.Add(1)
-		rep, err = m.RunContext(ctx, p.stop)
+		if rep, err = m.RunContext(ctx, p.stop); err == nil && spans != nil {
+			rep.Spans = spans.Spans
+		}
 	})
 	return rep, err
 }
 
 // attachThreads feeds the machine's contexts according to the spec's
-// mode, reproducing the Run* methodologies exactly. Compiled specs take
-// their trace from traces.
+// mode: solo, Section 4.1 grouped, Section 7 job queue or compiled
+// kernel. Compiled specs take their trace from traces.
 func attachThreads(m *core.Machine, spec RunSpec, cfg core.Config, traces *traceShare) error {
 	switch spec.mode {
 	case ModeSolo:

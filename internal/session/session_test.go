@@ -120,6 +120,67 @@ func TestObserverSpecHasNoKey(t *testing.T) {
 	}
 }
 
+// TestWithSpansMatchesRecorder: WithSpans fills Report.Spans with what
+// an attached SpanRecorder sees, keeps the spec memoizable, and yields
+// to a later WithConfig like any other option.
+func TestWithSpansMatchesRecorder(t *testing.T) {
+	ctx := context.Background()
+	sd, err := workload.ByShort("sd").Build(testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := []*workload.Workload{testWorkload(t), sd}
+	s := New()
+
+	rec := &core.SpanRecorder{}
+	observed, src, err := s.RunTracked(ctx, Queue(ws, WithContexts(2), WithObserver(rec)))
+	if err != nil || src != SourceSim {
+		t.Fatalf("observed run: source %v, err %v", src, err)
+	}
+	if observed.Spans != nil {
+		t.Fatalf("an attached observer filled Report.Spans: %v", observed.Spans)
+	}
+	rep, src, err := s.RunTracked(ctx, Queue(ws, WithContexts(2), WithSpans()))
+	if err != nil || src != SourceSim {
+		t.Fatalf("spans run: source %v, err %v", src, err)
+	}
+	if len(rep.Spans) != 2 || !reflect.DeepEqual(rep.Spans, rec.Spans) {
+		t.Fatalf("report spans %v != recorder spans %v", rep.Spans, rec.Spans)
+	}
+	rest := *rep
+	rest.Spans = nil
+	if !reflect.DeepEqual(&rest, observed) {
+		t.Fatal("span capture changed the rest of the report")
+	}
+
+	// The spans are part of the memoized Report; observers are not.
+	again, src, err := s.RunTracked(ctx, Queue(ws, WithContexts(2), WithSpans()))
+	if err != nil || src != SourceMemo || again != rep {
+		t.Fatalf("repeat spans run: source %v, err %v, same report %v", src, err, again == rep)
+	}
+	if _, src, err := s.RunTracked(ctx, Queue(ws, WithContexts(2), WithObserver(rec))); err != nil || src != SourceSim {
+		t.Fatalf("repeat observed run: source %v, err %v", src, err)
+	}
+
+	// Later options win: WithConfig after WithSpans drops the capture.
+	cfg := core.DefaultConfig()
+	cfg.Contexts = 2
+	dropped, err := s.Run(ctx, Queue(ws, WithSpans(), WithConfig(cfg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped.Spans != nil {
+		t.Fatalf("WithConfig after WithSpans still captured %d spans", len(dropped.Spans))
+	}
+	kept, err := s.Run(ctx, Queue(ws, WithConfig(cfg), WithSpans()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(kept, rep) {
+		t.Fatal("WithSpans after WithConfig differs from the granular spelling")
+	}
+}
+
 func TestRunNilContext(t *testing.T) {
 	w := testWorkload(t)
 	rep, err := New().Run(nil, Solo(w)) //nolint:staticcheck // nil ctx is part of the contract

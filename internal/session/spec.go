@@ -118,6 +118,7 @@ type build struct {
 	policyInst sched.Policy
 	stop       core.Stop
 	observers  []core.Observer
+	spans      bool // WithSpans: capture spans into Report.Spans
 	errs       []error
 }
 
@@ -131,14 +132,15 @@ func (b *build) errf(format string, args ...any) {
 	b.errs = append(b.errs, fmt.Errorf(format, args...))
 }
 
-// WithConfig replaces the base configuration wholesale. Options given
-// after it still apply on top. Most callers should prefer the granular
-// options; WithConfig exists for the legacy Run* entry points and for
+// WithConfig replaces the base configuration wholesale, and turns off
+// an earlier WithSpans. Options given after it still apply on top. Most
+// callers should prefer the granular options; WithConfig exists for
 // knobs without a dedicated option (DisableFastForward, custom
 // latency tables).
 func WithConfig(cfg core.Config) Option {
 	return func(b *build) {
 		b.cfg = cfg
+		b.spans = false
 		b.contextsSet = true
 		b.policyName, b.policyInst = "", cfg.Policy
 		if len(cfg.Observers) > 0 {
@@ -347,7 +349,7 @@ func WithMemBanks(banks, busy int) Option {
 // Report.Spans (a built-in SpanRecorder observer; unlike WithObserver
 // the captured spans are part of the memoized Report).
 func WithSpans() Option {
-	return func(b *build) { b.cfg.RecordSpans = true }
+	return func(b *build) { b.spans = true }
 }
 
 // WithObserver attaches streaming run observers (progress, thread
@@ -410,6 +412,8 @@ type plan struct {
 	// memoizable is false when the run carries observers — observation
 	// is a side effect a cache hit would skip.
 	memoizable bool
+	// spans attaches a SpanRecorder whose spans become Report.Spans.
+	spans bool
 	// Policy identity for the memo key (see build).
 	policyName string
 	policyInst sched.Policy
@@ -484,6 +488,7 @@ func (s RunSpec) prepare() (plan, error) {
 		cfg:        b.cfg,
 		stop:       b.stop,
 		memoizable: len(b.observers) == 0,
+		spans:      b.spans,
 		policyName: b.policyName,
 		policyInst: b.policyInst,
 	}, nil
@@ -670,7 +675,7 @@ func appendMachineKey(b []byte, p *plan) []byte {
 	b = appendNum(b, int64(mem.Banks))
 	b = appendNum(b, int64(mem.BankBusy))
 	b = append(b, "|flags="...)
-	for _, f := range [...]bool{p.cfg.DualScalar, p.cfg.RecordSpans, p.cfg.DisableFastForward, p.stop.Thread0Complete} {
+	for _, f := range [...]bool{p.cfg.DualScalar, p.spans, p.cfg.DisableFastForward, p.stop.Thread0Complete} {
 		if f {
 			b = append(b, 't')
 		} else {

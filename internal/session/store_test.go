@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"mtvec/internal/core"
 	"mtvec/internal/sched"
@@ -16,7 +15,7 @@ import (
 	"mtvec/internal/workload"
 )
 
-func openStore(t *testing.T) *store.Store {
+func openStore(t *testing.T) *store.Dir {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -377,51 +376,5 @@ func TestPersistKeyPublic(t *testing.T) {
 	}
 	if _, ok := s.PersistKey(RunSpec{}); ok {
 		t.Fatal("invalid spec reported a persist key")
-	}
-}
-
-// TestSetPacePadsGatedSlots pins the capacity-emulation knob: with a
-// pace set, one simulation takes at least the pace window, and results
-// are unchanged.
-func TestSetPacePadsGatedSlots(t *testing.T) {
-	w := testWorkload(t)
-	base, err := New().Run(context.Background(), Solo(w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	s.SetPace(50 * time.Millisecond)
-	if s.Pace() != 50*time.Millisecond {
-		t.Fatalf("Pace = %v", s.Pace())
-	}
-	start := time.Now()
-	rep, err := s.Run(context.Background(), Solo(w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took < 50*time.Millisecond {
-		t.Fatalf("paced run took %v, want >= 50ms", took)
-	}
-	if reportJSON(t, rep) != reportJSON(t, base) {
-		t.Fatal("pacing changed the report")
-	}
-	// A cancelled context cuts the pace sleep short rather than hanging.
-	s.SetPace(time.Hour)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.Run(ctx, Solo(w, WithMemLatency(80)))
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("pace sleep ignored cancellation")
-	}
-	s.SetPace(-1) // negative clamps to disabled
-	if s.Pace() != 0 {
-		t.Fatalf("negative pace not clamped: %v", s.Pace())
 	}
 }

@@ -118,12 +118,6 @@ type Dir struct {
 	corrupt atomic.Int64
 }
 
-// Store is the historical name of the on-disk tier.
-//
-// Deprecated: use Dir (the Backend interface has other implementations
-// now). The alias is permanent; existing code keeps compiling.
-type Store = Dir
-
 // Stats is a snapshot of a backend's counters (process-local, not
 // persisted).
 type Stats struct {

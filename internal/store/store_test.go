@@ -179,10 +179,10 @@ func TestCorruptRecordsRecovered(t *testing.T) {
 }
 
 func TestDoComputesOnceAcrossStores(t *testing.T) {
-	// Two Stores on one directory model two processes: under Do only one
+	// Two Dirs on one directory model two processes: under Do only one
 	// computes per key, the rest serve the winner's record.
 	dir := t.TempDir()
-	var stores []*Store
+	var stores []*Dir
 	for i := 0; i < 2; i++ {
 		s, err := Open(dir)
 		if err != nil {

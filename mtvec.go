@@ -37,9 +37,8 @@
 //	env := mtvec.NewEnv(mtvec.DefaultScale)
 //	results, stats, _ := mtvec.RunExperiments(env, mtvec.Experiments(), 0)
 //
-// The RunSolo, RunGroup, RunQueue and RunCompiled functions predate the
-// Session API and remain as deprecated wrappers; see docs/API.md for the
-// migration guide.
+// Every run goes through a Session; docs/API.md maps the removed
+// RunSolo, RunGroup, RunQueue and RunCompiled functions onto specs.
 package mtvec
 
 import (
@@ -299,47 +298,6 @@ func BuildWorkloadsRegFile(tags []string, scale float64, jobs int, rf RegFile) (
 		return err
 	})
 	return ws, err
-}
-
-// RunSolo runs one workload to completion on a machine built from cfg.
-//
-// Deprecated: use Session.Run with a Solo spec, which adds context
-// cancellation, memoization and observers:
-//
-//	ses.Run(ctx, mtvec.Solo(w, mtvec.WithConfig(cfg)))
-func RunSolo(w *Workload, cfg Config) (*Report, error) {
-	return DefaultSession().Run(context.Background(), Solo(w, WithConfig(cfg)))
-}
-
-// RunGroup reproduces the Section 4.1 grouped methodology: primary runs
-// once on thread 0 while companions restart until it completes.
-// cfg.Contexts must equal 1+len(companions).
-//
-// Deprecated: use Session.Run with a Group spec:
-//
-//	ses.Run(ctx, mtvec.Group(primary, companions, mtvec.WithConfig(cfg)))
-func RunGroup(primary *Workload, companions []*Workload, cfg Config) (*Report, error) {
-	return DefaultSession().Run(context.Background(), Group(primary, companions, WithConfig(cfg)))
-}
-
-// RunQueue reproduces the Section 7 methodology: the workloads form a
-// job queue drained by all contexts; the run ends when every job is done.
-//
-// Deprecated: use Session.Run with a Queue spec:
-//
-//	ses.Run(ctx, mtvec.Queue(ws, mtvec.WithConfig(cfg)))
-func RunQueue(ws []*Workload, cfg Config) (*Report, error) {
-	return DefaultSession().Run(context.Background(), Queue(ws, WithConfig(cfg)))
-}
-
-// RunCompiled runs a user-compiled kernel under the given invocation
-// schedule on a machine built from cfg (thread 0 only).
-//
-// Deprecated: use Session.Run with a CompiledRun spec:
-//
-//	ses.Run(ctx, mtvec.CompiledRun(c, schedule, mtvec.WithConfig(cfg)))
-func RunCompiled(c *Compiled, schedule []Invocation, cfg Config) (*Report, error) {
-	return DefaultSession().Run(context.Background(), CompiledRun(c, schedule, WithConfig(cfg)))
 }
 
 // IdealCycles returns the paper's IDEAL lower bound for a set of

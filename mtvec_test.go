@@ -2,6 +2,7 @@ package mtvec_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func build(t *testing.T, short string) *mtvec.Workload {
 
 func TestRunSolo(t *testing.T) {
 	w := build(t, "tf")
-	rep, err := mtvec.RunSolo(w, mtvec.DefaultConfig())
+	rep, err := mtvec.NewSession().Run(context.Background(), mtvec.Solo(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +35,14 @@ func TestRunSolo(t *testing.T) {
 }
 
 func TestRunGroupSpeedsUp(t *testing.T) {
+	ctx := context.Background()
+	ses := mtvec.NewSession()
 	tf, sw := build(t, "tf"), build(t, "sw")
-	solo, err := mtvec.RunSolo(tf, mtvec.DefaultConfig())
+	solo, err := ses.Run(ctx, mtvec.Solo(tf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := mtvec.DefaultConfig()
-	cfg.Contexts = 2
-	rep, err := mtvec.RunGroup(tf, []*mtvec.Workload{sw}, cfg)
+	rep, err := ses.Run(ctx, mtvec.Group(tf, []*mtvec.Workload{sw}, mtvec.WithContexts(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,17 +55,14 @@ func TestRunGroupSpeedsUp(t *testing.T) {
 		t.Fatal("companion idle")
 	}
 	// Mismatched contexts are rejected.
-	if _, err := mtvec.RunGroup(tf, nil, cfg); err == nil {
+	if _, err := ses.Run(ctx, mtvec.Group(tf, nil, mtvec.WithContexts(2))); err == nil {
 		t.Fatal("bad context count accepted")
 	}
 }
 
 func TestRunQueue(t *testing.T) {
 	ws := []*mtvec.Workload{build(t, "tf"), build(t, "sd")}
-	cfg := mtvec.DefaultConfig()
-	cfg.Contexts = 2
-	cfg.RecordSpans = true
-	rep, err := mtvec.RunQueue(ws, cfg)
+	rep, err := mtvec.NewSession().Run(context.Background(), mtvec.Queue(ws, mtvec.WithContexts(2), mtvec.WithSpans()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,23 +76,8 @@ func TestRunQueue(t *testing.T) {
 
 func TestCustomKernelEndToEnd(t *testing.T) {
 	// A user-defined daxpy compiled and simulated via the public API.
-	x := &mtvec.Array{Name: "x", Base: 0x10000, Stride: 8}
-	y := &mtvec.Array{Name: "y", Base: 0x20000, Stride: 8}
-	kern := &mtvec.Kernel{Name: "daxpy"}
-	kern.Units = append(kern.Units, &mtvec.VectorLoop{
-		Name: "daxpy",
-		Body: []mtvec.Stmt{{
-			Dst: y,
-			E: &mtvec.Bin{Op: mtvec.Add,
-				L: &mtvec.Bin{Op: mtvec.Mul, L: &mtvec.ScalarArg{Name: "a"}, R: &mtvec.Ref{Arr: x}},
-				R: &mtvec.Ref{Arr: y}},
-		}},
-	})
-	c, err := mtvec.CompileKernel(kern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := mtvec.RunCompiled(c, []mtvec.Invocation{{Unit: 0, N: 4096}}, mtvec.DefaultConfig())
+	c := compileDaxpy(t)
+	rep, err := mtvec.NewSession().Run(context.Background(), mtvec.CompiledRun(c, []mtvec.Invocation{{Unit: 0, N: 4096}}))
 	if err != nil {
 		t.Fatal(err)
 	}

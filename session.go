@@ -2,7 +2,6 @@ package mtvec
 
 import (
 	"net/http"
-	"sync"
 
 	"mtvec/internal/core"
 	"mtvec/internal/session"
@@ -65,7 +64,7 @@ type SwitchCounter = core.SwitchCounter
 // recomputed, never trusted, and cross-process single-flight (lock
 // files) lets any number of processes share one store directory while
 // simulating each distinct point once. See docs/API.md.
-type Store = store.Store
+type Store = store.Dir
 
 // StoreBackend is the pluggable interface behind a Session's persistent
 // tier. Implementations: the on-disk Store/store.Dir, a remote worker's
@@ -166,8 +165,9 @@ func CompiledRun(c *Compiled, schedule []Invocation, opts ...RunOption) RunSpec 
 // eagerly: every invalid option or combination surfaces as one joined
 // diagnostic error from Session.Run or RunSpec.Validate.
 
-// WithConfig replaces the spec's base configuration wholesale; granular
-// options given after it still apply on top.
+// WithConfig replaces the spec's base configuration wholesale, and
+// turns off an earlier WithSpans; options given after it still apply on
+// top.
 func WithConfig(cfg Config) RunOption { return session.WithConfig(cfg) }
 
 // WithContexts sets the hardware context count (the upper bound is the
@@ -243,17 +243,6 @@ func WithMaxCycles(n int64) RunOption { return session.WithMaxCycles(n) }
 // WithMaxThread0Insts stops once thread 0 has dispatched n dynamic
 // instructions (the Section 4.1 partial reference runs; 0 disables).
 func WithMaxThread0Insts(n int64) RunOption { return session.WithMaxThread0Insts(n) }
-
-// defaultSession backs the deprecated Run* wrappers. It is memo-less so
-// the wrappers keep their original semantics exactly: every call
-// simulates and returns a fresh Report.
-var defaultSession = sync.OnceValue(func() *Session {
-	return session.New(session.WithoutMemo())
-})
-
-// DefaultSession returns the process-wide session behind the deprecated
-// Run* wrappers: memo-less, concurrency-bounded at runtime.NumCPU().
-func DefaultSession() *Session { return defaultSession() }
 
 // IsContextErr reports whether err came from a cancelled or expired
 // context — the one error class Session.Run never memoizes. Useful for

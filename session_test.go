@@ -8,93 +8,114 @@ import (
 	"testing"
 
 	"mtvec"
+	"mtvec/internal/core"
 )
 
 // reportsEqual compares two Reports for byte-identity of every metric.
 func reportsEqual(t *testing.T, name string, a, b *mtvec.Report) {
 	t.Helper()
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("%s: reports differ:\n old %+v\n new %+v", name, a, b)
+		t.Errorf("%s: reports differ:\n direct  %+v\n session %+v", name, a, b)
 	}
 }
 
-// TestSessionReproducesRunWrappers is the acceptance check of the API
-// redesign: Session.Run must reproduce byte-identical Reports for the
-// four legacy entry points, both via WithConfig (the wrappers' own
-// path) and via the granular options.
-func TestSessionReproducesRunWrappers(t *testing.T) {
+// directRun is the reference every Session spelling is held to: a
+// machine built from cfg, fed by attach, run to stop.
+func directRun(t *testing.T, cfg mtvec.Config, stop mtvec.Stop, attach func(m *mtvec.Machine) error) *mtvec.Report {
+	t.Helper()
+	m, err := mtvec.NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := attach(m); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := m.Run(stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestSessionMatchesDirectMachine: for each methodology, Session.Run
+// reproduces a hand-built machine run byte for byte, both via
+// WithConfig and via the granular options.
+func TestSessionMatchesDirectMachine(t *testing.T) {
 	tf, sd := build(t, "tf"), build(t, "sd")
 	ctx := context.Background()
 	ses := mtvec.NewSession()
+	check := func(name string, want *mtvec.Report, specs ...mtvec.RunSpec) {
+		t.Helper()
+		for _, spec := range specs {
+			rep, err := ses.Run(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reportsEqual(t, name, want, rep)
+		}
+	}
 
 	// Solo.
 	cfg := mtvec.DefaultConfig()
-	old, err := mtvec.RunSolo(tf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []mtvec.RunSpec{
+	want := directRun(t, cfg, mtvec.Stop{}, func(m *mtvec.Machine) error {
+		return m.SetThreadStream(0, tf.Spec.Short, tf.Stream())
+	})
+	check("solo", want,
 		mtvec.Solo(tf, mtvec.WithConfig(cfg)),
-		mtvec.Solo(tf),
-	} {
-		rep, err := ses.Run(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reportsEqual(t, "solo", old, rep)
-	}
+		mtvec.Solo(tf))
 
-	// Group.
+	// Group: thread 0 runs once while its companion restarts.
 	gcfg := mtvec.DefaultConfig()
 	gcfg.Contexts = 2
-	old, err = mtvec.RunGroup(tf, []*mtvec.Workload{sd}, gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []mtvec.RunSpec{
+	want = directRun(t, gcfg, mtvec.Stop{Thread0Complete: true}, func(m *mtvec.Machine) error {
+		if err := m.SetThreadStream(0, tf.Spec.Short, tf.Stream()); err != nil {
+			return err
+		}
+		return m.SetThread(1, core.Repeat(sd.Spec.Short, sd.Stream))
+	})
+	check("group", want,
 		mtvec.Group(tf, []*mtvec.Workload{sd}, mtvec.WithConfig(gcfg)),
 		mtvec.Group(tf, []*mtvec.Workload{sd}),
-		mtvec.Group(tf, []*mtvec.Workload{sd}, mtvec.WithContexts(2)),
-	} {
-		rep, err := ses.Run(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reportsEqual(t, "group", old, rep)
-	}
+		mtvec.Group(tf, []*mtvec.Workload{sd}, mtvec.WithContexts(2)))
 
-	// Queue (with spans, exercising the observer-backed capture).
+	// Queue, with spans captured by an attached recorder.
+	ws := []*mtvec.Workload{tf, sd}
+	rec := &mtvec.SpanRecorder{}
 	qcfg := mtvec.DefaultConfig()
 	qcfg.Contexts = 2
-	qcfg.RecordSpans = true
-	ws := []*mtvec.Workload{tf, sd}
-	old, err = mtvec.RunQueue(ws, qcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []mtvec.RunSpec{
-		mtvec.Queue(ws, mtvec.WithConfig(qcfg)),
-		mtvec.Queue(ws, mtvec.WithContexts(2), mtvec.WithSpans()),
-	} {
-		rep, err := ses.Run(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
+	qcfg.Observers = []mtvec.Observer{rec}
+	want = directRun(t, qcfg, mtvec.Stop{}, func(m *mtvec.Machine) error {
+		q := core.NewJobQueue()
+		for _, w := range ws {
+			q.Add(w.Spec.Short, w.Stream)
 		}
-		reportsEqual(t, "queue", old, rep)
-	}
+		src := q.Source()
+		for i := 0; i < 2; i++ {
+			if err := m.SetThread(i, src); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	want.Spans = rec.Spans
+	qcfg.Observers = nil
+	check("queue", want,
+		mtvec.Queue(ws, mtvec.WithConfig(qcfg), mtvec.WithSpans()),
+		mtvec.Queue(ws, mtvec.WithContexts(2), mtvec.WithSpans()))
 
 	// Compiled.
 	c := compileDaxpy(t)
 	sched := []mtvec.Invocation{{Unit: 0, N: 4096}}
-	old, err = mtvec.RunCompiled(c, sched, mtvec.DefaultConfig())
+	tr, err := c.Trace(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ses.Run(ctx, mtvec.CompiledRun(c, sched))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportsEqual(t, "compiled", old, rep)
+	want = directRun(t, cfg, mtvec.Stop{}, func(m *mtvec.Machine) error {
+		return m.SetThreadStream(0, c.Prog.Name, tr.Stream())
+	})
+	check("compiled", want,
+		mtvec.CompiledRun(c, sched, mtvec.WithConfig(cfg)),
+		mtvec.CompiledRun(c, sched))
 }
 
 func compileDaxpy(t *testing.T) *mtvec.Compiled {
