@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"mtvec"
+	"mtvec/internal/prog"
 	"mtvec/internal/store"
 )
 
@@ -63,6 +64,9 @@ type BenchResult struct {
 	// McyclesPerS reports simulated-cycle throughput for the engine
 	// benchmarks (0 elsewhere).
 	McyclesPerS float64 `json:"mcycles_per_s,omitempty"`
+	// NsPerInst reports time per dynamic instruction for the cases that
+	// expand instruction streams (0 elsewhere).
+	NsPerInst float64 `json:"ns_per_inst,omitempty"`
 	// Samples holds all -count measurements in the order taken, the
 	// best one included, so a reader can see the spread. Empty in
 	// artifacts recorded before the field existed.
@@ -78,10 +82,12 @@ type BenchSample struct {
 }
 
 // benchCase is one measurable unit: fn runs a single iteration and
-// returns the simulated cycles it covered (0 if not an engine case).
+// returns the simulated cycles it covered (0 if not an engine case), or
+// for a perInst case the dynamic instructions it expanded.
 type benchCase struct {
-	name string
-	fn   func() (int64, error)
+	name    string
+	fn      func() (int64, error)
+	perInst bool
 }
 
 // benchCases builds the suite: one case per registered experiment (fresh
@@ -168,6 +174,30 @@ func benchCases(scale float64, jobs int) (cases []benchCase, cleanup func(), err
 				}
 			}
 			return cycles, nil
+		},
+	})
+
+	// The predecode cache (docs/PERF.md, "Predecoded replay"): the ten
+	// Table 3 traces expanded by prog.DecodeAllVL at the exact capacity
+	// Trace.Decoded allocates. B/op is the cache's size, so the bytes
+	// gate guards the predecoded entry's layout.
+	decodeHints := make([]int64, len(suite))
+	for i, w := range suite {
+		decodeHints[i] = int64(len(w.Trace.Decoded()))
+	}
+	cases = append(cases, benchCase{
+		name:    "prog/predecode",
+		perInst: true,
+		fn: func() (int64, error) {
+			var insts int64
+			for i, w := range suite {
+				dec, err := prog.DecodeAllVL(w.Trace.Prog, w.Trace.Source(), decodeHints[i], w.Trace.MaxVL)
+				if err != nil {
+					return 0, err
+				}
+				insts += int64(len(dec))
+			}
+			return insts, nil
 		},
 	})
 
@@ -413,14 +443,14 @@ func measure(c benchCase, benchtime time.Duration) (BenchResult, error) {
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
-	var iters, cycles int64
+	var iters, work int64
 	start := time.Now()
 	for iters == 0 || time.Since(start) < benchtime {
-		cy, err := c.fn()
+		n, err := c.fn()
 		if err != nil {
 			return BenchResult{}, fmt.Errorf("%s: %w", c.name, err)
 		}
-		cycles += cy
+		work += n
 		iters++
 	}
 	elapsed := time.Since(start)
@@ -432,8 +462,11 @@ func measure(c benchCase, benchtime time.Duration) (BenchResult, error) {
 		BytesPerOp:  int64(ms1.TotalAlloc-ms0.TotalAlloc) / iters,
 		AllocsPerOp: int64(ms1.Mallocs-ms0.Mallocs) / iters,
 	}
-	if cycles > 0 {
-		res.McyclesPerS = float64(cycles) / elapsed.Seconds() / 1e6
+	switch {
+	case work > 0 && c.perInst:
+		res.NsPerInst = float64(elapsed.Nanoseconds()) / float64(work)
+	case work > 0:
+		res.McyclesPerS = float64(work) / elapsed.Seconds() / 1e6
 	}
 	return res, nil
 }

@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
+
+	"mtvec/internal/prog"
 )
 
 // writeBenchFile writes a synthetic artifact for compare tests.
@@ -329,4 +332,36 @@ func TestStoreBenchCases(t *testing.T) {
 	if found != 2 {
 		t.Fatalf("found %d store cases, want 2", found)
 	}
+}
+
+// TestPredecodeBenchCase: prog/predecode expands the ten Table 3
+// traces, reports ns per instruction rather than simulated cycles, and
+// allocates at least the predecoded entries it returns.
+func TestPredecodeBenchCase(t *testing.T) {
+	cases, cleanup, err := benchCases(1e-5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	for _, c := range cases {
+		if c.name != "prog/predecode" {
+			continue
+		}
+		insts, err := c.fn()
+		if err != nil || insts <= 0 {
+			t.Fatalf("predecoded %d instructions: %v", insts, err)
+		}
+		res, err := measure(c, 5*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NsPerInst <= 0 || res.McyclesPerS != 0 {
+			t.Errorf("prog/predecode reports %v ns/inst and %v Mcycles/s, want ns/inst only", res.NsPerInst, res.McyclesPerS)
+		}
+		if entries := insts * int64(unsafe.Sizeof(prog.DecodedInst{})); res.BytesPerOp < entries {
+			t.Errorf("prog/predecode allocates %d B/op, less than its %d bytes of entries", res.BytesPerOp, entries)
+		}
+		return
+	}
+	t.Fatal("no prog/predecode bench case")
 }

@@ -75,6 +75,35 @@ func fuzzSource(data []byte, blocks int) *SliceSource {
 	return s
 }
 
+// checkDecoded fails t unless e is the compact decode of d: every
+// DecodedInst field equals the DynInst field it copies or the ISA table
+// entry it caches. TestDecodeFillsEveryField keeps the list complete.
+func checkDecoded(t *testing.T, i int, d *isa.DynInst, e *DecodedInst) {
+	t.Helper()
+	if e.Op != d.Op || e.Dst != d.Dst || e.Src1 != d.Src1 || e.Src2 != d.Src2 ||
+		e.VL != d.VL || e.Stride != d.Stride {
+		t.Fatalf("inst %d: predecoded %+v does not carry source-driven %+v", i, *e, *d)
+	}
+	info := isa.InfoOf(d.Op)
+	if e.Kind != info.Kind || e.FU1OK != info.FU1OK || e.Load != info.Load {
+		t.Fatalf("inst %d (%s): cached decode fields disagree with ISA table", i, d.Op)
+	}
+	var vs [2]uint8
+	if n := d.VSources(&vs); int(e.NVSrc) != n || vs != e.VSrcs {
+		t.Fatalf("inst %d (%s): cached vector sources %d/%v, want %d/%v",
+			i, d.Op, e.NVSrc, e.VSrcs, n, vs)
+	}
+}
+
+// fuzzReplayer opens fresh fuzzSource replays of one input, the way
+// *trace.Trace opens replays of its streams.
+type fuzzReplayer struct {
+	data   []byte
+	blocks int
+}
+
+func (r fuzzReplayer) Source() TraceSource { return fuzzSource(r.data, r.blocks) }
+
 // FuzzDecode fuzzes the trace-expansion pipeline: arbitrary bytes become
 // a SliceSource over fuzzProgram, predecoded by DecodeAllVL. The
 // properties under test:
@@ -82,12 +111,14 @@ func fuzzSource(data []byte, blocks int) *SliceSource {
 //   - expansion never panics, whatever the trace holds — out-of-range
 //     block indices, exhausted value streams, degenerate VLs and
 //     strides must all surface as Stream errors;
-//   - the predecoded slice replayed through NewDecodedStream delivers a
-//     DynInst sequence bit-identical to a fresh source-driven stream
-//     over the same bytes, with the same terminal error — the
-//     stream.go contract the trace cache and the batch engine lean on;
-//   - every DecodedInst's cached decode fields agree with the ISA
-//     tables for its opcode.
+//   - the predecode holds exactly as many instructions as a fresh
+//     source-driven stream over the same bytes delivers, ends with the
+//     same terminal error, and each entry carries that stream's
+//     opcode, operands, VL and stride with the ISA tables' decode;
+//   - the predecoded slice replayed through NewDecodedStream hands
+//     back the same entries from NextDec, and from Next the full
+//     source-driven DynInsts — the stream.go contract the trace cache
+//     and the batch engine lean on.
 func FuzzDecode(f *testing.F) {
 	// Seeds shaped like the suite's synthesized traces: a VL/VS header
 	// then looped bodies, a sparse block, a mid-trace VL change, plus
@@ -102,27 +133,24 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, maxVL int64) {
 		p := fuzzProgram()
-		blocks := len(p.Blocks)
+		rep := fuzzReplayer{data, len(p.Blocks)}
 
-		dec, decErr := DecodeAllVL(p, fuzzSource(data, blocks), int64(len(data)), maxVL)
+		dec, decErr := DecodeAllVL(p, rep.Source(), int64(len(data)), maxVL)
 
 		// A fresh source-driven stream over the same bytes must deliver
-		// the identical sequence and terminal error.
-		live := NewStreamVL(p, fuzzSource(data, blocks), maxVL)
+		// what the predecode carries, and the same terminal error.
+		var want []isa.DynInst
+		live := NewStreamVL(p, rep.Source(), maxVL)
 		var d isa.DynInst
-		for i := 0; ; i++ {
-			if !live.Next(&d) {
-				if i != len(dec) {
-					t.Fatalf("source-driven stream ended at %d, predecode holds %d", i, len(dec))
-				}
-				break
-			}
-			if i >= len(dec) {
+		for live.Next(&d) {
+			if len(want) >= len(dec) {
 				t.Fatalf("source-driven stream outran the %d predecoded instructions", len(dec))
 			}
-			if d != dec[i].DynInst {
-				t.Fatalf("inst %d: source-driven %+v != predecoded %+v", i, d, dec[i].DynInst)
-			}
+			checkDecoded(t, len(want), &d, &dec[len(want)])
+			want = append(want, d)
+		}
+		if len(want) != len(dec) {
+			t.Fatalf("source-driven stream ended at %d, predecode holds %d", len(want), len(dec))
 		}
 		liveErr := live.Err()
 		if (decErr == nil) != (liveErr == nil) ||
@@ -130,29 +158,33 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("terminal errors diverge: predecode %v, source-driven %v", decErr, liveErr)
 		}
 
-		// Predecoded replay hands back the same sequence again, and the
-		// cached decode fields agree with the ISA tables.
-		replay := NewDecodedStream(p, dec)
+		// Predecoded replay hands back the same entries from NextDec ...
+		replay := NewDecodedStream(p, dec, rep, maxVL)
 		for i := range dec {
 			rd := replay.NextDec()
 			if rd == nil {
 				t.Fatalf("predecoded replay ended early at %d of %d", i, len(dec))
 			}
-			if rd.DynInst != dec[i].DynInst {
-				t.Fatalf("inst %d: replay %+v != predecode %+v", i, rd.DynInst, dec[i].DynInst)
-			}
-			info := isa.InfoOf(dec[i].Op)
-			if dec[i].Kind != info.Kind || dec[i].FU1OK != info.FU1OK || dec[i].Load != info.Load {
-				t.Fatalf("inst %d (%s): cached decode fields disagree with ISA table", i, dec[i].Op)
-			}
-			var vs [2]uint8
-			if n := dec[i].Inst.VSources(&vs); int(dec[i].NVSrc) != n || vs != dec[i].VSrcs {
-				t.Fatalf("inst %d (%s): cached vector sources %d/%v, want %d/%v",
-					i, dec[i].Op, dec[i].NVSrc, dec[i].VSrcs, n, vs)
+			if *rd != dec[i] {
+				t.Fatalf("inst %d: replay %+v != predecode %+v", i, *rd, dec[i])
 			}
 		}
 		if replay.NextDec() != nil {
 			t.Fatal("predecoded replay ran past its slice")
+		}
+
+		// ... and the full source-driven DynInsts from Next.
+		full := NewDecodedStream(p, dec, rep, maxVL)
+		for i := range want {
+			if !full.Next(&d) {
+				t.Fatalf("predecoded Next ended early at %d of %d", i, len(want))
+			}
+			if d != want[i] {
+				t.Fatalf("inst %d: predecoded Next %+v != source-driven %+v", i, d, want[i])
+			}
+		}
+		if full.Next(&d) {
+			t.Fatal("predecoded Next ran past its slice")
 		}
 	})
 }

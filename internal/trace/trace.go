@@ -45,9 +45,9 @@ type Trace struct {
 	dec     []prog.DecodedInst // predecoded dynamic stream, nil if unavailable
 }
 
-// maxDecodedInsts caps the predecode cache: traces whose dynamic length
-// exceeds it (≈100 MB of DynInsts) replay through the TraceSource path
-// instead of being materialized.
+// maxDecodedInsts caps the predecode cache, in dynamic instructions:
+// traces longer than it (48 MiB of 24-byte prog.DecodedInsts) replay
+// through the TraceSource path instead of being materialized.
 const maxDecodedInsts = 2 << 20
 
 // Source returns a TraceSource replaying the captured streams. Each call
@@ -58,15 +58,17 @@ func (t *Trace) Source() prog.TraceSource {
 
 // Stream returns a dynamic instruction stream replaying the trace.
 // Reasonably-sized traces are served from a shared predecoded instruction
-// sequence, built on the first replay and bit-identical to source replay:
-// the paper's methodology replays each program many times — restarting
-// companions, grouped sweeps, repeated experiment points — so the
-// per-instruction expansion is paid once per trace, not once per run.
+// sequence, built on the first replay: the paper's methodology replays
+// each program many times — restarting companions, grouped sweeps,
+// repeated experiment points — so the per-instruction expansion is paid
+// once per trace, not once per run. Its NextDec hands out the shared
+// entries; its Next expands a source replay of the trace, opened on the
+// first Next call, so both deliver exactly what source replay does.
 // Consumers that never replay (workload builds validating through
 // Source-driven streams) never pay for materialization.
 func (t *Trace) Stream() *prog.Stream {
 	if dec := t.Decoded(); dec != nil {
-		return prog.NewDecodedStream(t.Prog, dec)
+		return prog.NewDecodedStream(t.Prog, dec, t, t.MaxVL)
 	}
 	return prog.NewStreamVL(t.Prog, t.Source(), t.MaxVL)
 }

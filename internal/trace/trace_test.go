@@ -274,3 +274,83 @@ func TestProfileMatchesReplay(t *testing.T) {
 		}
 	}
 }
+
+// immTrace is a trace whose expansion carries every DynInst field the
+// predecode leaves out: PCs past zero, an immediate, memory addresses
+// and SetVL/SetVS values, at a non-reference MaxVL.
+func immTrace() *Trace {
+	p := sampleProgram()
+	body := &p.Blocks[1]
+	body.Insts = append([]isa.Inst{{Op: isa.OpAAdd, Dst: isa.A(2), Src1: isa.A(2), Src2: isa.Imm(), Imm: 768}}, body.Insts...)
+	tr := sampleTrace(6)
+	tr.Prog = p
+	tr.VLs[0] = 200
+	tr.MaxVL = 64
+	return tr
+}
+
+// TestPredecodedStreamDeliversSourceReplay: a predecoded Trace.Stream()
+// answers Next, Count, Err and Drain exactly as a source replay of the
+// trace does, full DynInst equality included.
+func TestPredecodedStreamDeliversSourceReplay(t *testing.T) {
+	tr := immTrace()
+	if tr.Decoded() == nil {
+		t.Fatal("trace does not predecode")
+	}
+	got := tr.Stream()
+	want := prog.NewStreamVL(tr.Prog, tr.Source(), tr.MaxVL)
+	var dg, dw isa.DynInst
+	var seen isa.DynInst // OR of the fields the predecode leaves out
+	for {
+		okG, okW := got.Next(&dg), want.Next(&dw)
+		if okG != okW {
+			t.Fatalf("after %d instructions: predecoded Next %v, source replay %v", want.Count(), okG, okW)
+		}
+		if !okW {
+			break
+		}
+		if dg != dw {
+			t.Fatalf("instruction %d differs:\n  predecoded: %v %+v\n  source:     %v %+v", want.Count(), &dg, dg, &dw, dw)
+		}
+		if got.Count() != want.Count() {
+			t.Fatalf("Count = %d, source replay %d", got.Count(), want.Count())
+		}
+		seen.PC |= dw.PC
+		seen.Imm |= dw.Imm
+		seen.Addr |= dw.Addr
+		seen.SetVal |= dw.SetVal
+	}
+	if seen.PC == 0 || seen.Imm == 0 || seen.Addr == 0 || seen.SetVal == 0 {
+		t.Fatalf("trace leaves a non-predecoded field zero throughout: %+v", seen)
+	}
+	if got.Err() != nil || want.Err() != nil {
+		t.Fatal(got.Err(), want.Err())
+	}
+
+	n, st, err := tr.Stream().Drain()
+	wn, wst, werr := prog.NewStreamVL(tr.Prog, tr.Source(), tr.MaxVL).Drain()
+	if n != wn || st != wst || err != nil || werr != nil {
+		t.Fatalf("Drain: predecoded %d %+v %v, source replay %d %+v %v", n, st, err, wn, wst, werr)
+	}
+}
+
+var streamSink *prog.Stream
+
+// TestPredecodedStreamAllocs pins a predecoded replay at one allocation,
+// the Stream itself: the source replay Next would need is never opened
+// on the NextDec path.
+func TestPredecodedStreamAllocs(t *testing.T) {
+	tr := immTrace()
+	if tr.Decoded() == nil {
+		t.Fatal("trace does not predecode")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s := tr.Stream()
+		for s.NextDec() != nil {
+		}
+		streamSink = s
+	})
+	if allocs > 1 {
+		t.Fatalf("Stream plus a NextDec replay allocates %v times, want 1", allocs)
+	}
+}
