@@ -10,9 +10,9 @@
 // Each client's sweeps use a latency band disjoint from every other
 // client's, so a cold-store run measures simulation throughput (every
 // point distinct) rather than cache-hit throughput; pass -overlap to
-// make all clients request the same band instead, measuring coalescing
-// and cache behaviour. The cache mix in the report tells you which
-// measurement you actually took.
+// make all clients request the same band instead, measuring how the
+// server's caches share the work. The cache mix in the report tells you
+// which measurement you actually took.
 package main
 
 import (
@@ -47,11 +47,8 @@ type sweepReply struct {
 	Simulated int `json:"simulated"`
 	MemoHits  int `json:"memo_hits"`
 	StoreHits int `json:"store_hits"`
-	PeerHits  int `json:"peer_hits"`
 	Failed    int `json:"failed"`
-	Coalesced int `json:"coalesced,omitempty"`
 	Retries   int `json:"retries,omitempty"`
-	Hedges    int `json:"hedges,omitempty"`
 }
 
 // result is one sweep request's measurement.
@@ -81,11 +78,8 @@ type report struct {
 	Simulated     int      `json:"simulated"`
 	MemoHits      int      `json:"memo_hits"`
 	StoreHits     int      `json:"store_hits"`
-	PeerHits      int      `json:"peer_hits"`
 	FailedPoints  int      `json:"failed_points"`
-	Coalesced     int      `json:"coalesced"`
 	ShardRetries  int      `json:"shard_retries"`
-	ShardHedges   int      `json:"shard_hedges"`
 	ErrorExamples []string `json:"error_examples,omitempty"`
 }
 
@@ -98,7 +92,7 @@ func main() {
 		program = flag.String("program", "tf", "program tag for every point")
 		mode    = flag.String("mode", "solo", "run mode: solo | queue")
 		latency = flag.Int("latency0", 10, "first latency of the axis (cycles)")
-		overlap = flag.Bool("overlap", false, "all clients request the same band (cache/coalescing test) instead of disjoint bands")
+		overlap = flag.Bool("overlap", false, "all clients request the same band (cache test) instead of disjoint bands")
 		timeout = flag.Duration("timeout", 10*time.Minute, "per-sweep HTTP timeout")
 	)
 	flag.Parse()
@@ -111,7 +105,7 @@ func main() {
 
 	// Client c, sweep s asks for points in a band no other (c, s)
 	// repeats — unless -overlap, where every client walks the same
-	// bands and the server's coalescing/caching takes the load.
+	// bands and the server's caches take the load.
 	band := func(c, s int) []int {
 		lats := make([]int, *points)
 		start := *latency + s*(*points)
@@ -163,11 +157,8 @@ func main() {
 			rep.Simulated += r.reply.Simulated
 			rep.MemoHits += r.reply.MemoHits
 			rep.StoreHits += r.reply.StoreHits
-			rep.PeerHits += r.reply.PeerHits
 			rep.FailedPoints += r.reply.Failed
-			rep.Coalesced += r.reply.Coalesced
 			rep.ShardRetries += r.reply.Retries
-			rep.ShardHedges += r.reply.Hedges
 		}
 	}
 	if wall > 0 {

@@ -2,19 +2,17 @@
 // HTTP/JSON: submit single runs and batch sweeps, stream run progress
 // as server-sent events, and regenerate whole experiments — all backed
 // by the session engine's cache tiers, so anything simulated before
-// (by this process, or by any process sharing the -store directory, or
-// by any -peers worker) is served with zero simulations and explicit
-// cache-hit metadata.
+// (by this process, or by any process sharing the -store directory) is
+// served with zero simulations and explicit cache-hit metadata.
 //
 //	mtvserve -addr :8372 -store /var/lib/mtvec/store
 //
 // The same binary serves three roles (see docs/CLUSTER.md):
 //
 //	standalone  the single-node server (default)
-//	worker      a standalone node behind a coordinator; -peers lets its
-//	            store warm-start from the other workers' records
+//	worker      a standalone node behind a coordinator
 //	coordinator shards sweeps across -peers workers by store persist
-//	            key, with retries, hedging and cluster-wide coalescing
+//	            key, retrying a failed worker's points on the next owner
 //
 // Endpoints (see docs/API.md for request/response schemas):
 //
@@ -28,10 +26,9 @@
 //	POST /api/v1/sweep             batch: base spec x {contexts, latencies, policies}
 //	GET  /api/v1/stream            one point as SSE: progress/span events, then the result
 //	GET  /api/v1/cluster           topology + worker health (coordinator only)
-//	GET  /api/v1/store/record      record exchange for peer warm-start (-store nodes)
 //
-// Run and stream responses carry X-Mtvec-Cache: sim | memo | store |
-// peer; sweeps report the tier per point in the body, and experiment
+// Run and stream responses carry X-Mtvec-Cache: sim | memo | store;
+// sweeps report the tier per point in the body, and experiment
 // responses report their actual cost in X-Mtvec-Simulations — so
 // callers (and load tests) can always tell computed results from
 // served ones.
@@ -63,12 +60,11 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8372", "listen address")
 		role     = flag.String("role", "standalone", "serving role: standalone | worker | coordinator")
-		peers    = flag.String("peers", "", "comma-separated base URLs: the coordinator's workers, or a worker's warm-start peers")
+		peers    = flag.String("peers", "", "coordinator: comma-separated worker base URLs")
 		storeDir = flag.String("store", "", "persistent result store directory (empty = in-memory caches only)")
 		scale    = flag.Float64("scale", mtvec.DefaultScale, "workload scale relative to Table 3 millions (must match across the cluster)")
 		jobs     = flag.Int("jobs", runtime.NumCPU(), "max concurrent simulations")
 		stealAge = flag.Duration("store-steal-age", 0, "age after which another process's store lock is presumed dead (0 = default)")
-		hedge    = flag.Duration("hedge-after", 30*time.Second, "coordinator: race a duplicate sub-sweep against shards slower than this (0 = off)")
 		probe    = flag.Duration("probe-interval", time.Second, "coordinator: worker readiness probe interval")
 		drainFor = flag.Duration("drain-timeout", 10*time.Second, "how long in-flight requests may finish after SIGTERM")
 	)
@@ -90,12 +86,14 @@ func main() {
 	)
 	switch *role {
 	case "standalone", "worker":
+		if len(peerList) > 0 {
+			log.Fatalf("mtvserve: -peers applies only to -role coordinator; peer warm-start for the %s role was removed", *role)
+		}
 		srv, err := cluster.NewServer(cluster.Config{
 			Scale:    *scale,
 			Jobs:     *jobs,
 			StoreDir: *storeDir,
 			StealAge: *stealAge,
-			Peers:    peerList,
 		})
 		if err != nil {
 			log.Fatalln("mtvserve:", err)
@@ -108,7 +106,6 @@ func main() {
 		coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
 			Scale:         *scale,
 			Workers:       peerList,
-			HedgeAfter:    *hedge,
 			ProbeInterval: *probe,
 		})
 		if err != nil {
@@ -129,7 +126,7 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("mtvserve: %s listening on %s (scale %g, jobs %d, store %q, peers %d)",
+	log.Printf("mtvserve: %s listening on %s (scale %g, jobs %d, store %q, workers %d)",
 		*role, *addr, *scale, *jobs, *storeDir, len(peerList))
 
 	select {

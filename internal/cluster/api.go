@@ -144,7 +144,7 @@ func ResolveSpec(env *mtvec.Env, rq RunRequest, extra ...mtvec.RunOption) (mtvec
 
 // RunResponse is one answered simulation point.
 type RunResponse struct {
-	// Cache names the tier that answered: sim | memo | store | peer.
+	// Cache names the tier that answered: sim | memo | store.
 	Cache     string        `json:"cache"`
 	ElapsedMS float64       `json:"elapsed_ms"`
 	Report    *mtvec.Report `json:"report"`
@@ -227,25 +227,34 @@ type SweepPoint struct {
 // SweepResponse is an answered sweep.
 type SweepResponse struct {
 	Points []SweepPoint `json:"points"`
-	// Simulated / MemoHits / StoreHits / PeerHits partition the answered
-	// points by tier; Failed counts points whose run errored.
+	// Simulated / MemoHits / StoreHits partition the answered points by
+	// tier; Failed counts points whose run errored.
 	Simulated int     `json:"simulated"`
 	MemoHits  int     `json:"memo_hits"`
 	StoreHits int     `json:"store_hits"`
-	PeerHits  int     `json:"peer_hits,omitempty"`
 	Failed    int     `json:"failed"`
 	ElapsedMS float64 `json:"elapsed_ms"`
-	// Coordinator-only bookkeeping: points coalesced onto another
-	// in-flight request, sub-sweep retries after worker failures, and
-	// hedged sub-sweeps raced against slow shards.
+	// Retries counts points re-routed to their next owner after a
+	// worker failed (coordinator responses only).
+	Retries int `json:"retries,omitempty"`
+
+	// Deprecated: PeerHits is always zero, since peer warm-start was
+	// removed. It stays only because the repobench serve workload reads
+	// it; ROADMAP's benchmark note schedules its removal.
+	PeerHits int `json:"peer_hits,omitempty"`
+	// Deprecated: Coalesced is always zero, since the coordinator no
+	// longer coalesces points. It stays only because the repobench serve
+	// workload reads it; ROADMAP's benchmark note schedules its removal.
 	Coalesced int `json:"coalesced,omitempty"`
-	Retries   int `json:"retries,omitempty"`
-	Hedges    int `json:"hedges,omitempty"`
+	// Deprecated: Hedges is always zero, since the coordinator no longer
+	// hedges. It stays only because the repobench serve workload reads
+	// it; ROADMAP's benchmark note schedules its removal.
+	Hedges int `json:"hedges,omitempty"`
 }
 
 // tally folds the points' cache tags into the response counters.
 func (resp *SweepResponse) tally() {
-	resp.Simulated, resp.MemoHits, resp.StoreHits, resp.PeerHits, resp.Failed = 0, 0, 0, 0, 0
+	resp.Simulated, resp.MemoHits, resp.StoreHits, resp.Failed = 0, 0, 0, 0
 	for i := range resp.Points {
 		switch {
 		case resp.Points[i].Error != "":
@@ -256,8 +265,6 @@ func (resp *SweepResponse) tally() {
 			resp.MemoHits++
 		case resp.Points[i].Cache == mtvec.RunFromStore.String():
 			resp.StoreHits++
-		case resp.Points[i].Cache == mtvec.RunFromPeer.String():
-			resp.PeerHits++
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -16,6 +17,15 @@ type testCluster struct {
 	coord   *Coordinator
 	workers []*Server
 	servers []*httptest.Server
+}
+
+// clusterSims is the number of simulations the cluster's workers ran.
+func (tc *testCluster) clusterSims() int64 {
+	var n int64
+	for _, w := range tc.workers {
+		n += w.Env().Simulations()
+	}
+	return n
 }
 
 // newTestCluster starts n workers (each with its own store directory)
@@ -136,13 +146,13 @@ func TestCoordinatorSweepMatchesStandalone(t *testing.T) {
 	}
 
 	// Replaying the same sweep costs zero simulations anywhere.
-	sims := tc.workers[0].Env().Simulations() + tc.workers[1].Env().Simulations()
+	sims := tc.clusterSims()
 	var again SweepResponse
 	do(t, tc.coord.Handler(), "POST", "/api/v1/sweep", sweep64, &again)
 	if again.Failed != 0 || again.Simulated != 0 {
 		t.Fatalf("replay sweep %+v, want all cache hits", again)
 	}
-	after := tc.workers[0].Env().Simulations() + tc.workers[1].Env().Simulations()
+	after := tc.clusterSims()
 	if after != sims {
 		t.Fatalf("replay cost %d simulations, want 0", after-sims)
 	}
@@ -196,6 +206,8 @@ func TestCoordinatorSurvivesWorkerKilledMidSweep(t *testing.T) {
 	}
 }
 
+// Duplicate points of one sweep route by persist key to one worker,
+// whose session memo simulates them once.
 func TestCoordinatorCoalescesDuplicatePoints(t *testing.T) {
 	tc := newTestCluster(t, 2, CoordinatorConfig{})
 	body := `{"base":{"programs":["tf"]},"points":[{"latency":35},{"latency":35},{"latency":35}]}`
@@ -203,45 +215,76 @@ func TestCoordinatorCoalescesDuplicatePoints(t *testing.T) {
 	if rec := do(t, tc.coord.Handler(), "POST", "/api/v1/sweep", body, &resp); rec.Code != 200 {
 		t.Fatalf("sweep = %d: %s", rec.Code, rec.Body.String())
 	}
-	if resp.Coalesced != 2 {
-		t.Fatalf("coalesced = %d, want 2", resp.Coalesced)
-	}
-	if sims := tc.workers[0].Env().Simulations() + tc.workers[1].Env().Simulations(); sims != 1 {
+	if sims := tc.clusterSims(); sims != 1 {
 		t.Fatalf("cluster simulated %d times for one distinct point", sims)
 	}
-	for _, p := range resp.Points {
-		if p.Report == nil || p.Error != "" {
-			t.Fatalf("point %+v incomplete", p)
+	if len(resp.Points) != 3 || resp.Failed != 0 || resp.Simulated != 1 {
+		t.Fatalf("sweep answered %d points, %d failed, %d simulated; want 3, 0, 1", len(resp.Points), resp.Failed, resp.Simulated)
+	}
+	want, _ := json.Marshal(resp.Points[0].Report)
+	for i, p := range resp.Points {
+		if p.Report == nil || p.Error != "" || p.Latency != 35 {
+			t.Fatalf("point %d %+v incomplete", i, p)
+		}
+		if got, _ := json.Marshal(p.Report); string(got) != string(want) {
+			t.Fatalf("point %d report differs from point 0", i)
 		}
 	}
 }
 
-func TestCoordinatorHedgesSlowShard(t *testing.T) {
-	// Worker 0 is pathologically slow: each sweep it is sent waits 30s
-	// before it starts, so nothing it owns can come back within this
-	// test. Only the hedge onto worker 1 lets the sweep finish.
-	tc := newSlowCluster(t, 2, CoordinatorConfig{HedgeAfter: 100 * time.Millisecond}, 30*time.Second)
-
-	start := time.Now()
-	var resp SweepResponse
-	if rec := do(t, tc.coord.Handler(), "POST", "/api/v1/sweep", sweep64, &resp); rec.Code != 200 {
-		t.Fatalf("sweep = %d: %s", rec.Code, rec.Body.String())
+// Two clients sweep overlapping points at once through the coordinator,
+// the serve-mixed traffic pattern: every shared point still simulates
+// once across the cluster, and both clients get identical reports.
+func TestCoordinatorConcurrentSweepsSimulateOnce(t *testing.T) {
+	tc := newTestCluster(t, 2, CoordinatorConfig{})
+	bodies := [2]string{
+		`{"base":{"programs":["tf"]},"latencies":[11,12,13,14,15,16],"contexts":[1,2]}`,
+		`{"base":{"programs":["tf"]},"latencies":[13,14,15,16,17,18],"contexts":[1,2]}`,
 	}
-	if resp.Failed != 0 {
-		t.Fatalf("hedged sweep failed points: %+v", resp)
+	const distinct = 8 * 2
+	var resps [2]SweepResponse
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest("POST", "/api/v1/sweep", strings.NewReader(bodies[i]))
+			req.Header.Set("Content-Type", "application/json")
+			tc.coord.Handler().ServeHTTP(rec, req)
+			if rec.Code != 200 {
+				t.Errorf("client %d sweep = %d: %s", i, rec.Code, rec.Body.String())
+				return
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resps[i]); err != nil {
+				t.Error(err)
+			}
+		}(i)
 	}
-	if resp.Hedges == 0 {
-		t.Fatal("no hedges recorded though one shard was pathologically slow")
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
-	// Every point — worker 0's own shard included — must have been
-	// answered by worker 1, far inside worker 0's 30s delay.
-	for i, p := range resp.Points {
-		if p.Worker != tc.servers[1].URL {
-			t.Fatalf("point %d answered by %s, want the hedge target %s", i, p.Worker, tc.servers[1].URL)
+	if sims := tc.clusterSims(); sims != distinct {
+		t.Fatalf("cluster simulated %d times for %d distinct points", sims, distinct)
+	}
+	if n := resps[0].Simulated + resps[1].Simulated; n != distinct {
+		t.Fatalf("responses tag %d points sim, want %d", n, distinct)
+	}
+	standalone := newTestServer(t, "").Handler()
+	for i, resp := range resps {
+		var want SweepResponse
+		do(t, standalone, "POST", "/api/v1/sweep", bodies[i], &want)
+		if resp.Failed != 0 || len(resp.Points) != len(want.Points) {
+			t.Fatalf("client %d: %d points, %d failed; want %d, 0", i, len(resp.Points), resp.Failed, len(want.Points))
 		}
-	}
-	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Fatalf("sweep took %s despite hedging", elapsed)
+		for j, p := range resp.Points {
+			gb, _ := json.Marshal(p.Report)
+			wb, _ := json.Marshal(want.Points[j].Report)
+			if p.Latency != want.Points[j].Latency || p.Contexts != want.Points[j].Contexts || string(gb) != string(wb) {
+				t.Fatalf("client %d point %d differs from standalone", i, j)
+			}
+		}
 	}
 }
 

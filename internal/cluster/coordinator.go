@@ -11,7 +11,6 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,12 +26,12 @@ type CoordinatorConfig struct {
 	// Workers are the worker base URLs (http://host:port).
 	Workers []string
 	// Client issues sub-sweeps; nil selects a default with no timeout
-	// (cold sub-sweeps legitimately run for minutes — hedging, not a
-	// blanket timeout, covers slow shards).
+	// (cold sub-sweeps legitimately run for minutes, so a shard is
+	// abandoned only when its worker fails, never for being slow).
 	Client *http.Client
-	// HedgeAfter races a duplicate sub-sweep against any shard still
-	// unanswered after this long; first answer per point wins. 0
-	// disables hedging.
+	// Deprecated: HedgeAfter is ignored, since the coordinator no longer
+	// hedges. It stays only because the repobench serve workload sets
+	// it; ROADMAP's benchmark note schedules its removal.
 	HedgeAfter time.Duration
 	// ProbeInterval paces the /readyz health prober (<= 0 selects 1s).
 	ProbeInterval time.Duration
@@ -40,41 +39,34 @@ type CoordinatorConfig struct {
 
 // Coordinator shards sweeps across a pool of workers. Points route by
 // store persist key on a consistent-hash ring, so a point always lands
-// on the worker whose disk store already holds it; duplicate in-flight
-// points coalesce cluster-wide onto one sub-sweep; failed shards retry
-// down each point's owner chain, and slow shards race a hedged
-// duplicate. The external API is the worker API — clients cannot tell
-// a coordinator from a big worker, except that it's faster.
+// on the worker whose disk store already holds it, and duplicate
+// in-flight points meet on that worker, whose session memo simulates
+// them once. Failed shards retry down each point's owner chain. The
+// external API is the worker API — clients cannot tell a coordinator
+// from a big worker, except that it's faster.
 type Coordinator struct {
-	env        *mtvec.Env
-	ring       *ring
-	workers    []string
-	targets    map[string]*url.URL
-	client     *http.Client
-	probe      *http.Client
-	hedgeAfter time.Duration
-	start      time.Time
+	env     *mtvec.Env
+	ring    *ring
+	workers []string
+	targets map[string]*url.URL
+	client  *http.Client
+	probe   *http.Client
+	start   time.Time
+	health  map[string]*atomic.Bool
 
-	mu     sync.Mutex
-	flight map[string]*flightEntry
-	health map[string]*atomic.Bool
-
-	nonce    atomic.Int64
 	rr       atomic.Int64 // round-robin cursor for proxied endpoints
 	draining atomic.Bool
 
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	reg        *metrics.Registry
-	httpReq    *metrics.CounterVec
-	pointsBy   *metrics.CounterVec
-	shardSec   *metrics.HistogramVec
-	healthyG   *metrics.GaugeVec
-	mSweeps    *metrics.Counter
-	mCoalesced *metrics.Counter
-	mRetries   *metrics.Counter
-	mHedges    *metrics.Counter
+	reg      *metrics.Registry
+	httpReq  *metrics.CounterVec
+	pointsBy *metrics.CounterVec
+	shardSec *metrics.HistogramVec
+	healthyG *metrics.GaugeVec
+	mSweeps  *metrics.Counter
+	mRetries *metrics.Counter
 }
 
 // NewCoordinator builds a coordinator and starts its health prober.
@@ -110,13 +102,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		// The probe timeout is generous on purpose: a worker saturated
 		// with simulations can be slow to answer /readyz, and a timed-out
 		// probe would wrongly un-route it, destabilizing the shard map.
-		probe:      &http.Client{Timeout: 2 * time.Second},
-		hedgeAfter: cfg.HedgeAfter,
-		start:      time.Now(),
-		flight:     make(map[string]*flightEntry),
-		health:     make(map[string]*atomic.Bool, len(cfg.Workers)),
-		ctx:        ctx,
-		cancel:     cancel,
+		probe:  &http.Client{Timeout: 2 * time.Second},
+		start:  time.Now(),
+		health: make(map[string]*atomic.Bool, len(cfg.Workers)),
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	c.initMetrics()
 	for _, w := range c.workers {
@@ -142,12 +132,8 @@ func (c *Coordinator) initMetrics() {
 		"1 while the worker's readiness probe passes, else 0.", "worker")
 	c.mSweeps = r.Counter("mtvec_coord_sweeps_total",
 		"Sweep requests fanned out.")
-	c.mCoalesced = r.Counter("mtvec_coord_coalesced_total",
-		"Points coalesced onto an already in-flight identical point.")
 	c.mRetries = r.Counter("mtvec_coord_retries_total",
 		"Points re-routed to the next owner after a shard failure.")
-	c.mHedges = r.Counter("mtvec_coord_hedges_total",
-		"Hedged sub-sweeps raced against slow shards.")
 	r.GaugeFunc("mtvec_draining",
 		"1 while the coordinator is draining (readiness down), else 0.",
 		func() float64 {
@@ -230,102 +216,71 @@ func (c *Coordinator) probeLoop(every time.Duration) {
 
 // --- sweep fan-out ---
 
-// flightEntry is one in-flight point, shared by every request that
-// asked for it; the first shard answer resolves it for all of them.
-type flightEntry struct {
-	key  string
-	done chan struct{}
-	once sync.Once
-	pt   SweepPoint // cache/report/error/worker metadata (no axes)
-}
-
-func (c *Coordinator) resolveEntry(e *flightEntry, pt SweepPoint) {
-	e.once.Do(func() {
-		e.pt = pt
-		c.mu.Lock()
-		delete(c.flight, e.key)
-		c.mu.Unlock()
-		close(e.done)
-	})
-}
-
-// acquire joins or creates the flight entry for key. The second return
-// is true when the caller is the leader who must dispatch the point.
-func (c *Coordinator) acquire(key string) (*flightEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.flight[key]; ok {
-		return e, false
-	}
-	e := &flightEntry{key: key, done: make(chan struct{})}
-	c.flight[key] = e
-	return e, true
-}
-
-// pointTask is one point of one sweep request: its flight entry plus
-// the routing state the retry/hedge paths walk.
+// pointTask is one point of one sweep request: its routing state and,
+// once answered, its result. A task sits in exactly one in-flight
+// sub-sweep at a time, and only that sub-sweep's goroutine touches it
+// until it is sent on its sweep's done channel.
 type pointTask struct {
 	idx     int
 	axes    PointAxes
-	entry   *flightEntry
 	owners  []string
-	attempt atomic.Int32 // owner index of the current (non-hedged) attempt
+	attempt int // owner index of the current attempt
+	pt      SweepPoint
 }
 
-func (t *pointTask) resolved() bool {
-	select {
-	case <-t.entry.done:
-		return true
-	default:
-		return false
+// pickOwner advances t to the first healthy owner at or after its
+// current attempt and returns that owner; if every remaining owner
+// looks unhealthy it returns the current one anyway (an optimistic last
+// resort beats failing while probes are stale). It reports false once
+// the owner chain is exhausted.
+func (c *Coordinator) pickOwner(t *pointTask) (string, bool) {
+	if t.attempt >= len(t.owners) {
+		return "", false
 	}
-}
-
-// pickOwner returns the first healthy owner at or after index from; if
-// every remaining owner looks unhealthy it returns owners[from] anyway
-// (an optimistic last resort beats failing while probes are stale).
-func (c *Coordinator) pickOwner(t *pointTask, from int) (string, int, bool) {
-	if from >= len(t.owners) {
-		return "", 0, false
-	}
-	for i := from; i < len(t.owners); i++ {
+	for i := t.attempt; i < len(t.owners); i++ {
 		if c.isHealthy(t.owners[i]) {
-			return t.owners[i], i, true
+			t.attempt = i
+			return t.owners[i], true
 		}
 	}
-	return t.owners[from], from, true
+	return t.owners[t.attempt], true
 }
 
 // sweepRun is one client sweep's fan-out state: the shared base
-// request and this request's retry/hedge accounting.
+// request, the channel its answered tasks arrive on, and its retry
+// count.
 type sweepRun struct {
-	c       *Coordinator
-	base    RunRequest
+	c    *Coordinator
+	base RunRequest
+	// done has room for every task, and each task is sent once, so a
+	// sub-sweep never blocks on a client that stopped collecting.
+	done    chan *pointTask
 	retries atomic.Int64
-	hedges  atomic.Int64
 }
 
-// dispatch groups unresolved tasks by their current owner and launches
-// one sub-sweep per worker. It runs under the coordinator's lifetime,
-// not the client request's: a coalesced waiter from another request may
-// depend on these points, and resolved points warm the owner's store
-// either way (the same rationale as experiment regeneration).
+// resolve records a task's answer and hands it to the collector.
+func (r *sweepRun) resolve(t *pointTask, pt SweepPoint) {
+	t.pt = pt
+	r.done <- t
+}
+
+// dispatch groups tasks by their current owner and launches one
+// sub-sweep per worker. Sub-sweeps run under the coordinator's
+// lifetime, not the client request's, so answered points warm the
+// owner's store even after the client has gone (the same rationale as
+// experiment regeneration).
 func (r *sweepRun) dispatch(tasks []*pointTask) {
 	groups := make(map[string][]*pointTask)
 	for _, t := range tasks {
-		if t.resolved() {
-			continue
-		}
-		w, idx, ok := r.c.pickOwner(t, int(t.attempt.Load()))
+		w, ok := r.c.pickOwner(t)
 		if !ok {
-			r.c.resolveEntry(t.entry, SweepPoint{Error: "every worker in the point's owner chain failed"})
+			r.resolve(t, SweepPoint{Error: "every worker in the point's owner chain failed"})
 			continue
 		}
-		t.attempt.Store(int32(idx))
 		groups[w] = append(groups[w], t)
 	}
 	for w, g := range groups {
-		go r.subSweep(w, g, false)
+		go r.subSweep(w, g)
 	}
 }
 
@@ -333,67 +288,30 @@ func (r *sweepRun) dispatch(tasks []*pointTask) {
 // mark the worker unhealthy and walk every point to its next owner;
 // 4xx answers are terminal (the request itself is wrong — most likely
 // a scale mismatch between coordinator and worker — and no other
-// worker would answer differently). A non-hedged sub-sweep still
-// unanswered after HedgeAfter races a duplicate against the next
-// owners; resolveEntry's first-wins makes the duplicate harmless.
-func (r *sweepRun) subSweep(worker string, tasks []*pointTask, hedged bool) {
-	if !hedged && r.c.hedgeAfter > 0 {
-		timer := time.AfterFunc(r.c.hedgeAfter, func() { r.hedge(tasks) })
-		defer timer.Stop()
-	}
+// worker would answer differently). A worker that hangs while staying
+// alive holds its points back until it answers or dies.
+func (r *sweepRun) subSweep(worker string, tasks []*pointTask) {
 	start := time.Now()
 	pts, terminal, err := r.c.postSweep(worker, r.base, tasks)
 	r.c.shardSec.With(worker).Observe(time.Since(start).Seconds())
-	if err != nil {
-		if terminal {
-			for _, t := range tasks {
-				r.c.resolveEntry(t.entry, SweepPoint{Error: fmt.Sprintf("worker %s: %v", worker, err)})
-			}
-			return
-		}
-		if hedged {
-			return // hedges are best-effort; the original path owns retries
-		}
-		r.c.setHealthy(worker, false)
-		var live []*pointTask
+	switch {
+	case err != nil && terminal:
 		for _, t := range tasks {
-			if !t.resolved() {
-				t.attempt.Add(1)
-				live = append(live, t)
-			}
+			r.resolve(t, SweepPoint{Error: fmt.Sprintf("worker %s: %v", worker, err)})
 		}
-		if len(live) > 0 {
-			r.retries.Add(int64(len(live)))
-			r.c.mRetries.Add(int64(len(live)))
-			r.dispatch(live)
+	case err != nil:
+		r.c.setHealthy(worker, false)
+		for _, t := range tasks {
+			t.attempt++
 		}
-		return
-	}
-	for i, t := range tasks {
-		pt := pts[i]
-		pt.Worker = worker
-		r.c.resolveEntry(t.entry, pt)
-	}
-}
-
-// hedge launches one duplicate sub-sweep per next-owner for the tasks
-// the slow shard has not answered yet.
-func (r *sweepRun) hedge(tasks []*pointTask) {
-	groups := make(map[string][]*pointTask)
-	for _, t := range tasks {
-		if t.resolved() {
-			continue
+		r.retries.Add(int64(len(tasks)))
+		r.c.mRetries.Add(int64(len(tasks)))
+		r.dispatch(tasks)
+	default:
+		for i, t := range tasks {
+			pts[i].Worker = worker
+			r.resolve(t, pts[i])
 		}
-		w, _, ok := r.c.pickOwner(t, int(t.attempt.Load())+1)
-		if !ok {
-			continue // no further owner to race; the original attempt stands
-		}
-		groups[w] = append(groups[w], t)
-	}
-	for w, g := range groups {
-		r.hedges.Add(1)
-		r.c.mHedges.Inc()
-		go r.subSweep(w, g, true)
 	}
 }
 
@@ -437,10 +355,9 @@ func (c *Coordinator) postSweep(worker string, base RunRequest, tasks []*pointTa
 	return sr.Points, false, nil
 }
 
-// sweep answers one client sweep: resolve every point, coalesce with
-// whatever is already in flight cluster-wide, shard the rest by
-// persist key, and collect. onPoint (optional) observes each point as
-// it resolves, in completion order — the SSE progress hook.
+// sweep answers one client sweep: resolve every point, shard the
+// points by persist key, and collect. onPoint (optional) observes each
+// point as it resolves, in completion order — the SSE progress hook.
 func (c *Coordinator) sweep(ctx context.Context, rq SweepRequest, onPoint func(int, SweepPoint)) (*SweepResponse, int, error) {
 	axes, err := rq.Expand()
 	if err != nil {
@@ -453,9 +370,7 @@ func (c *Coordinator) sweep(ctx context.Context, rq SweepRequest, onPoint func(i
 	// whole before any worker sees it, and so sharding can use the same
 	// persist keys the workers' stores file results under.
 	tasks := make([]*pointTask, len(axes))
-	var leaders []*pointTask
 	var bad []error
-	var coalesced int64
 	for i, pt := range axes {
 		spec, err := ResolveSpec(c.env, rq.Base.at(pt))
 		if err != nil {
@@ -463,70 +378,44 @@ func (c *Coordinator) sweep(ctx context.Context, rq SweepRequest, onPoint func(i
 			continue
 		}
 		key, stable := c.env.Session().PersistKey(spec)
-		routeKey := key
 		if !stable {
-			// Unpersistable points still route deterministically (by the
-			// resolved request itself) but never coalesce: nothing
-			// guarantees two executions produce one shareable answer.
+			// Unpersistable points still route deterministically, by the
+			// resolved request itself.
 			j, _ := json.Marshal(rq.Base.at(pt))
-			routeKey = "unstable:" + string(j)
-			key = fmt.Sprintf("once-%d", c.nonce.Add(1))
+			key = "unstable:" + string(j)
 		}
-		entry, leader := c.acquire(key)
-		if !leader {
-			coalesced++
-			c.mCoalesced.Inc()
-		}
-		tasks[i] = &pointTask{idx: i, axes: pt, entry: entry, owners: c.ring.owners(routeKey)}
-		if leader {
-			leaders = append(leaders, tasks[i])
-		}
+		tasks[i] = &pointTask{idx: i, axes: pt, owners: c.ring.owners(key)}
 	}
 	if len(bad) > 0 {
-		// Orphaned leader entries must not strand later identical points.
-		for _, t := range leaders {
-			c.resolveEntry(t.entry, SweepPoint{Error: "sweep aborted before dispatch"})
-		}
 		return nil, http.StatusBadRequest, errors.Join(bad...)
 	}
 
-	run := &sweepRun{c: c, base: rq.Base}
-	run.dispatch(leaders)
+	run := &sweepRun{c: c, base: rq.Base, done: make(chan *pointTask, len(tasks))}
+	run.dispatch(tasks)
 
-	// Collect in completion order. Entry resolution runs under the
-	// coordinator's lifetime, so a client disconnect abandons the wait
-	// without cancelling the shards — their answers still warm worker
-	// stores and feed coalesced requests.
-	done := make(chan int, len(tasks))
-	for i, t := range tasks {
-		go func(i int, t *pointTask) {
-			<-t.entry.done
-			done <- i
-		}(i, t)
-	}
+	// Collect in completion order. A client disconnect abandons the
+	// wait without cancelling the shards: their answers still warm the
+	// workers' stores.
 	resp := &SweepResponse{Points: make([]SweepPoint, len(tasks))}
 	for remaining := len(tasks); remaining > 0; remaining-- {
 		select {
-		case i := <-done:
-			t := tasks[i]
-			pt := t.entry.pt
+		case t := <-run.done:
+			pt := t.pt
 			pt.Contexts, pt.Latency, pt.Policy = t.axes.Contexts, t.axes.Latency, t.axes.Policy
-			resp.Points[i] = pt
+			resp.Points[t.idx] = pt
 			if pt.Error != "" {
 				c.pointsBy.With("error").Inc()
 			} else {
 				c.pointsBy.With(pt.Cache).Inc()
 			}
 			if onPoint != nil {
-				onPoint(i, pt)
+				onPoint(t.idx, pt)
 			}
 		case <-ctx.Done():
 			return nil, http.StatusServiceUnavailable, ctx.Err()
 		}
 	}
-	resp.Coalesced = int(coalesced)
 	resp.Retries = int(run.retries.Load())
-	resp.Hedges = int(run.hedges.Load())
 	resp.tally()
 	resp.ElapsedMS = msSince(start)
 	return resp, http.StatusOK, nil
@@ -605,7 +494,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpFail(w, http.StatusBadRequest, err)
 		return
 	}
-	// A run is a one-point sweep: same routing, coalescing and retries.
+	// A run is a one-point sweep: same routing and retries.
 	resp, code, err := c.sweep(r.Context(), SweepRequest{Base: rq}, nil)
 	if err != nil {
 		if mtvec.IsContextErr(err) {
@@ -679,18 +568,13 @@ type workerStatus struct {
 
 // clusterResponse is the /api/v1/cluster body.
 type clusterResponse struct {
-	Scale        float64        `json:"scale"`
-	Vnodes       int            `json:"vnodes_per_worker"`
-	HedgeAfterMS float64        `json:"hedge_after_ms,omitempty"`
-	Workers      []workerStatus `json:"workers"`
+	Scale   float64        `json:"scale"`
+	Vnodes  int            `json:"vnodes_per_worker"`
+	Workers []workerStatus `json:"workers"`
 }
 
 func (c *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
-	resp := clusterResponse{
-		Scale:        c.env.Scale,
-		Vnodes:       ringVnodes,
-		HedgeAfterMS: float64(c.hedgeAfter.Nanoseconds()) / 1e6,
-	}
+	resp := clusterResponse{Scale: c.env.Scale, Vnodes: ringVnodes}
 	for _, worker := range c.workers {
 		resp.Workers = append(resp.Workers, workerStatus{URL: worker, Healthy: c.isHealthy(worker)})
 	}

@@ -71,7 +71,7 @@ func ringHash(s string) uint64 {
 
 // owners returns the key's failover chain: every worker, deduplicated,
 // in ring order starting from the key's position. owners(key)[0] is the
-// key's home; retries and hedges walk the tail.
+// key's home; retries walk the tail.
 func (r *ring) owners(key string) []string {
 	start := sort.Search(len(r.vnodes), func(i int) bool {
 		return r.vnodes[i].hash >= ringHash(key)

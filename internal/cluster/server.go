@@ -32,24 +32,19 @@ type Config struct {
 	Jobs int
 	// StoreDir roots the persistent result store ("" = in-memory caches
 	// only; such a worker still serves, it just re-simulates after a
-	// restart and has no record API for peers to warm from).
+	// restart).
 	StoreDir string
 	// StealAge overrides the store's lock-file steal age (0 = default).
 	StealAge time.Duration
-	// Peers lists other workers' base URLs; the store becomes a tiered
-	// backend that warm-starts from their record APIs before simulating.
-	Peers []string
 }
 
-// Server is one serving node: the full single-node mtvserve API, plus
-// the peer record API (with a store) and Prometheus metrics. A
-// coordinator treats Servers as workers; standalone deployments expose
-// exactly the same surface.
+// Server is one serving node: the full single-node mtvserve API plus
+// Prometheus metrics. A coordinator treats Servers as workers;
+// standalone deployments expose exactly the same surface.
 type Server struct {
 	env   *mtvec.Env
 	ses   *mtvec.Session
-	dir   *mtvec.Store // local disk tier; nil without StoreDir
-	back  mtvec.StoreBackend
+	dir   *mtvec.Store // persistent tier; nil without StoreDir
 	scale float64
 	jobs  int
 	start time.Time
@@ -82,21 +77,7 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.dir = dir
-		s.back = dir
-	}
-	if len(cfg.Peers) > 0 {
-		peers := make([]mtvec.StoreBackend, 0, len(cfg.Peers))
-		for _, base := range cfg.Peers {
-			p, err := mtvec.NewPeerStore(base, nil)
-			if err != nil {
-				return nil, fmt.Errorf("peer %q: %w", base, err)
-			}
-			peers = append(peers, p)
-		}
-		s.back = mtvec.NewTieredStore(s.dir, peers...)
-	}
-	if s.back != nil {
-		env.SetStore(s.back)
+		env.SetStore(dir)
 	}
 	s.initMetrics()
 	return s, nil
@@ -130,9 +111,9 @@ func (s *Server) initMetrics() {
 			}
 			return 0
 		})
-	if s.back != nil {
+	if s.dir != nil {
 		stat := func(get func(store.Stats) int64) func() float64 {
-			return func() float64 { return float64(get(s.back.Stats())) }
+			return func() float64 { return float64(get(s.dir.Stats())) }
 		}
 		r.CounterFunc("mtvec_store_hits_total",
 			"Store lookups served a verified record.",
@@ -146,9 +127,6 @@ func (s *Server) initMetrics() {
 		r.CounterFunc("mtvec_store_corrupt_total",
 			"Records dropped for failing verification.",
 			stat(func(st store.Stats) int64 { return st.Corrupt }))
-		r.CounterFunc("mtvec_store_peer_hits_total",
-			"Store hits served by a remote peer tier.",
-			stat(func(st store.Stats) int64 { return st.PeerHits }))
 	}
 }
 
@@ -217,12 +195,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/v1/run", s.track("run", s.handleRun))
 	mux.HandleFunc("POST /api/v1/sweep", s.track("sweep", s.handleSweep))
 	mux.HandleFunc("GET /api/v1/stream", s.track("stream", s.handleStream))
-	if s.dir != nil {
-		// The peer record API serves the local disk tier only: peers
-		// warm-start from what this node has verified on its own disk,
-		// never transitively through this node's own peers.
-		mux.Handle(store.RecordPath, store.RecordHandler(s.dir))
-	}
 	return mux
 }
 
@@ -578,7 +550,6 @@ type healthResponse struct {
 	Jobs        int     `json:"jobs"`
 	Simulations int64   `json:"simulations"`
 	StoreHits   int64   `json:"store_hits"`
-	PeerHits    int64   `json:"peer_hits,omitempty"`
 	Draining    bool    `json:"draining,omitempty"`
 	// Store carries the persistent tier's counters; null without -store.
 	Store *mtvec.StoreStats `json:"store,omitempty"`
@@ -594,11 +565,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Jobs:        s.jobs,
 		Simulations: s.env.Simulations(),
 		StoreHits:   s.env.StoreHits(),
-		PeerHits:    s.ses.PeerHits(),
 		Draining:    s.draining.Load(),
 	}
-	if s.back != nil {
-		st := s.back.Stats()
+	if s.dir != nil {
+		st := s.dir.Stats()
 		resp.Store = &st
 	}
 	writeJSON(w, http.StatusOK, resp)

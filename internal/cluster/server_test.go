@@ -181,35 +181,6 @@ func TestRunEndpointServedFromStoreAcrossServers(t *testing.T) {
 	}
 }
 
-func TestServerWarmStartsFromPeer(t *testing.T) {
-	// Warm a "remote" worker's store, serve it over HTTP, and point a
-	// diskless-dir new server at it via Peers: the run must come from
-	// the peer tier, not a fresh simulation.
-	remoteDir := t.TempDir()
-	remote := newTestServer(t, remoteDir)
-	body := `{"programs":["tf"],"latency":70}`
-	if rec := do(t, remote.Handler(), "POST", "/api/v1/run", body, nil); rec.Code != 200 {
-		t.Fatalf("warm-up run = %d", rec.Code)
-	}
-	ts := httptest.NewServer(remote.Handler())
-	defer ts.Close()
-
-	local, err := NewServer(Config{Scale: testScale, Jobs: 4, StoreDir: t.TempDir(), Peers: []string{ts.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp RunResponse
-	if rec := do(t, local.Handler(), "POST", "/api/v1/run", body, &resp); rec.Code != 200 {
-		t.Fatalf("peer run = %d: %s", rec.Code, rec.Body.String())
-	}
-	if resp.Cache != "peer" {
-		t.Fatalf("cache = %q, want peer", resp.Cache)
-	}
-	if sims := local.Env().Simulations(); sims != 0 {
-		t.Fatalf("peer-served run simulated %d times, want 0", sims)
-	}
-}
-
 func TestSweepEndpoint(t *testing.T) {
 	h := newTestServer(t, "").Handler()
 	body := `{"base":{"mode":"solo","programs":["tf"]},"latencies":[20,50],"contexts":[1]}`

@@ -72,13 +72,11 @@ type Session struct {
 	memo bool
 
 	// st boxes the optional persistent second cache tier (nil box or nil
-	// backend = none); storeHits counts runs this session served from it,
-	// peerHits the subset served by a remote peer tier. The pointer-to-box
-	// indirection exists because atomic.Value cannot swap between distinct
-	// concrete Backend types.
+	// backend = none); storeHits counts runs this session served from it.
+	// The pointer-to-box indirection exists because atomic.Value cannot
+	// swap between distinct concrete Backend types.
 	st        atomic.Pointer[backendBox]
 	storeHits atomic.Int64
-	peerHits  atomic.Int64
 
 	// gate admits at most Jobs() concurrent leaf sections (machine runs
 	// and, via Do, workload builds). Orchestration layers above may
@@ -175,9 +173,9 @@ func (s *Session) Simulations() int64 { return s.sims.Load() }
 // SetStore attaches (or, with nil, detaches) a persistent result
 // backend: stable specs are served from it when a prior process
 // simulated them and written through when this one does. Any
-// store.Backend works — an on-disk store.Dir, a remote store.HTTPPeer,
-// or a store.Tiered composite. Safe to call concurrently with runs;
-// in-flight runs keep the backend they started with.
+// store.Backend works: an on-disk store.Dir, or a wrapper around one.
+// Safe to call concurrently with runs; in-flight runs keep the backend
+// they started with.
 func (s *Session) SetStore(st store.Backend) {
 	if st == nil {
 		s.st.Store(nil)
@@ -200,10 +198,6 @@ func (s *Session) backend() store.Backend {
 // StoreHits returns how many runs this session served from the
 // persistent store — work some earlier process (or session) paid for.
 func (s *Session) StoreHits() int64 { return s.storeHits.Load() }
-
-// PeerHits returns the subset of StoreHits served by a remote peer tier
-// rather than local disk.
-func (s *Session) PeerHits() int64 { return s.peerHits.Load() }
 
 // Active returns how many gated leaf sections (simulations, Do work)
 // are executing right now — instantaneous gate occupancy in [0, Jobs()].
@@ -241,14 +235,11 @@ const (
 	// SourceMemo: served from the in-memory memo cache (including
 	// joining an in-flight computation).
 	SourceMemo
-	// SourceStore: served from the persistent store's local disk tier.
+	// SourceStore: served from the persistent store.
 	SourceStore
-	// SourcePeer: served from a remote peer tier of the persistent store
-	// (a store.HTTPPeer, usually inside a store.Tiered).
-	SourcePeer
 )
 
-// String names the source ("sim", "memo", "store", "peer").
+// String names the source ("sim", "memo", "store").
 func (s Source) String() string {
 	switch s {
 	case SourceSim:
@@ -257,20 +248,14 @@ func (s Source) String() string {
 		return "memo"
 	case SourceStore:
 		return "store"
-	case SourcePeer:
-		return "peer"
 	}
 	return "unknown"
 }
 
-// storeSource maps a backend hit tier to the run source it reports, and
-// bumps the session's hit counters.
-func (s *Session) storeSource(tier store.Tier) Source {
+// storeHit counts a run served from the persistent store and returns
+// its source.
+func (s *Session) storeHit() Source {
 	s.storeHits.Add(1)
-	if tier == store.TierPeer {
-		s.peerHits.Add(1)
-		return SourcePeer
-	}
 	return SourceStore
 }
 
@@ -320,7 +305,7 @@ func (s *Session) runTracked(ctx context.Context, spec RunSpec, traces *traceSha
 					// disk record every time.
 					s.runs.Add(spec.memoKey(&p, s.idOf), rep)
 				}
-				return rep, s.storeSource(tier), nil
+				return rep, s.storeHit(), nil
 			}
 		}
 		rep, err := s.simulate(ctx, spec, p, traces)
@@ -356,7 +341,7 @@ func (s *Session) runTracked(ctx context.Context, spec RunSpec, traces *traceSha
 					rep, tier, err = st.Do(ctx, key, compute)
 				}
 				if tier.Hit() {
-					src = s.storeSource(tier)
+					src = s.storeHit()
 				} else if err == nil {
 					src = SourceSim
 				}
@@ -373,8 +358,7 @@ func (s *Session) runTracked(ctx context.Context, spec RunSpec, traces *traceSha
 // own methods (store.TryLocker): look the key up, claim its lock
 // without waiting, compute and write through. A key whose lock another
 // process holds, or a backend that cannot lock, goes through Do, which
-// waits for the holder's record (a diskless store.Tiered looks its
-// peers up once more there). Sweep points take this path, as batched
+// waits for the holder's record. Sweep points take this path, as batched
 // sweeps did, so a wrapped backend sees each step: repobench's traced
 // sweep times the lookup, lock and write separately. The lock stays
 // advisory: a holder that finishes between the lookup and the claim
@@ -425,7 +409,7 @@ func (s *Session) Cached(spec RunSpec) (*stats.Report, Source, bool) {
 					// next lookup answers from memory.
 					s.runs.Add(spec.memoKey(&p, s.idOf), rep)
 				}
-				return rep, s.storeSource(tier), true
+				return rep, s.storeHit(), true
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net/http/httptest"
 	"testing"
 
 	"mtvec/internal/core"
@@ -301,53 +300,6 @@ func TestBankNoOpRejectedThroughSession(t *testing.T) {
 	cfg.Mem.Banks = 64
 	if err := Solo(w, WithConfig(cfg)).Validate(); err == nil {
 		t.Fatal("WithConfig with BankBusy 0 validated")
-	}
-}
-
-// TestPeerBackendReportsSourcePeer: a session over a Tiered backend
-// whose record lives only on a peer answers with SourcePeer, counts it
-// in PeerHits, and the peer hit warm-starts the local tier.
-func TestPeerBackendReportsSourcePeer(t *testing.T) {
-	w := testWorkload(t)
-	spec := Solo(w)
-
-	// Warm a "remote worker's" store.
-	remote := openStore(t)
-	warm := New(WithStore(remote))
-	want, err := warm.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	srv := httptest.NewServer(store.RecordHandler(remote))
-	defer srv.Close()
-	peer, err := store.NewHTTPPeer(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	local := openStore(t)
-	s := New(WithStore(store.NewTiered(local, peer)))
-
-	rep, src, err := s.RunTracked(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != SourcePeer {
-		t.Fatalf("source = %v, want peer", src)
-	}
-	if reportJSON(t, rep) != reportJSON(t, want) {
-		t.Fatal("peer-served report differs")
-	}
-	if s.Simulations() != 0 {
-		t.Fatalf("simulations = %d, want 0", s.Simulations())
-	}
-	if s.StoreHits() != 1 || s.PeerHits() != 1 {
-		t.Fatalf("store/peer hits = %d/%d, want 1/1", s.StoreHits(), s.PeerHits())
-	}
-	// Written back: a session over just the local tier now hits locally.
-	s2 := New(WithStore(local))
-	if _, src, err := s2.RunTracked(context.Background(), spec); err != nil || src != SourceStore {
-		t.Fatalf("after write-back: src=%v err=%v, want store", src, err)
 	}
 }
 

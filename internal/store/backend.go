@@ -15,22 +15,18 @@ const (
 	TierMiss Tier = iota
 	// TierLocal: served from this process's on-disk tier.
 	TierLocal
-	// TierPeer: served by a remote peer backend.
-	TierPeer
 )
 
 // Hit reports whether the tier represents a served result.
 func (t Tier) Hit() bool { return t != TierMiss }
 
-// String names the tier ("miss", "local", "peer").
+// String names the tier ("miss", "local").
 func (t Tier) String() string {
 	switch t {
 	case TierMiss:
 		return "miss"
 	case TierLocal:
 		return "local"
-	case TierPeer:
-		return "peer"
 	}
 	return "unknown"
 }
@@ -41,10 +37,10 @@ func (t Tier) String() string {
 // verification — a corrupt or stale entry is a miss, recomputed rather
 // than trusted.
 //
-// The package provides three: Dir (on-disk, cross-process
-// single-flight), HTTPPeer (a remote worker's record API) and Tiered
-// (local disk warmed from peers). All of them satisfy the same
-// conformance suite (see conformance_test.go).
+// The package provides one implementation, Dir (on-disk, with
+// cross-process single-flight), checked by the conformance suite in
+// conformance_test.go. The interface lets a caller wrap it, for
+// example to time each call.
 type Backend interface {
 	// Get returns the verified report for key and the tier that served
 	// it, or (nil, TierMiss).
@@ -64,116 +60,8 @@ type Backend interface {
 	Stats() Stats
 }
 
-// Compile-time interface checks.
+// Compile-time checks: Dir is a lockable Backend.
 var (
-	_ Backend = (*Dir)(nil)
-	_ Backend = (*HTTPPeer)(nil)
-	_ Backend = (*Tiered)(nil)
-)
-
-// Tiered composes a local Dir with remote peer backends: lookups try
-// local disk first, then each peer in order, and a peer hit is written
-// back to the local tier — so a fresh worker warm-starts from the
-// fleet's results instead of re-simulating them. Writes go to the local
-// tier only; peers are read-only from here (each peer persists its own
-// work).
-//
-// local may be nil (a diskless worker serving purely from peers); Put
-// is then a no-op and Do degrades to per-call compute after the peer
-// check.
-type Tiered struct {
-	local *Dir
-	peers []Backend
-}
-
-// NewTiered builds the composite. Nil peers are skipped.
-func NewTiered(local *Dir, peers ...Backend) *Tiered {
-	t := &Tiered{local: local}
-	for _, p := range peers {
-		if p != nil {
-			t.peers = append(t.peers, p)
-		}
-	}
-	return t
-}
-
-// Local returns the composite's on-disk tier (nil when diskless).
-func (t *Tiered) Local() *Dir { return t.local }
-
-// Get tries local disk, then each peer in order. A peer hit is written
-// through to the local tier (best-effort) so the next lookup is local.
-func (t *Tiered) Get(key string) (*stats.Report, Tier) {
-	if t.local != nil {
-		if rep, tier := t.local.Get(key); tier.Hit() {
-			return rep, tier
-		}
-	}
-	for _, p := range t.peers {
-		if rep, tier := p.Get(key); tier.Hit() {
-			if t.local != nil {
-				_ = t.local.Put(key, rep)
-			}
-			return rep, TierPeer
-		}
-	}
-	return nil, TierMiss
-}
-
-// Put persists to the local tier (no-op when diskless).
-func (t *Tiered) Put(key string, rep *stats.Report) error {
-	if t.local == nil {
-		return nil
-	}
-	return t.local.Put(key, rep)
-}
-
-// Do checks every tier once, then computes under the local Dir's
-// cross-process single-flight (or directly, when diskless). Peers are
-// not re-checked under the lock: the single pre-check bounds remote
-// round trips at one per tier per call.
-func (t *Tiered) Do(ctx context.Context, key string, compute func() (*stats.Report, error)) (*stats.Report, Tier, error) {
-	if rep, tier := t.Get(key); tier.Hit() {
-		return rep, tier, nil
-	}
-	if t.local != nil {
-		return t.local.Do(ctx, key, compute)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, TierMiss, err
-	}
-	rep, err := compute()
-	if err != nil {
-		return nil, TierMiss, err
-	}
-	return rep, TierMiss, nil
-}
-
-// TryLock delegates to the local tier's non-blocking per-key lock (see
-// Dir.TryLock); a diskless composite cannot lock and returns nil.
-func (t *Tiered) TryLock(key string) (release func()) {
-	if t.local == nil {
-		return nil
-	}
-	return t.local.TryLock(key)
-}
-
-// Compile-time checks: the lockable backends expose TryLock.
-var (
+	_ Backend   = (*Dir)(nil)
 	_ TryLocker = (*Dir)(nil)
-	_ TryLocker = (*Tiered)(nil)
 )
-
-// Stats aggregates the composite's children: local counters plus every
-// peer's, with PeerHits carrying the peers' combined hit count.
-func (t *Tiered) Stats() Stats {
-	var s Stats
-	if t.local != nil {
-		s.add(t.local.Stats())
-	}
-	for _, p := range t.peers {
-		ps := p.Stats()
-		ps.PeerHits = ps.Hits
-		s.add(ps)
-	}
-	return s
-}

@@ -3,8 +3,6 @@ package store
 import (
 	"context"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -23,8 +21,8 @@ type backendFixture struct {
 	build func(t *testing.T) (b Backend, hitTier Tier, corrupt func(key string))
 }
 
-// fixtures enumerates every Backend implementation. All of them must
-// satisfy the same contract: verified round trips, misses for unknown
+// fixtures enumerates every Backend implementation. Each must satisfy
+// the same contract: verified round trips, misses for unknown
 // keys, corruption read as a miss and healed by recompute, and
 // single-flight Do.
 func fixtures() []backendFixture {
@@ -36,39 +34,6 @@ func fixtures() []backendFixture {
 			}
 			d.SetLockTuning(time.Minute, time.Millisecond)
 			return d, TierLocal, func(key string) { mangle(t, d, key) }
-		}},
-		{"HTTPPeer", func(t *testing.T) (Backend, Tier, func(string)) {
-			remote, err := Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(RecordHandler(remote))
-			t.Cleanup(srv.Close)
-			p, err := NewHTTPPeer(srv.URL, srv.Client())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p, TierPeer, func(key string) { mangle(t, remote, key) }
-		}},
-		{"Tiered", func(t *testing.T) (Backend, Tier, func(string)) {
-			local, err := Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			local.SetLockTuning(time.Minute, time.Millisecond)
-			remote, err := Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(RecordHandler(remote))
-			t.Cleanup(srv.Close)
-			p, err := NewHTTPPeer(srv.URL, srv.Client())
-			if err != nil {
-				t.Fatal(err)
-			}
-			tiered := NewTiered(local, p)
-			// Writes land locally, so corruption must hit the local tier.
-			return tiered, TierLocal, func(key string) { mangle(t, local, key) }
 		}},
 	}
 }
@@ -177,140 +142,6 @@ func TestBackendConformanceSingleFlight(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestTieredPeerWarmStart is the warm-start property the cluster tier
-// depends on: a record that exists only on a peer is served (TierPeer)
-// and written back to the local tier, so the next lookup is local.
-func TestTieredPeerWarmStart(t *testing.T) {
-	remote, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(RecordHandler(remote))
-	defer srv.Close()
-	// RecordHandler only reads the query string, so serving it at "/"
-	// works for a peer whose URL has the path baked in.
-	p, err := NewHTTPPeer(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered := NewTiered(local, p)
-
-	const key = "warm-start"
-	want := sampleReport()
-	if err := remote.Put(key, want); err != nil {
-		t.Fatal(err)
-	}
-	got, tier := tiered.Get(key)
-	if tier != TierPeer {
-		t.Fatalf("tier = %v, want peer", tier)
-	}
-	gb, _ := json.Marshal(got)
-	wb, _ := json.Marshal(want)
-	if string(gb) != string(wb) {
-		t.Fatal("peer round trip differs")
-	}
-	// Written back: the local tier now serves it without the peer.
-	if _, tier := local.Get(key); tier != TierLocal {
-		t.Fatal("peer hit not written back to local tier")
-	}
-	if st := tiered.Stats(); st.PeerHits != 1 {
-		t.Errorf("PeerHits = %d, want 1", st.PeerHits)
-	}
-}
-
-// TestTieredDiskless covers the degenerate composite: no local tier,
-// peers only.
-func TestTieredDiskless(t *testing.T) {
-	remote, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(RecordHandler(remote))
-	defer srv.Close()
-	p, err := NewHTTPPeer(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered := NewTiered(nil, p)
-	const key = "diskless"
-	if err := tiered.Put(key, sampleReport()); err != nil {
-		t.Fatalf("diskless Put must be a no-op, got %v", err)
-	}
-	rep, tier, err := tiered.Do(context.Background(), key, func() (*stats.Report, error) {
-		return sampleReport(), nil
-	})
-	if err != nil || rep == nil || tier.Hit() {
-		t.Fatalf("diskless Do = (%v, %v, %v), want computed miss", rep, tier, err)
-	}
-	if err := remote.Put(key, sampleReport()); err != nil {
-		t.Fatal(err)
-	}
-	if _, tier := tiered.Get(key); tier != TierPeer {
-		t.Fatalf("tier = %v, want peer", tier)
-	}
-}
-
-// TestHTTPPeerDownIsMiss pins the degradation contract: an unreachable
-// peer is a miss (and a failed Put an error), never a crash or a hang.
-func TestHTTPPeerDownIsMiss(t *testing.T) {
-	srv := httptest.NewServer(http.NotFoundHandler())
-	url := srv.URL
-	srv.Close() // nothing listens anymore
-	p, err := NewHTTPPeer(url, &http.Client{Timeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, tier := p.Get("k"); tier.Hit() {
-		t.Fatal("dead peer reported a hit")
-	}
-	if err := p.Put("k", sampleReport()); err == nil {
-		t.Fatal("dead peer accepted a Put")
-	}
-	// Do still computes: the peer going away degrades to recomputing.
-	rep, tier, err := p.Do(context.Background(), "k", func() (*stats.Report, error) {
-		return sampleReport(), nil
-	})
-	if err != nil || rep == nil || tier.Hit() {
-		t.Fatalf("Do against dead peer = (%v, %v, %v), want computed miss", rep, tier, err)
-	}
-	if st := p.Stats(); st.Misses == 0 {
-		t.Error("dead-peer lookups not counted as misses")
-	}
-}
-
-// TestHTTPPeerCorruptCounted pins client-side re-verification: a peer
-// serving bytes that do not verify is counted corrupt and read as a
-// miss.
-func TestHTTPPeerCorruptCounted(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"schema":1,"key":"k","sum":"deadbeef","report":{}}`))
-	}))
-	defer srv.Close()
-	p, err := NewHTTPPeer(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, tier := p.Get("k"); tier.Hit() {
-		t.Fatal("unverifiable peer record served")
-	}
-	if st := p.Stats(); st.Corrupt != 1 {
-		t.Errorf("Corrupt = %d, want 1", st.Corrupt)
-	}
-}
-
-// TestNewHTTPPeerRejectsBadURL pins constructor validation.
-func TestNewHTTPPeerRejectsBadURL(t *testing.T) {
-	for _, bad := range []string{"", "ftp://x", "http://", ":\x00:"} {
-		if _, err := NewHTTPPeer(bad, nil); err == nil {
-			t.Errorf("NewHTTPPeer(%q) accepted", bad)
-		}
 	}
 }
 

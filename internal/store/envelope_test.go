@@ -3,9 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
-	"net/url"
 	"os"
 	"reflect"
 	"strings"
@@ -147,45 +144,6 @@ func TestNonCanonicalEnvelopeIsCorrupt(t *testing.T) {
 				t.Error("non-canonical record not deleted")
 			}
 		})
-	}
-}
-
-// TestRecordHandlerRejectsNonCanonicalPut: the record API refuses to
-// persist an envelope it would not serve.
-func TestRecordHandlerRejectsNonCanonicalPut(t *testing.T) {
-	d, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(RecordHandler(d))
-	defer srv.Close()
-	const key = "k<&v"
-	good, err := EncodeRecord(key, sampleReport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	put := func(body []byte) int {
-		req, err := http.NewRequest(http.MethodPut, srv.URL+RecordPath+"?key="+url.QueryEscape(key), bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := srv.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	for _, tc := range nonCanonical {
-		if code := put(tc.rewrite(good)); code != http.StatusBadRequest {
-			t.Errorf("%s: PUT answered %d, want 400", tc.name, code)
-		}
-	}
-	if st := d.Stats(); st.Writes != 0 {
-		t.Fatalf("%d non-canonical records persisted", st.Writes)
-	}
-	if code := put(good); code != http.StatusNoContent {
-		t.Fatalf("canonical PUT answered %d, want 204", code)
 	}
 }
 

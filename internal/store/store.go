@@ -1,8 +1,6 @@
 // Package store is the persistent second tier under the session memo
 // cache: a content-addressed table of simulation Reports behind a small
-// Backend interface with three implementations — Dir (on-disk), HTTPPeer
-// (a remote worker's record API) and Tiered (local disk warmed from
-// peers).
+// Backend interface, implemented on disk by Dir.
 //
 // Every record is keyed by the session's canonical persist key — the
 // full (mode, workload provenance, policy, machine shape, stop rule)
@@ -26,9 +24,7 @@
 // optionally followed by one newline. DecodeRecord accepts only that
 // form. Any other JSON, however equivalent, is corrupt, so a read
 // matches the envelope by prefix and parses the report with a
-// hand-written parser for exactly json.Marshal's bytes. The same
-// envelope travels the wire between peers, and HTTPPeer re-verifies it
-// on receipt: a peer is trusted no more than the local disk.
+// hand-written parser for exactly json.Marshal's bytes.
 //
 // # Concurrency
 //
@@ -125,18 +121,6 @@ type Stats struct {
 	Misses  int64 `json:"misses"`  // no record (or none that verified)
 	Writes  int64 `json:"writes"`  // records written
 	Corrupt int64 `json:"corrupt"` // records dropped for failing verification
-	// PeerHits counts the subset of Hits served by a remote peer rather
-	// than local disk (Tiered and HTTPPeer backends; always 0 on a Dir).
-	PeerHits int64 `json:"peer_hits,omitempty"`
-}
-
-// add accumulates o into s (Tiered aggregates its children).
-func (s *Stats) add(o Stats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Writes += o.Writes
-	s.Corrupt += o.Corrupt
-	s.PeerHits += o.PeerHits
 }
 
 // Open creates (if needed) and opens the store rooted at dir with
@@ -208,9 +192,8 @@ func appendKey(b []byte, key string) []byte {
 const envelopeMid = `","report":`
 
 // EncodeRecord builds the self-describing envelope for a report — the
-// exact bytes Dir persists and the record API serves. Envelope bytes
-// are a pure function of (key, report), so every encoder of one result
-// produces identical bytes.
+// exact bytes Dir persists. Envelope bytes are a pure function of (key,
+// report), so every encoder of one result produces identical bytes.
 func EncodeRecord(key string, rep *stats.Report) ([]byte, error) {
 	payload, err := json.Marshal(rep)
 	if err != nil {
@@ -218,7 +201,7 @@ func EncodeRecord(key string, rep *stats.Report) ([]byte, error) {
 	}
 	sum := sha256.Sum256(payload)
 	// One allocation for a plain key, with room for the newline that Put
-	// and the record API append.
+	// appends.
 	data := make([]byte, 0, len(key)+len(payload)+128)
 	data = appendHead(data, key)
 	data = hex.AppendEncode(data, sum[:])
@@ -229,7 +212,7 @@ func EncodeRecord(key string, rep *stats.Report) ([]byte, error) {
 
 // DecodeRecord verifies an envelope against the key it was requested
 // under and decodes the report. It is the single verification path for
-// records read from disk and records received from peers. It accepts
+// records read from disk. It accepts
 // only the canonical envelope EncodeRecord writes for key, optionally
 // followed by one newline, whose sum matches the SHA-256 of the report
 // payload and whose payload is the bytes json.Marshal writes for a

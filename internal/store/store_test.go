@@ -382,26 +382,6 @@ func TestTryLockStealsStale(t *testing.T) {
 	}
 }
 
-func TestTieredTryLock(t *testing.T) {
-	local, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered := NewTiered(local)
-	release := tiered.TryLock("k")
-	if release == nil {
-		t.Fatal("tiered TryLock with a local tier failed")
-	}
-	if local.TryLock("k") != nil {
-		t.Fatal("tiered lock did not reach the local tier")
-	}
-	release()
-
-	if NewTiered(nil).TryLock("k") != nil {
-		t.Fatal("diskless tiered composite claimed a lock")
-	}
-}
-
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Fatal("empty directory accepted")

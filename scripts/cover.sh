@@ -32,9 +32,9 @@ declare -A FLOOR=(
   [mtvec/internal/report]=95
   [mtvec/internal/runner]=75
   [mtvec/internal/sched]=90
-  [mtvec/internal/session]=75
+  [mtvec/internal/session]=80
   [mtvec/internal/stats]=95
-  [mtvec/internal/store]=86
+  [mtvec/internal/store]=89
   [mtvec/internal/trace]=85
   [mtvec/internal/vcomp]=88
   [mtvec/internal/workload]=91

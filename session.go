@@ -1,8 +1,6 @@
 package mtvec
 
 import (
-	"net/http"
-
 	"mtvec/internal/core"
 	"mtvec/internal/session"
 	"mtvec/internal/store"
@@ -66,14 +64,12 @@ type SwitchCounter = core.SwitchCounter
 // simulating each distinct point once. See docs/API.md.
 type Store = store.Dir
 
-// StoreBackend is the pluggable interface behind a Session's persistent
-// tier. Implementations: the on-disk Store/store.Dir, a remote worker's
-// record API (NewPeerStore), and a local-disk-warmed-from-peers
-// composite (NewTieredStore).
+// StoreBackend is the interface behind a Session's persistent tier,
+// implemented by the on-disk Store.
 type StoreBackend = store.Backend
 
 // StoreStats is a snapshot of a backend's hit/miss/write/corrupt
-// counters (plus PeerHits for remote tiers).
+// counters.
 type StoreStats = store.Stats
 
 // StoreOptions tunes an on-disk store (lock-file steal age and poll
@@ -89,22 +85,6 @@ func OpenStoreOptions(dir string, o StoreOptions) (*Store, error) {
 	return store.OpenOptions(dir, o)
 }
 
-// NewPeerStore opens a read-through backend over another mtvserve
-// worker's record API at the given base URL; a nil client selects a
-// default with a 30s timeout. Peer records are re-verified on receipt,
-// and an unreachable peer degrades to a miss, never an error.
-func NewPeerStore(base string, client *http.Client) (StoreBackend, error) {
-	return store.NewHTTPPeer(base, client)
-}
-
-// NewTieredStore composes a local on-disk store with remote peers:
-// lookups try local disk first, then each peer in order, and peer hits
-// are written back locally — so a fresh node warm-starts from the
-// fleet's results. local may be nil (diskless); nil peers are skipped.
-func NewTieredStore(local *Store, peers ...StoreBackend) StoreBackend {
-	return store.NewTiered(local, peers...)
-}
-
 // RunSource names the cache tier that answered a Session.RunTracked
 // call: a fresh simulation, the in-memory memo, or the persistent
 // store.
@@ -115,7 +95,6 @@ const (
 	RunFromSim   = session.SourceSim
 	RunFromMemo  = session.SourceMemo
 	RunFromStore = session.SourceStore
-	RunFromPeer  = session.SourcePeer
 )
 
 // NewSession creates a run session. Memoization is on by default
