@@ -9,7 +9,7 @@ import (
 
 // TestJSONSmoke drives run over the deliberately-broken testdata
 // package and checks the machine-readable output end to end: exit
-// status 1, a parseable array, and the expected single slotpair
+// status 1, a parseable array, and the expected single determinism
 // finding.
 func TestJSONSmoke(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -25,14 +25,14 @@ func TestJSONSmoke(t *testing.T) {
 		t.Fatalf("findings = %+v, want exactly one", findings)
 	}
 	f := findings[0]
-	if f.Analyzer != "slotpair" {
-		t.Errorf("analyzer = %q, want slotpair", f.Analyzer)
+	if f.Analyzer != "determinism" {
+		t.Errorf("analyzer = %q, want determinism", f.Analyzer)
 	}
 	if !strings.HasSuffix(f.File, "j.go") || f.Line == 0 || f.Col == 0 {
 		t.Errorf("position = %s:%d:%d, want a real j.go position", f.File, f.Line, f.Col)
 	}
-	if !strings.Contains(f.Message, "g.Acquire") {
-		t.Errorf("message = %q, want the unmatched acquire named", f.Message)
+	if !strings.Contains(f.Message, "map iteration") {
+		t.Errorf("message = %q, want the map-order return named", f.Message)
 	}
 }
 
@@ -44,8 +44,8 @@ func TestTextOutput(t *testing.T) {
 		t.Fatalf("exit = %d, want 1; stderr: %s", code, stderr.String())
 	}
 	line := strings.TrimSpace(stdout.String())
-	if !strings.Contains(line, "slotpair:") || !strings.Contains(line, "j.go:") {
-		t.Fatalf("text output = %q, want file:line:col: slotpair: message", line)
+	if !strings.Contains(line, "determinism:") || !strings.Contains(line, "j.go:") {
+		t.Fatalf("text output = %q, want file:line:col: determinism: message", line)
 	}
 }
 

@@ -1,13 +1,11 @@
 // Package jsonsmoke is a deliberately-broken fixture for the -json
-// output test: the unmatched Acquire below must surface as exactly
-// one slotpair finding.
+// output test: the order-dependent return below must surface as
+// exactly one determinism finding.
 package jsonsmoke
 
-type gate struct{}
-
-func (g *gate) Acquire(max int) int { return max }
-func (g *gate) Release(n int)       {}
-
-func leak(g *gate) int {
-	return g.Acquire(2)
+func firstKey(m map[string]int) string {
+	for k := range m {
+		return k
+	}
+	return ""
 }

@@ -244,11 +244,6 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Contexts == 1 {
 		m.sole = 0
 	}
-	// Released by report on the success path, and by runLoop/finish on
-	// every error path; ReleaseBacking is idempotent, so the paths may
-	// overlap safely.
-	//mtvlint:allow slotpair -- protocol spans functions: report/runLoop/finish release on every terminal path
-	m.tl.AcquireBacking()
 	_, m.unfair = cfg.Policy.(sched.Unfair)
 	m.dual = cfg.DualScalar
 	m.bookSeq = 1
@@ -457,9 +452,6 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 	done := ctx.Done()
 	if done != nil {
 		if err := ctx.Err(); err != nil {
-			// An error abandons the lane in every caller: report never
-			// runs, so return the pooled timeline storage here.
-			m.tl.ReleaseBacking()
 			return false, err
 		}
 	}
@@ -489,7 +481,6 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 		if done != nil && m.now >= nextCheck {
 			nextCheck = m.now + cancelCheckStride
 			if err := ctx.Err(); err != nil {
-				m.tl.ReleaseBacking() // cancelled: report never runs
 				return false, err
 			}
 		}
@@ -568,7 +559,6 @@ func (m *Machine) runSole(ctx context.Context, stop Stop, paceTarget int64, next
 		if done != nil && m.now >= nextCheck {
 			nextCheck = m.now + cancelCheckStride
 			if err := ctx.Err(); err != nil {
-				m.tl.ReleaseBacking() // cancelled: report never runs
 				return false, err
 			}
 		}
@@ -612,7 +602,6 @@ func (m *Machine) runSole(ctx context.Context, stop Stop, paceTarget int64, next
 // finish surfaces stream errors and assembles the run's Report.
 func (m *Machine) finish(stop Stop) (*stats.Report, error) {
 	if err := m.streamErrors(); err != nil {
-		m.tl.ReleaseBacking() // failed run: report never runs
 		return nil, err
 	}
 	return m.report(stop), nil
@@ -831,11 +820,9 @@ func (m *Machine) report(stop Stop) *stats.Report {
 		}
 	}
 
-	breakdown := m.tl.Sweep(cycles)
-	m.tl.ReleaseBacking() // report runs once; the timeline is dead now
 	rep := &stats.Report{
 		Cycles:         cycles,
-		Breakdown:      breakdown,
+		Breakdown:      m.tl.Sweep(cycles),
 		MemBusyCycles:  m.mem.BusyCycles(),
 		MemRequests:    m.mem.Requests(),
 		MemPorts:       m.mem.Ports(),

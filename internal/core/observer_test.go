@@ -130,31 +130,6 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-// TestCancelledRunReleasesBacking pins the fix for a leak mtvlint's
-// slotpair analyzer surfaced: a cancelled run never reaches report, so
-// the pooled timeline storage New acquired used to stay stranded on the
-// dead machine instead of returning to the pool.
-func TestCancelledRunReleasesBacking(t *testing.T) {
-	m, err := New(testConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetThreadStream(0, "loaduse", loadUseStream(20)); err != nil {
-		t.Fatal(err)
-	}
-	if !m.tl.HasBacking() {
-		t.Fatal("new machine has no pooled timeline backing")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.RunContext(ctx, Stop{}); err != context.Canceled {
-		t.Fatalf("err=%v, want context.Canceled", err)
-	}
-	if m.tl.HasBacking() {
-		t.Fatal("cancelled run kept its pooled timeline backing")
-	}
-}
-
 // TestPolicyCloneIsolation: one Config carrying a stateful policy can
 // back many machines without cross-run interference.
 func TestPolicyCloneIsolation(t *testing.T) {

@@ -1,8 +1,7 @@
-// Package lint is the repository's own static-analysis suite: five
+// Package lint is the repository's own static-analysis suite: four
 // analyzers that mechanically enforce invariants the rest of the module
 // holds by convention — byte-deterministic rendering, cache-key
-// completeness, gate-slot acquire/release hygiene, joined validation
-// diagnostics and observer purity. cmd/mtvlint drives them over the
+// completeness, joined validation diagnostics and observer purity. cmd/mtvlint drives them over the
 // module; docs/LINT.md catalogues the invariants and the history behind
 // each one.
 //
@@ -83,7 +82,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		KeyComplete,
-		SlotPair,
 		JoinedValidate,
 		ObserverPure,
 	}
@@ -149,8 +147,8 @@ func namedOf(t types.Type) *types.Named {
 	}
 }
 
-// exprString renders an expression compactly ("b.slots", "m.tl") for
-// receiver matching and messages.
+// exprString renders an expression compactly ("fmt.Fprintf") for
+// messages.
 func exprString(fset *token.FileSet, e ast.Expr) string {
 	var b strings.Builder
 	if err := printer.Fprint(&b, fset, e); err != nil {

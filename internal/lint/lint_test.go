@@ -15,10 +15,6 @@ func TestKeyComplete(t *testing.T) {
 	runFixture(t, KeyComplete, "keys/session", "keys/internal/arch")
 }
 
-func TestSlotPair(t *testing.T) {
-	runFixture(t, SlotPair, "slots/pool")
-}
-
 func TestJoinedValidate(t *testing.T) {
 	runFixture(t, JoinedValidate, "jv/internal/memsys", "jv/plain")
 }
@@ -86,18 +82,18 @@ func TestLookupPrefersExactThenLexical(t *testing.T) {
 
 func TestAllowDirectiveParsing(t *testing.T) {
 	ix := &Index{fset: token.NewFileSet(), allow: map[string]map[int][]string{
-		"f.go": {10: {"determinism", "slotpair"}},
+		"f.go": {10: {"determinism", "joinedvalidate"}},
 	}}
 	for _, tc := range []struct {
 		analyzer string
 		line     int
 		want     bool
 	}{
-		{"determinism", 10, true},  // same line
-		{"slotpair", 11, true},     // directive directly above
-		{"determinism", 12, false}, // too far below
-		{"keycomplete", 10, false}, // different analyzer
-		{"determinism", 9, false},  // directive below the diagnostic
+		{"determinism", 10, true},    // same line
+		{"joinedvalidate", 11, true}, // directive directly above
+		{"determinism", 12, false},   // too far below
+		{"keycomplete", 10, false},   // different analyzer
+		{"determinism", 9, false},    // directive below the diagnostic
 	} {
 		pos := token.Position{Filename: "f.go", Line: tc.line}
 		if got := ix.Allowed(tc.analyzer, pos); got != tc.want {
@@ -117,8 +113,8 @@ func TestAnalyzerNamesAreUnique(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 5 {
-		t.Fatalf("expected 5 analyzers, have %d", len(seen))
+	if len(seen) != 4 {
+		t.Fatalf("expected 4 analyzers, have %d", len(seen))
 	}
 }
 

@@ -2,45 +2,47 @@ package stats
 
 import "testing"
 
-// TestAddBusyClampsOverlap: dispatch order should prevent overlapping
-// intervals, but AddBusy clamps defensively — an interval starting
-// inside the previous one loses its covered prefix, and one fully
-// contained is dropped.
+// TestAddBusyClampsOverlap: an interval starting inside its unit's
+// busy time adds only its part past that busy time, and one fully
+// contained adds nothing.
 func TestAddBusyClampsOverlap(t *testing.T) {
 	var tl UnitTimeline
 	tl.AddBusy(UnitLD, 0, 10)
-	tl.AddBusy(UnitLD, 5, 8) // fully inside [0,10): dropped
-	if got := tl.BusyCycles(UnitLD, 100); got != 10 {
+	tl.AddBusy(UnitLD, 5, 8) // fully inside [0,10): adds nothing
+	if got := unitBusy(tl.Sweep(100), UnitLD); got != 10 {
 		t.Errorf("contained overlap changed busy cycles: %d, want 10", got)
 	}
-	tl.AddBusy(UnitLD, 5, 14) // prefix clamped to [10,14), merges
-	if got := tl.BusyCycles(UnitLD, 100); got != 14 {
+	tl.AddBusy(UnitLD, 5, 14) // only [10,14) is new
+	if got := unitBusy(tl.Sweep(100), UnitLD); got != 14 {
 		t.Errorf("clamped overlap busy cycles = %d, want 14", got)
 	}
 	tl.AddBusy(UnitLD, 14, 14) // empty: no-op
 	tl.AddBusy(UnitLD, 20, 6)  // inverted: no-op
-	if got := tl.BusyCycles(UnitLD, 100); got != 14 {
+	b := tl.Sweep(20)
+	if got := unitBusy(b, UnitLD); got != 14 {
 		t.Errorf("degenerate intervals changed busy cycles: %d, want 14", got)
 	}
-	// The breakdown agrees with the clamped timeline.
-	b := tl.Sweep(20)
 	if busy := b.Total() - b.AllIdle(); busy != 14 {
 		t.Errorf("sweep busy = %d, want 14", busy)
 	}
 }
 
-// TestBusyCyclesClipsAndStops: intervals past the horizon are skipped
-// entirely, intervals straddling it are clipped.
+// TestBusyCyclesClipsAndStops: a unit's busy cycles, read off the
+// breakdown, stop at the horizon; an interval the horizon cuts counts
+// only up to it.
 func TestBusyCyclesClipsAndStops(t *testing.T) {
 	var tl UnitTimeline
 	tl.AddBusy(UnitFU2, 0, 5)
 	tl.AddBusy(UnitFU2, 6, 20)
 	tl.AddBusy(UnitFU2, 30, 40)
-	if got := tl.BusyCycles(UnitFU2, 8); got != 7 {
-		t.Errorf("clipped busy = %d, want 7 (5 + [6,8))", got)
-	}
-	if got := tl.BusyCycles(UnitFU2, 50); got != 29 {
-		t.Errorf("full busy = %d, want 29", got)
+	for _, tc := range []struct{ total, want Cycle }{
+		{30, 19}, // horizon at the last start: [30,40) adds nothing
+		{35, 24}, // cuts [30,40)
+		{50, 29},
+	} {
+		if got := unitBusy(tl.Sweep(tc.total), UnitFU2); got != tc.want {
+			t.Errorf("busy over [0,%d) = %d, want %d", tc.total, got, tc.want)
+		}
 	}
 }
 
@@ -54,12 +56,12 @@ func TestSweepZeroTotal(t *testing.T) {
 	}
 }
 
-// TestSweepIntervalPastHorizon: units whose first interval starts beyond
-// the horizon contribute nothing and do not shorten the idle tail.
+// TestSweepIntervalPastHorizon: an interval that starts at the horizon
+// contributes nothing and does not shorten the idle tail.
 func TestSweepIntervalPastHorizon(t *testing.T) {
 	var tl UnitTimeline
 	tl.AddBusy(UnitFU1, 2, 4)
-	tl.AddBusy(UnitFU2, 90, 95)
+	tl.AddBusy(UnitFU2, 10, 15)
 	b := tl.Sweep(10)
 	if b.Total() != 10 {
 		t.Errorf("total = %d, want 10", b.Total())

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -66,146 +65,86 @@ func (b *Breakdown) MemIdle() Cycle {
 // AllIdle returns the cycles where no vector unit is working.
 func (b *Breakdown) AllIdle() Cycle { return b[0] }
 
-// interval is a half-open busy window [S, E).
-type interval struct{ S, E Cycle }
-
-// UnitTimeline accumulates per-unit busy intervals during a run and
-// sweeps them into a state breakdown afterwards. Intervals must be added
-// per unit in non-decreasing start order, which dispatch order
-// guarantees. An interval that overlaps the unit's previous one — two
-// lanes of one functional-unit class busy at once — merges into it, so
-// each unit's list is the union of its busy time.
+// UnitTimeline books per-unit busy intervals into the state breakdown
+// as a run goes, and keeps no list of them. Intervals must arrive in
+// non-decreasing start order across all units, not only per unit:
+// dispatch books every interval at the cycle it issues, and the clock
+// never runs backwards. So no later interval can change a cycle before
+// the latest start, the mark; AddBusy settles each new stretch up to its
+// start as it arrives. An interval that overlaps its unit's busy time —
+// two lanes of one functional-unit class busy at once — merges into it,
+// so a unit is busy over the union of its intervals.
 type UnitTimeline struct {
-	busy [NumUnits][]interval
-	// box, when non-nil, is the pooled storage AcquireBacking borrowed;
-	// ReleaseBacking hands the (possibly regrown) lists back through it.
-	box *[NumUnits][]interval
+	settled Breakdown
+	// mark is the latest start: every cycle before it is in settled.
+	mark Cycle
+	// end[u] is where unit u's busy time past the mark ends; the unit
+	// is busy over [mark, end[u]) and idle from there on.
+	end [NumUnits]Cycle
 }
 
-// timelineViolations counts, process-wide, the intervals AddBusy was
-// handed out of start order (see TimelineViolations). It is global, not
+// timelineViolations counts, process-wide, the intervals and sweeps a
+// timeline was handed out of start order (see TimelineViolations). It is global, not
 // per timeline, so a test can check every run of a package or of the
 // whole suite without reaching into each machine.
 var timelineViolations atomic.Int64
 
 // TimelineViolations returns how many busy intervals, across every
-// timeline in the process, started before the previous interval on
-// their unit. Dispatch order makes that impossible, so a nonzero count
-// is an engine bug; the engine and golden-suite tests assert it stays
-// zero. AddBusy merges such an interval like an overlapping one: only
-// its part past the end of the previous interval counts as busy.
+// timeline in the process, started before an earlier interval on any
+// unit, plus how many sweeps ended before the latest start. Dispatch
+// order makes both impossible, so a nonzero count is an engine bug; the
+// engine and golden-suite tests assert it stays zero. AddBusy books only
+// the part of such an interval from the latest start on, and such a
+// Sweep returns the breakdown settled so far.
 func TimelineViolations() int64 { return timelineViolations.Load() }
 
-// timelineBacking recycles per-unit interval storage across runs. The
-// lists are the dominant per-lane transient of a simulation — without
-// reuse every lane regrows them from nil through repeated doubling —
-// and their needed capacity is unknowable ahead of time (adjacent busy
-// windows merge at a workload-dependent rate), so pooling beats any
-// static presize: capacities converge to the high-water mark of what
-// runs actually needed. Entries are pointer-free, so pooled garbage
-// costs the collector nothing to scan.
-var timelineBacking = sync.Pool{New: func() any { return new([NumUnits][]interval) }}
-
-// AcquireBacking equips the timeline with pooled per-unit storage.
-// Optional: a timeline works without it, allocating as it grows.
-func (tl *UnitTimeline) AcquireBacking() {
-	box := timelineBacking.Get().(*[NumUnits][]interval)
-	for u := range box {
-		tl.busy[u] = box[u][:0]
-	}
-	tl.box = box
-}
-
-// HasBacking reports whether the timeline currently holds pooled
-// storage — acquired and not yet released. Lets owners assert the
-// acquire/release pairing on error paths.
-func (tl *UnitTimeline) HasBacking() bool { return tl.box != nil }
-
-// ReleaseBacking returns pooled storage for reuse by a later timeline.
-// Call once, after the final Sweep/BusyCycles; the timeline reads as
-// empty afterwards. No-op when AcquireBacking was never called.
-func (tl *UnitTimeline) ReleaseBacking() {
-	if tl.box == nil {
-		return
-	}
-	*tl.box = tl.busy
-	tl.busy = [NumUnits][]interval{}
-	timelineBacking.Put(tl.box)
-	tl.box = nil
-}
-
-// AddBusy records that unit was busy over [start, end). An interval
-// that starts at or before the end of the unit's previous one extends
-// it; one that starts before the previous one began is counted as a
-// violation (see TimelineViolations) and merged the same way.
+// AddBusy records that unit was busy over [start, end). Empty and
+// inverted intervals are ignored. One that starts before the latest
+// start is counted as a violation (see TimelineViolations) and clipped
+// to it.
 func (tl *UnitTimeline) AddBusy(unit int, start, end Cycle) {
 	if end <= start {
 		return
 	}
-	list := tl.busy[unit]
-	if n := len(list); n > 0 && start <= list[n-1].E {
-		last := &list[n-1]
-		if start < last.S {
-			timelineViolations.Add(1)
-		}
-		if end > last.E {
-			last.E = end
-		}
-		return
+	if start > tl.mark {
+		tl.settle(&tl.settled, start)
+		tl.mark = start
+	} else if start < tl.mark {
+		timelineViolations.Add(1)
 	}
-	tl.busy[unit] = append(list, interval{start, end})
+	if end > tl.end[unit] {
+		tl.end[unit] = end
+	}
 }
 
-// BusyCycles returns the total busy cycles of one unit (clipped to total).
-func (tl *UnitTimeline) BusyCycles(unit int, total Cycle) Cycle {
-	var sum Cycle
-	for _, iv := range tl.busy[unit] {
-		s, e := iv.S, iv.E
-		if s >= total {
-			break
-		}
-		if e > total {
-			e = total
-		}
-		sum += e - s
-	}
-	return sum
-}
-
-// Sweep computes the state breakdown over [0, total).
+// Sweep returns the state breakdown over [0, total). It leaves the
+// timeline as it was, so later intervals may still be added. A total
+// below the latest start is counted as a violation, and the breakdown
+// settled so far, over [0, latest start), is returned.
 func (tl *UnitTimeline) Sweep(total Cycle) Breakdown {
-	var b Breakdown
-	var idx [NumUnits]int
-	t := Cycle(0)
-	for t < total {
-		state := State(0)
-		next := total
-		for u := 0; u < NumUnits; u++ {
-			list := tl.busy[u]
-			// Advance past intervals that ended at or before t.
-			for idx[u] < len(list) && list[idx[u]].E <= t {
-				idx[u]++
-			}
-			if idx[u] >= len(list) {
-				continue
-			}
-			iv := list[idx[u]]
-			if iv.S <= t {
+	b := tl.settled
+	if total < tl.mark {
+		timelineViolations.Add(1)
+		return b
+	}
+	tl.settle(&b, total)
+	return b
+}
+
+// settle books [mark, to) into b. Each unit is busy from the mark until
+// its end, so the stretch splits into at most NumUnits+1 states.
+func (tl *UnitTimeline) settle(b *Breakdown, to Cycle) {
+	for t := tl.mark; t < to; {
+		state, next := State(0), to
+		for u, e := range tl.end {
+			if e > t {
 				state |= 1 << u
-				if iv.E < next {
-					next = iv.E
-				}
-			} else if iv.S < next {
-				next = iv.S
+				next = min(next, e)
 			}
-		}
-		if next <= t {
-			next = t + 1
 		}
 		b[state] += next - t
 		t = next
 	}
-	return b
 }
 
 // ThreadReport describes one hardware context's progress at run end.

@@ -57,31 +57,30 @@ func TestSweepClipsToTotal(t *testing.T) {
 	if b[1<<UnitLD] != 5 || b[0] != 5 {
 		t.Fatalf("breakdown = %+v", b)
 	}
-	if tl.BusyCycles(UnitLD, 10) != 5 {
-		t.Fatalf("BusyCycles clipped = %d", tl.BusyCycles(UnitLD, 10))
+	if got := unitBusy(b, UnitLD); got != 5 {
+		t.Fatalf("LD busy clipped = %d, want 5", got)
 	}
 }
 
 func TestAddBusyMergesAdjacent(t *testing.T) {
 	var tl UnitTimeline
+	before := TimelineViolations()
 	tl.AddBusy(UnitFU1, 0, 5)
-	tl.AddBusy(UnitFU1, 5, 10)
-	if len(tl.busy[UnitFU1]) != 1 {
-		t.Fatalf("adjacent intervals not merged: %v", tl.busy[UnitFU1])
-	}
-	tl.AddBusy(UnitFU1, 3, 12) // overlapping: clamped to [10,12)
-	if got := tl.BusyCycles(UnitFU1, 100); got != 12 {
-		t.Fatalf("busy = %d, want 12", got)
-	}
+	tl.AddBusy(UnitFU1, 5, 10)  // adjacent: merged into [0,10)
+	tl.AddBusy(UnitFU1, 5, 12)  // overlapping, same start: extends to 12
 	tl.AddBusy(UnitFU1, 20, 20) // empty: ignored
-	if got := tl.BusyCycles(UnitFU1, 100); got != 12 {
-		t.Fatalf("busy after empty add = %d", got)
+	if got := TimelineViolations() - before; got != 0 {
+		t.Fatalf("in-order intervals counted %d violation(s)", got)
+	}
+	b := tl.Sweep(20)
+	if b[1<<UnitFU1] != 12 || b[0] != 8 || b.Total() != 20 {
+		t.Fatalf("breakdown = %v, want FU1 12 and idle 8", b)
 	}
 }
 
-// TestAddBusyCountsOutOfOrder: an interval starting before its unit's
-// previous one is counted as a violation and still merged as before; an
-// in-order overlap (two lanes of one unit class) is not a violation.
+// TestAddBusyCountsOutOfOrder: an interval starting before the latest
+// start is counted as a violation and booked only from that start on;
+// an in-order overlap (two lanes of one unit class) is not a violation.
 func TestAddBusyCountsOutOfOrder(t *testing.T) {
 	var tl UnitTimeline
 	before := TimelineViolations()
@@ -90,19 +89,82 @@ func TestAddBusyCountsOutOfOrder(t *testing.T) {
 	if got := TimelineViolations() - before; got != 0 {
 		t.Fatalf("in-order overlap counted %d violation(s)", got)
 	}
-	tl.AddBusy(UnitFU2, 5, 30) // starts before the interval it follows
+	tl.AddBusy(UnitFU2, 5, 30) // starts before the latest start, 15
 	if got := TimelineViolations() - before; got != 1 {
 		t.Fatalf("out-of-order interval counted %d violation(s), want 1", got)
 	}
-	if got := tl.busy[UnitFU2]; len(got) != 1 || got[0] != (interval{10, 30}) {
-		t.Fatalf("intervals = %v, want [{10 30}]", got)
-	}
-	tl.AddBusy(UnitFU2, 1, 4) // out of order and inside nothing new
+	tl.AddBusy(UnitFU2, 1, 4) // out of order and nothing past the mark
 	if got := TimelineViolations() - before; got != 2 {
 		t.Fatalf("second out-of-order interval: count %d, want 2", got)
 	}
-	if got := tl.BusyCycles(UnitFU2, 100); got != 20 {
-		t.Fatalf("busy = %d, want 20", got)
+	if got := unitBusy(tl.Sweep(100), UnitFU2); got != 20 {
+		t.Fatalf("busy = %d, want 20 ([10,30))", got)
+	}
+}
+
+// TestAddBusyCountsCrossUnitOutOfOrder: start order is global. An
+// interval on one unit that starts before an earlier start on another
+// unit is a violation, even though it is its own unit's first, and only
+// its part from the latest start on is booked.
+func TestAddBusyCountsCrossUnitOutOfOrder(t *testing.T) {
+	var tl UnitTimeline
+	before := TimelineViolations()
+	tl.AddBusy(UnitLD, 10, 20)
+	tl.AddBusy(UnitFU1, 5, 15)
+	if got := TimelineViolations() - before; got != 1 {
+		t.Fatalf("cross-unit out-of-order interval counted %d violation(s), want 1", got)
+	}
+	b := tl.Sweep(20)
+	if got := unitBusy(b, UnitFU1); got != 5 {
+		t.Fatalf("FU1 busy = %d, want 5 ([10,15))", got)
+	}
+	if b[0] != 10 || b[1<<UnitLD|1<<UnitFU1] != 5 || b[1<<UnitLD] != 5 {
+		t.Fatalf("breakdown = %v", b)
+	}
+}
+
+// TestSweepBelowMarkCounts: a horizon before the latest start cannot be
+// swept any more, since those cycles are already settled. It counts one
+// violation and returns the breakdown settled so far.
+func TestSweepBelowMarkCounts(t *testing.T) {
+	var tl UnitTimeline
+	tl.AddBusy(UnitFU1, 2, 4)
+	tl.AddBusy(UnitFU2, 90, 95)
+	before := TimelineViolations()
+	b := tl.Sweep(10)
+	if got := TimelineViolations() - before; got != 1 {
+		t.Fatalf("sweep below the mark counted %d violation(s), want 1", got)
+	}
+	if b.Total() != 90 || b[1<<UnitFU1] != 2 || b[0] != 88 {
+		t.Fatalf("breakdown = %v, want [0,90) settled: FU1 2, idle 88", b)
+	}
+	tl.Sweep(89) // one cycle short
+	tl.Sweep(90) // at the mark: fine
+	if got := TimelineViolations() - before; got != 2 {
+		t.Fatalf("sweeps at 89 and 90 counted %d violation(s) in all, want 2", got)
+	}
+}
+
+// sink keeps the alloc-counted timeline's result alive.
+var sink Breakdown
+
+// TestAddBusyAllocatesNothing: the timeline is a fixed-size value, so
+// booking any number of intervals allocates nothing.
+func TestAddBusyAllocatesNothing(t *testing.T) {
+	before := TimelineViolations()
+	allocs := testing.AllocsPerRun(3, func() {
+		var tl UnitTimeline
+		for i := 0; i < 100_000; i++ {
+			s := Cycle(i) * 3
+			tl.AddBusy(i%NumUnits, s, s+Cycle(i%7+1))
+		}
+		sink = tl.Sweep(300_000)
+	})
+	if allocs != 0 {
+		t.Fatalf("100k AddBusy calls allocated %v times per run, want 0", allocs)
+	}
+	if got := TimelineViolations() - before; got != 0 {
+		t.Fatalf("in-order stream counted %d violation(s)", got)
 	}
 }
 
@@ -122,32 +184,33 @@ func TestMemIdle(t *testing.T) {
 
 func TestSweepPropertyTotalAndBusy(t *testing.T) {
 	// Property: the breakdown always covers exactly `total` cycles, and
-	// per-unit busy counts from the breakdown match BusyCycles.
+	// each unit's busy count from the breakdown matches a cycle-by-cycle
+	// bitmap of its intervals.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
+		const total = 150
 		var tl UnitTimeline
-		for u := 0; u < NumUnits; u++ {
-			t := Cycle(0)
-			for i := 0; i < 20; i++ {
-				t += Cycle(r.Intn(10))
-				e := t + Cycle(r.Intn(15))
-				tl.AddBusy(u, t, e)
-				t = e
+		var busy [NumUnits][total]bool
+		for s := Cycle(0); s < total; s += Cycle(r.Intn(4)) {
+			u := r.Intn(NumUnits)
+			e := s + Cycle(r.Intn(15))
+			tl.AddBusy(u, s, e)
+			for c := s; c < e && c < total; c++ {
+				busy[u][c] = true
 			}
 		}
-		total := Cycle(150)
 		b := tl.Sweep(total)
 		if b.Total() != total {
 			return false
 		}
 		for u := 0; u < NumUnits; u++ {
-			var fromBreakdown Cycle
-			for s := 0; s < NumStates; s++ {
-				if s&(1<<u) != 0 {
-					fromBreakdown += b[s]
+			var want Cycle
+			for _, on := range busy[u] {
+				if on {
+					want++
 				}
 			}
-			if fromBreakdown != tl.BusyCycles(u, total) {
+			if unitBusy(b, u) != want {
 				return false
 			}
 		}
@@ -188,46 +251,5 @@ func TestSpeedup(t *testing.T) {
 	}
 	if Speedup(100, 0) != 0 {
 		t.Error("zero-cycle speedup should be 0")
-	}
-}
-
-// TestBackingPoolRoundTrip exercises the pooled timeline storage
-// in-package: acquire attaches reusable per-unit lists, release hands
-// them back (idempotently) and leaves the timeline empty, and a backed
-// timeline sweeps identically to a plain one.
-func TestBackingPoolRoundTrip(t *testing.T) {
-	var tl UnitTimeline
-	if tl.HasBacking() {
-		t.Fatal("fresh timeline claims pooled backing")
-	}
-	tl.ReleaseBacking() // no-op without backing
-
-	tl.AcquireBacking()
-	if !tl.HasBacking() {
-		t.Fatal("AcquireBacking did not attach backing")
-	}
-	tl.AddBusy(UnitLD, 0, 10)
-	tl.AddBusy(UnitFU1, 5, 15)
-	var plain UnitTimeline
-	plain.AddBusy(UnitLD, 0, 10)
-	plain.AddBusy(UnitFU1, 5, 15)
-	if got, want := tl.Sweep(20), plain.Sweep(20); got != want {
-		t.Fatalf("backed sweep %v != plain sweep %v", got, want)
-	}
-
-	tl.ReleaseBacking()
-	if tl.HasBacking() {
-		t.Fatal("ReleaseBacking left backing attached")
-	}
-	if got := tl.Sweep(20); got[0] != 20 {
-		t.Fatalf("released timeline not empty: %v", got)
-	}
-	tl.ReleaseBacking() // second release is a no-op
-
-	// Re-acquire: pooled or fresh, the timeline must come back empty.
-	tl.AcquireBacking()
-	defer tl.ReleaseBacking()
-	if got := tl.Sweep(20); got[0] != 20 {
-		t.Fatalf("re-acquired timeline not empty: %v", got)
 	}
 }
