@@ -402,13 +402,3 @@ func ByName(name string) (Spec, bool) {
 	}
 	return Spec{}, false
 }
-
-// PresetNames lists the preset names in Presets order.
-func PresetNames() []string {
-	ps := Presets()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	return names
-}

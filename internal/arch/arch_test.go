@@ -39,10 +39,10 @@ func TestConvexC3400MatchesISAConstants(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range PresetNames() {
-		s, ok := ByName(name)
-		if !ok || s.Name != name {
-			t.Errorf("ByName(%q) = %+v, %v", name, s.Name, ok)
+	for _, p := range Presets() {
+		s, ok := ByName(p.Name)
+		if !ok || s.Name != p.Name {
+			t.Errorf("ByName(%q) = %+v, %v", p.Name, s.Name, ok)
 		}
 	}
 	if _, ok := ByName("pdp-11"); ok {

@@ -197,11 +197,11 @@ type hwContext struct {
 	headValid bool
 	exhausted bool
 
-	// Within-cycle dispatch memo (see Machine.tryDispatch): the result
-	// of checking this context's head at probeCyc with machine booking
-	// sequence probeSeq. Valid only while both match — any booking
-	// anywhere invalidates it — so a memoized answer is exactly what
-	// recomputation would return.
+	// Within-cycle dispatch memo (see Machine.tryDispatch): the outcome
+	// of a walk of this context's head that booked nothing, at probeCyc
+	// with machine booking sequence probeSeq. Valid only while both
+	// match — any booking anywhere invalidates it — so a memoized answer
+	// is exactly what recomputation would return.
 	probeCyc  Cycle
 	probeSeq  uint64
 	probeOK   bool

@@ -182,7 +182,7 @@ type Machine struct {
 	unfair bool
 	dual   bool
 
-	// bookSeq increments on every resource booking (dispatch commit).
+	// bookSeq increments on every resource booking (completeDispatch).
 	// Together with the cycle number it keys the per-context dispatch
 	// memo: a probe result is reused only while nothing has been booked
 	// since, which makes the memo provably identical to recomputation.
@@ -531,9 +531,9 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 // the end, since exhaustion is permanent. Its arguments, results and
 // per-iteration checks are runLoop's.
 //
-// A lone thread is not scheduled. Each cycle makes one fused
-// commitDispatch attempt on its head: no switch policy, no dispatch memo,
-// no scan of the other contexts. This is exact for every policy that
+// A lone thread is not scheduled. Each cycle makes one booking
+// dispatch attempt on its head: no switch policy, no dispatch memo, no
+// scan of the other contexts. This is exact for every policy that
 // keeps the sched.Policy contract: Pick returns a thread with work, and
 // -1 only when none has one, so with one thread left it must return that
 // thread; no other thread can fill an extra issue slot or shorten the
@@ -575,7 +575,7 @@ func (m *Machine) runSole(ctx context.Context, stop Stop, paceTarget int64, next
 			break // the lone context drained: no work is left
 		}
 
-		if ok, hint := m.commitDispatch(c); ok {
+		if ok, hint := m.dispatch(c, true); ok {
 			if th != m.lastDisp {
 				if m.hasObs {
 					m.notifySwitch(m.lastDisp, th)
@@ -612,9 +612,12 @@ func (m *Machine) finish(stop Stop) (*stats.Report, error) {
 // simultaneous-issue study. It runs while two or more contexts have
 // work; runSole takes over once only one does.
 func (m *Machine) stepShared() {
-	var th int
+	var (
+		th     int
+		booked bool
+	)
 	if m.unfair {
-		th = m.pickUnfair()
+		th, booked = m.pickUnfair()
 	} else {
 		th = m.cfg.Policy.Pick(m, m.cur, m.curBlocked)
 	}
@@ -622,7 +625,11 @@ func (m *Machine) stepShared() {
 		return
 	}
 	c := &m.ctxs[th]
-	if ok, hint := m.tryDispatch(c, true); ok {
+	ok, hint := booked, Cycle(0)
+	if !booked {
+		ok, hint = m.tryDispatch(c, true)
+	}
+	if ok {
 		if th != m.lastDisp {
 			if m.hasObs {
 				m.notifySwitch(m.lastDisp, th)
@@ -638,23 +645,22 @@ func (m *Machine) stepShared() {
 		return
 	}
 	// Extra issue slots from other threads (extension; IssueWidth=1 on
-	// the paper's machine).
+	// the paper's machine): each goes to the lowest-numbered other
+	// thread whose head dispatches.
 	for w := 1; w < m.cfg.IssueWidth; w++ {
-		picked := -1
+		picked := false
 		for t := 0; t < len(m.ctxs); t++ {
 			if t == th || !m.ctxs[t].refill(m) {
 				continue
 			}
-			if ok, _ := m.tryDispatch(&m.ctxs[t], false); ok {
-				picked = t
+			if ok, _ := m.tryDispatch(&m.ctxs[t], true); ok {
+				m.completeDispatch(&m.ctxs[t])
+				picked = true
 				break
 			}
 		}
-		if picked < 0 {
+		if !picked {
 			break
-		}
-		if ok, _ := m.tryDispatch(&m.ctxs[picked], true); ok {
-			m.completeDispatch(&m.ctxs[picked])
 		}
 	}
 }
@@ -663,14 +669,18 @@ func (m *Machine) stepShared() {
 // policy: it makes exactly the picks sched.Unfair.Pick makes (run the
 // current thread until it blocks, then switch to the lowest-numbered
 // thread known not to be blocked) without the MachineView indirection.
-// It serves only cycles where two or more contexts have work (runSole
-// runs a lone context) and still pays there: calling
-// sched.Unfair.Pick instead made engine/4threads 1.11x slower (median of
-// 8 alternating 2 s samples, slower in 7; 2-vCPU Xeon, Go 1.24).
-func (m *Machine) pickUnfair() int {
+// Where Unfair probes each thread and the caller then books its pick,
+// the scan here books the first thread that passes in the same walk
+// (booked=true); a failed booking attempt books nothing and is memoized
+// like a probe, so the picks are unchanged. It serves only cycles where
+// two or more contexts have work (runSole runs a lone context) and still
+// pays there: calling sched.Unfair.Pick instead made engine/4threads
+// 1.11x slower (median of 8 alternating 2 s samples, slower in 7; 2-vCPU
+// Xeon, Go 1.24).
+func (m *Machine) pickUnfair() (th int, booked bool) {
 	if cur := m.cur; cur >= 0 && !m.curBlocked {
 		if c := &m.ctxs[cur]; c.headValid || c.refill(m) {
-			return cur
+			return cur, false
 		}
 	}
 	first := -1
@@ -682,11 +692,11 @@ func (m *Machine) pickUnfair() int {
 		if first < 0 {
 			first = t
 		}
-		if ok, _ := m.tryDispatch(c, false); ok {
-			return t
+		if ok, _ := m.tryDispatch(c, true); ok {
+			return t, true
 		}
 	}
-	return first // everyone blocked (or no work): attempt the lowest
+	return first, false // everyone blocked (or no work): attempt the lowest
 }
 
 // stepDualScalar is the Fujitsu VP2000 mode: each context has its own

@@ -9,107 +9,54 @@ import (
 )
 
 // tryDispatch attempts to dispatch context c's head instruction at m.now.
-// With commit=false it only probes (the switch logic's "known not to be
-// blocked" test and the skip-ahead estimator use this). On failure it
-// returns a sound lower bound on the cycle the dispatch could first
-// succeed, used to fast-forward when every thread is blocked.
+// With book=false it only probes (the switch logic's "known not to be
+// blocked" test and the skip-ahead estimator use this); with book=true it
+// books the dispatch when every constraint passes. On failure it returns
+// a sound lower bound on the cycle the dispatch could first succeed, used
+// to fast-forward when every thread is blocked.
 //
-// Results are memoized per context for the current (cycle, bookSeq)
-// pair: within one cycle the machine probes the same head several times —
-// the policy's switch scan, the committed attempt, the skip-ahead
-// estimator — against unchanged state, so the memo answer is exactly what
-// recomputation would return. Any booking anywhere bumps bookSeq and
-// invalidates every memo, so a stale answer is never reused.
-//
-// The three execution paths cover the three dispatch situations:
-//   - probe (commit=false): run the checks once, memoize the outcome;
-//   - commit after a successful same-cycle probe (memo hit): book via
-//     apply without re-running the checks;
-//   - commit with no prior probe (the steady run-until-block state):
-//     fused single-pass check+book, walking the constraints once.
-func (m *Machine) tryDispatch(c *hwContext, commit bool) (bool, Cycle) {
-	if c.probeCyc == m.now && c.probeSeq == m.bookSeq {
-		if !c.probeOK {
-			return false, c.probeHint
-		}
-		if commit {
-			m.applyDispatch(c)
-		}
-		return true, 0
+// Every outcome that booked nothing — a probe, or a failed booking
+// attempt — is memoized per context for the current (cycle, bookSeq)
+// pair: within one cycle the machine may ask about the same head several
+// times (a policy's Dispatchable scan, the booking attempt, the
+// skip-ahead estimator) against unchanged state, so the memo answer is
+// exactly what recomputation would return. Any booking anywhere bumps
+// bookSeq and invalidates every memo, so a stale answer is never reused.
+// A booking attempt after a passing probe walks the constraints again;
+// the engine's own scans (pickUnfair, the extra issue slots) book the
+// first thread that passes instead of probing it first, so only a
+// policy reached through Policy.Pick causes that second walk. On the
+// ten-program queue at 4 contexts it adds 13% more walks under
+// round-robin, 10% under LRU and 29% under every-cycle, and none under
+// the default unfair policy; an apply form that skipped it would be a
+// second copy of every walker.
+func (m *Machine) tryDispatch(c *hwContext, book bool) (bool, Cycle) {
+	if c.probeCyc == m.now && c.probeSeq == m.bookSeq && !(book && c.probeOK) {
+		return c.probeOK, c.probeHint
 	}
-	if commit {
-		ok, hint := m.commitDispatch(c)
-		if !ok {
-			// A failed commit attempt books nothing, so the outcome is
-			// memoizable exactly like a probe.
-			c.probeCyc, c.probeSeq = m.now, m.bookSeq
-			c.probeOK, c.probeHint = false, hint
-		}
-		return ok, hint
+	ok, hint := m.dispatch(c, book)
+	if !ok || !book {
+		c.probeCyc, c.probeSeq = m.now, m.bookSeq
+		c.probeOK, c.probeHint = ok, hint
 	}
-	ok, hint := m.checkDispatch(c)
-	c.probeCyc, c.probeSeq = m.now, m.bookSeq
-	c.probeOK, c.probeHint = ok, hint
 	return ok, hint
 }
 
-// commitDispatch is the fused single-pass dispatch: identical checks in
-// identical order to checkDispatch, booking resources on success.
-func (m *Machine) commitDispatch(c *hwContext) (bool, Cycle) {
+// dispatch walks the dispatch constraints of c's head once, in the order
+// the paper's decode unit checks them, and returns the first failing
+// constraint's clear cycle. With book it books the dispatch's resources
+// on success, using the values the walk already computed; without, it
+// returns before booking anything.
+func (m *Machine) dispatch(c *hwContext, book bool) (bool, Cycle) {
 	switch c.head.Kind {
-	case isa.KindScalar, isa.KindBranch, isa.KindVLVS:
-		if ok, hint := m.checkScalar(c); !ok {
-			return false, hint
-		}
-		m.applyScalar(c)
-	case isa.KindScalarMem:
-		if ok, hint := m.checkScalarMem(c); !ok {
-			return false, hint
-		}
-		m.applyScalarMem(c)
+	case isa.KindScalar, isa.KindBranch, isa.KindVLVS, isa.KindScalarMem:
+		return m.scalar(c, book)
 	case isa.KindVector:
-		return m.commitVectorArith(c)
+		return m.vectorArith(c, book)
 	case isa.KindVectorMem:
-		return m.commitVectorMem(c)
-	default:
-		return false, m.now + 1
-	}
-	return true, 0
-}
-
-// checkDispatch verifies every dispatch constraint of c's head without
-// booking anything. Constraints are evaluated in the same order the
-// original single-pass dispatcher used, so the failure hint (first
-// failing constraint's clear cycle) is bit-identical.
-func (m *Machine) checkDispatch(c *hwContext) (bool, Cycle) {
-	switch c.head.Kind {
-	case isa.KindScalar, isa.KindBranch, isa.KindVLVS:
-		return m.checkScalar(c)
-	case isa.KindScalarMem:
-		return m.checkScalarMem(c)
-	case isa.KindVector:
-		return m.checkVectorArith(c)
-	case isa.KindVectorMem:
-		return m.checkVectorMem(c)
+		return m.vectorMem(c, book)
 	}
 	return false, m.now + 1
-}
-
-// applyDispatch books the resources of a dispatch whose checks passed
-// this cycle. State is unchanged since the check (guarded by bookSeq), so
-// the cheap schedule arithmetic recomputed here reproduces the check's
-// values exactly; only the expensive constraint scans are skipped.
-func (m *Machine) applyDispatch(c *hwContext) {
-	switch c.head.Kind {
-	case isa.KindScalar, isa.KindBranch, isa.KindVLVS:
-		m.applyScalar(c)
-	case isa.KindScalarMem:
-		m.applyScalarMem(c)
-	case isa.KindVector:
-		m.applyVectorArith(c)
-	case isa.KindVectorMem:
-		m.applyVectorMem(c)
-	}
 }
 
 // scalarReady checks an A/S operand's scoreboard entry. The flat
@@ -132,29 +79,10 @@ func (c *hwContext) setScalarReady(o isa.Operand, at Cycle) {
 	}
 }
 
-func (m *Machine) checkScalar(c *hwContext) (bool, Cycle) {
-	d := c.head
-	now := m.now
-	if ok, r := c.scalarReady(d.Src1, now); !ok {
-		return false, r
-	}
-	if ok, r := c.scalarReady(d.Src2, now); !ok {
-		return false, r
-	}
-	if ok, r := c.scalarReady(d.Dst, now); !ok { // WAW on a pending result
-		return false, r
-	}
-	return true, 0
-}
-
-func (m *Machine) applyScalar(c *hwContext) {
-	d := c.head
-	if d.Dst.IsReg() {
-		c.setScalarReady(d.Dst, m.now+m.scalarLat[d.Op])
-	}
-}
-
-func (m *Machine) checkScalarMem(c *hwContext) (bool, Cycle) {
+// scalar walks a scalar, branch, VL/VS or scalar memory instruction's
+// constraints: its two sources and its destination (WAW on a pending
+// result) on the scoreboard, then, for a memory access, the port.
+func (m *Machine) scalar(c *hwContext, book bool) (bool, Cycle) {
 	d := c.head
 	now := m.now
 	if ok, r := c.scalarReady(d.Src1, now); !ok {
@@ -166,19 +94,22 @@ func (m *Machine) checkScalarMem(c *hwContext) (bool, Cycle) {
 	if ok, r := c.scalarReady(d.Dst, now); !ok {
 		return false, r
 	}
-	if pf := m.mem.PortFreeAt(c.head.Load); pf > now {
+	if d.Kind != isa.KindScalarMem {
+		if book && d.Dst.IsReg() {
+			c.setScalarReady(d.Dst, now+m.scalarLat[d.Op])
+		}
+		return true, 0
+	}
+	if pf := m.mem.PortFreeAt(d.Load); pf > now {
 		return false, pf
 	}
-	return true, 0
-}
-
-func (m *Machine) applyScalarMem(c *hwContext) {
-	d := c.head
-	load := c.head.Load
-	_, data := m.mem.ScheduleScalar(m.now, load)
-	if load && d.Dst.IsReg() {
-		c.setScalarReady(d.Dst, data)
+	if book {
+		_, data := m.mem.ScheduleScalar(now, d.Load)
+		if d.Load && d.Dst.IsReg() {
+			c.setScalarReady(d.Dst, data)
+		}
 	}
+	return true, 0
 }
 
 // chainReady reports whether vector register r can start being read at
@@ -362,12 +293,20 @@ func (m *Machine) fuUnit(i int) int {
 	return stats.UnitFU2
 }
 
-func (m *Machine) checkVectorArith(c *hwContext) (bool, Cycle) {
+// vectorArith walks a vector arithmetic op's constraints: a functional
+// unit, the scalar operand, chaining on the vector sources, the
+// destination, then the bank read and write ports. It is the fused form
+// of the walk: booking reuses the values in hand rather than recomputing
+// them. Splitting it into a check and a separate apply made
+// engine/solo-policies 1.06x slower (median of 20 alternating 2 s
+// samples, slower in 14; 2-vCPU Xeon, Go 1.24).
+func (m *Machine) vectorArith(c *hwContext, book bool) (bool, Cycle) {
 	d := c.head
 	now := m.now
 	vl := Cycle(d.VL)
 
-	if fu, _, retry := m.pickVectorFU(c); fu == nil {
+	fu, unit, retry := m.pickVectorFU(c)
+	if fu == nil {
 		return false, retry
 	}
 
@@ -379,7 +318,7 @@ func (m *Machine) checkVectorArith(c *hwContext) (bool, Cycle) {
 	}
 
 	// Vector sources: chaining constraints.
-	srcs := c.head.VSrcs[:c.head.NVSrc]
+	srcs := d.VSrcs[:d.NVSrc]
 	for _, r := range srcs {
 		if ok, retry := chainReady(&c.vregs[r], now); !ok {
 			return false, retry
@@ -389,12 +328,14 @@ func (m *Machine) checkVectorArith(c *hwContext) (bool, Cycle) {
 
 	// Destination.
 	redDest := d.Dst.Class == isa.ClassS // reduction writes an S register
+	var dv *vregState
 	if redDest {
 		if ok, r := c.scalarReady(d.Dst, now); !ok {
 			return false, r
 		}
 	} else {
-		if ok, retry := destFree(&c.vregs[d.Dst.Reg], now); !ok {
+		dv = &c.vregs[d.Dst.Reg]
+		if ok, retry := destFree(dv, now); !ok {
 			return false, retry
 		}
 	}
@@ -413,64 +354,8 @@ func (m *Machine) checkVectorArith(c *hwContext) (bool, Cycle) {
 			return false, retry
 		}
 	}
-	return true, 0
-}
-
-// commitVectorArith is the fused form of checkVectorArith followed by
-// applyVectorArith: one constraint walk, booking on success with the
-// values already in hand. Every dispatch of a lone thread comes through
-// here or commitVectorMem. Replacing both with check-then-apply made
-// engine/solo-policies 1.06x slower (median of 20 alternating 2 s
-// samples, slower in 14; 2-vCPU Xeon, Go 1.24).
-func (m *Machine) commitVectorArith(c *hwContext) (bool, Cycle) {
-	d := c.head
-	now := m.now
-	vl := Cycle(d.VL)
-
-	fu, unit, retry := m.pickVectorFU(c)
-	if fu == nil {
-		return false, retry
-	}
-
-	if d.Src2.Class == isa.ClassS {
-		if ok, r := c.scalarReady(d.Src2, now); !ok {
-			return false, r
-		}
-	}
-
-	srcs := c.head.VSrcs[:c.head.NVSrc]
-	for _, r := range srcs {
-		if ok, retry := chainReady(&c.vregs[r], now); !ok {
-			return false, retry
-		}
-	}
-	s := now
-
-	redDest := d.Dst.Class == isa.ClassS
-	var dv *vregState
-	if redDest {
-		if ok, r := c.scalarReady(d.Dst, now); !ok {
-			return false, r
-		}
-	} else {
-		dv = &c.vregs[d.Dst.Reg]
-		if ok, retry := destFree(dv, now); !ok {
-			return false, retry
-		}
-	}
-
-	readEnd := s + vl
-	fw := s + m.vecDepth[d.Op]
-	lw := fw + vl - 1
-
-	if ok, retry := m.checkBankReads(c, srcs, s, readEnd); !ok {
-		return false, retry
-	}
-	if !redDest {
-		ok, retry := c.banks[m.bankOf[d.Dst.Reg]].writePortFree(fw, lw+1, m.bankWP)
-		if !ok {
-			return false, retry
-		}
+	if !book {
+		return true, 0
 	}
 
 	fu.freeAt = s + vl
@@ -489,116 +374,19 @@ func (m *Machine) commitVectorArith(c *hwContext) (bool, Cycle) {
 	return true, 0
 }
 
-// commitVectorMem is the fused form of checkVectorMem followed by
-// applyVectorMem; see commitVectorArith for what the fusion measures.
-func (m *Machine) commitVectorMem(c *hwContext) (bool, Cycle) {
+// vectorMem walks a vector memory op's constraints: the load/store unit
+// and the memory port, the base-address register, chaining on the vector
+// sources, the load destination, then the bank read and write ports over
+// the window the memory system would grant. Fused like vectorArith.
+func (m *Machine) vectorMem(c *hwContext, book bool) (bool, Cycle) {
 	d := c.head
-	info := c.head
 	now := m.now
 	vl := int(d.VL)
 
 	if m.ld.freeAt > now {
 		return false, m.ld.freeAt
 	}
-	if pf := m.mem.PortFreeAt(info.Load); pf > now {
-		return false, pf
-	}
-
-	for _, o := range [...]isa.Operand{d.Src1, d.Src2} {
-		if o.Class == isa.ClassA {
-			if ok, r := c.scalarReady(o, now); !ok {
-				return false, r
-			}
-		}
-	}
-
-	srcs := c.head.VSrcs[:c.head.NVSrc]
-	for _, r := range srcs {
-		if ok, retry := chainReady(&c.vregs[r], now); !ok {
-			return false, retry
-		}
-	}
-	s := now
-
-	var dv *vregState
-	if info.Load {
-		dv = &c.vregs[d.Dst.Reg]
-		if ok, retry := destFree(dv, now); !ok {
-			return false, retry
-		}
-	}
-
-	start, firstData, busyFor := m.mem.ProbeVector(s, vl, d.Stride, info.Load)
-	readEnd := start + busyFor
-	var fw, lw Cycle
-	if info.Load {
-		fw = firstData + Cycle(m.lat.VectorStartup+m.lat.WriteXbar)
-		lw = fw + busyFor - 1
-	}
-
-	if ok, retry := m.checkBankReads(c, srcs, start, readEnd); !ok {
-		return false, retry
-	}
-	if info.Load {
-		ok, retry := c.banks[m.bankOf[d.Dst.Reg]].writePortFree(fw, lw+1, m.bankWP)
-		if !ok {
-			return false, retry
-		}
-	}
-
-	m.mem.ScheduleVector(s, vl, d.Stride, info.Load)
-	m.ld.freeAt = start + busyFor
-	m.tl.AddBusy(stats.UnitLD, start, start+busyFor)
-	m.commitReads(c, srcs, start, readEnd, now)
-	if info.Load {
-		dv.wFirst, dv.wLast, dv.chainable = fw, lw, false
-		bank := &c.banks[m.bankOf[d.Dst.Reg]]
-		bank.prune(now)
-		bank.writes = append(bank.writes, portWindow{fw, lw + 1})
-	}
-	m.vectorOps += int64(vl)
-	return true, 0
-}
-
-func (m *Machine) applyVectorArith(c *hwContext) {
-	d := c.head
-	now := m.now
-	vl := Cycle(d.VL)
-	fu, unit, _ := m.pickVectorFU(c)
-
-	s := now
-	readEnd := s + vl
-	fw := s + m.vecDepth[d.Op]
-	lw := fw + vl - 1
-	redDest := d.Dst.Class == isa.ClassS
-	srcs := c.head.VSrcs[:c.head.NVSrc]
-
-	fu.freeAt = s + vl
-	m.tl.AddBusy(unit, s, s+vl)
-	m.commitReads(c, srcs, s, readEnd, now)
-	if redDest {
-		c.setScalarReady(d.Dst, lw+1)
-	} else {
-		dv := &c.vregs[d.Dst.Reg]
-		dv.wFirst, dv.wLast, dv.chainable = fw, lw, true
-		bank := &c.banks[m.bankOf[d.Dst.Reg]]
-		bank.prune(now)
-		bank.writes = append(bank.writes, portWindow{fw, lw + 1})
-	}
-	m.vectorArithOps += int64(vl)
-	m.vectorOps += int64(vl)
-}
-
-func (m *Machine) checkVectorMem(c *hwContext) (bool, Cycle) {
-	d := c.head
-	info := c.head
-	now := m.now
-	vl := int(d.VL)
-
-	if m.ld.freeAt > now {
-		return false, m.ld.freeAt
-	}
-	if pf := m.mem.PortFreeAt(info.Load); pf > now {
+	if pf := m.mem.PortFreeAt(d.Load); pf > now {
 		return false, pf
 	}
 
@@ -612,7 +400,7 @@ func (m *Machine) checkVectorMem(c *hwContext) (bool, Cycle) {
 	}
 
 	// Vector sources: store data and gather/scatter index registers.
-	srcs := c.head.VSrcs[:c.head.NVSrc]
+	srcs := d.VSrcs[:d.NVSrc]
 	for _, r := range srcs {
 		if ok, retry := chainReady(&c.vregs[r], now); !ok {
 			return false, retry
@@ -620,16 +408,18 @@ func (m *Machine) checkVectorMem(c *hwContext) (bool, Cycle) {
 	}
 	s := now
 
-	if info.Load {
-		if ok, retry := destFree(&c.vregs[d.Dst.Reg], now); !ok {
+	var dv *vregState
+	if d.Load {
+		dv = &c.vregs[d.Dst.Reg]
+		if ok, retry := destFree(dv, now); !ok {
 			return false, retry
 		}
 	}
 
-	start, firstData, busyFor := m.mem.ProbeVector(s, vl, d.Stride, info.Load)
+	start, firstData, busyFor := m.mem.ProbeVector(s, vl, d.Stride, d.Load)
 	readEnd := start + busyFor
 	var fw, lw Cycle
-	if info.Load {
+	if d.Load {
 		fw = firstData + Cycle(m.lat.VectorStartup+m.lat.WriteXbar)
 		lw = fw + busyFor - 1
 	}
@@ -637,35 +427,26 @@ func (m *Machine) checkVectorMem(c *hwContext) (bool, Cycle) {
 	if ok, retry := m.checkBankReads(c, srcs, start, readEnd); !ok {
 		return false, retry
 	}
-	if info.Load {
+	if d.Load {
 		ok, retry := c.banks[m.bankOf[d.Dst.Reg]].writePortFree(fw, lw+1, m.bankWP)
 		if !ok {
 			return false, retry
 		}
 	}
-	return true, 0
-}
+	if !book {
+		return true, 0
+	}
 
-func (m *Machine) applyVectorMem(c *hwContext) {
-	d := c.head
-	info := c.head
-	now := m.now
-	vl := int(d.VL)
-	srcs := c.head.VSrcs[:c.head.NVSrc]
-
-	start, firstData, busyFor := m.mem.ScheduleVector(now, vl, d.Stride, info.Load)
-	readEnd := start + busyFor
+	m.mem.ScheduleVector(s, vl, d.Stride, d.Load)
 	m.ld.freeAt = start + busyFor
 	m.tl.AddBusy(stats.UnitLD, start, start+busyFor)
 	m.commitReads(c, srcs, start, readEnd, now)
-	if info.Load {
-		fw := firstData + Cycle(m.lat.VectorStartup+m.lat.WriteXbar)
-		lw := fw + busyFor - 1
-		dv := &c.vregs[d.Dst.Reg]
+	if d.Load {
 		dv.wFirst, dv.wLast, dv.chainable = fw, lw, false
 		bank := &c.banks[m.bankOf[d.Dst.Reg]]
 		bank.prune(now)
 		bank.writes = append(bank.writes, portWindow{fw, lw + 1})
 	}
 	m.vectorOps += int64(vl)
+	return true, 0
 }

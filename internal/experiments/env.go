@@ -286,21 +286,30 @@ func (e *Env) suiteFor(rf arch.RegFile) ([]*workload.Workload, error) {
 		return e.suite()
 	}
 	return e.archSuites.DoContext(e.runCtx(), key, func() ([]*workload.Workload, error) {
-		specs := workload.QueueOrder()
-		out := make([]*workload.Workload, len(specs))
-		pool := runner.New(4 * e.Jobs())
-		err := pool.Map(len(specs), func(i int) (err error) {
-			if err := e.runCtx().Err(); err != nil {
-				return err
-			}
-			e.ses.Do(func() { out[i], err = specs[i].BuildOpts(e.Scale, vcomp.Options{RegFile: key}) })
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+		return e.buildSuite(workload.QueueOrder(), vcomp.Options{RegFile: key})
 	})
+}
+
+// buildSuite builds specs in parallel, compiled with opts. The pool only
+// orchestrates: each build admits through the session's gate. The zero
+// options build through W, sharing its memoized workloads.
+func (e *Env) buildSuite(specs []*workload.Spec, opts vcomp.Options) ([]*workload.Workload, error) {
+	out := make([]*workload.Workload, len(specs))
+	err := runner.New(4*e.Jobs()).Map(len(specs), func(i int) (err error) {
+		if err := e.runCtx().Err(); err != nil {
+			return err
+		}
+		if opts == (vcomp.Options{}) {
+			out[i], err = e.W(specs[i].Short)
+		} else {
+			e.ses.Do(func() { out[i], err = specs[i].BuildOpts(e.Scale, opts) })
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // BenchSuite builds (once) the real vectorizable benchmark suite
@@ -315,24 +324,7 @@ func (e *Env) BenchSuite(rf arch.RegFile) ([]*workload.Workload, error) {
 		key = rf.BuildKey()
 	}
 	return e.benchArch.DoContext(e.runCtx(), key, func() ([]*workload.Workload, error) {
-		specs := workload.BenchOrder()
-		out := make([]*workload.Workload, len(specs))
-		pool := runner.New(4 * e.Jobs())
-		err := pool.Map(len(specs), func(i int) (err error) {
-			if err := e.runCtx().Err(); err != nil {
-				return err
-			}
-			if key.IsZero() {
-				out[i], err = e.W(specs[i].Short) // admits through the gate itself
-			} else {
-				e.ses.Do(func() { out[i], err = specs[i].BuildOpts(e.Scale, vcomp.Options{RegFile: key}) })
-			}
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+		return e.buildSuite(workload.BenchOrder(), vcomp.Options{RegFile: key})
 	})
 }
 
@@ -355,20 +347,7 @@ func (e *Env) BenchQueueRun(s QueueSpec) (*stats.Report, error) {
 // load hoisting disabled — the ext-compiler counterfactual.
 func (e *Env) NaiveSuite() ([]*workload.Workload, error) {
 	return e.naive.DoContext(e.runCtx(), struct{}{}, func() ([]*workload.Workload, error) {
-		specs := workload.QueueOrder()
-		out := make([]*workload.Workload, len(specs))
-		pool := runner.New(4 * e.Jobs())
-		err := pool.Map(len(specs), func(i int) (err error) {
-			if err := e.runCtx().Err(); err != nil {
-				return err
-			}
-			e.ses.Do(func() { out[i], err = specs[i].BuildOpts(e.Scale, vcomp.Options{NoHoist: true}) })
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+		return e.buildSuite(workload.QueueOrder(), vcomp.Options{NoHoist: true})
 	})
 }
 

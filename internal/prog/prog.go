@@ -74,16 +74,6 @@ func (p *Program) PCBase(bi int) uint32 {
 	return p.pcBase[bi]
 }
 
-// BlockIndex returns the index of the block with the given label, or -1.
-func (p *Program) BlockIndex(label string) int {
-	for i, b := range p.Blocks {
-		if b.Label == label {
-			return i
-		}
-	}
-	return -1
-}
-
 // TraceSource supplies the four dynamic streams during expansion. A source
 // either synthesizes values (workloads) or replays a trace file.
 //

@@ -61,9 +61,6 @@ func TestNumInstsAndPCBase(t *testing.T) {
 	if p.PCBase(0) != 0 || p.PCBase(1) != 2 {
 		t.Fatalf("PCBase = %d,%d want 0,2", p.PCBase(0), p.PCBase(1))
 	}
-	if p.BlockIndex("body") != 1 || p.BlockIndex("nope") != -1 {
-		t.Fatal("BlockIndex lookup broken")
-	}
 }
 
 func TestStreamExpansion(t *testing.T) {

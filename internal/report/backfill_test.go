@@ -34,14 +34,13 @@ func writeCount(render func(w *failAfter) error) int {
 	return 1<<20 - probe.n
 }
 
-// TestRenderersPropagateWriteErrors drives Render, Markdown and CSV into
+// TestRenderersPropagateWriteErrors drives Render and Markdown into
 // a writer failing at every possible position: each must surface the
 // writer's error rather than swallow it.
 func TestRenderersPropagateWriteErrors(t *testing.T) {
 	renderers := map[string]func(*failAfter) error{
 		"render":   func(w *failAfter) error { return sample().Render(w) },
 		"markdown": func(w *failAfter) error { return sample().Markdown(w) },
-		"csv":      func(w *failAfter) error { return sample().CSV(w) },
 	}
 	for name, render := range renderers {
 		writes := writeCount(render)

@@ -130,28 +130,6 @@ func (t *Table) Markdown(w io.Writer) error {
 	return nil
 }
 
-// CSV writes the table as comma-separated values (cells containing commas
-// or quotes are quoted).
-func (t *Table) CSV(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	rows := append([][]string{t.Columns}, t.Rows...)
-	for _, row := range rows {
-		cells := make([]string, len(row))
-		for i, c := range row {
-			cells[i] = esc(c)
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Series is one line of a chart.
 type Series struct {
 	Name string

@@ -56,19 +56,6 @@ func TestMarkdown(t *testing.T) {
 	}
 }
 
-func TestCSVEscaping(t *testing.T) {
-	tab := NewTable("", "a", "b")
-	tab.AddRow(`x,y`, `he said "hi"`)
-	var buf bytes.Buffer
-	if err := tab.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n\"x,y\",\"he said \"\"hi\"\"\"\n"
-	if buf.String() != want {
-		t.Fatalf("csv = %q, want %q", buf.String(), want)
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if F(1.23456, 2) != "1.23" {
 		t.Error("F broken")

@@ -50,14 +50,6 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// Forget removes key's entry, so the next Do for it recomputes.
-// Goroutines already waiting on the entry still receive its result.
-func (c *Cache[K, V]) Forget(key K) {
-	c.mu.Lock()
-	delete(c.entries, key)
-	c.mu.Unlock()
-}
-
 // forgetEntry removes key only if it still maps to e, so a retry never
 // evicts a newer (good or in-flight) entry another caller installed.
 func (c *Cache[K, V]) forgetEntry(key K, e *cacheEntry[V]) {

@@ -187,26 +187,6 @@ func TestGateBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestCacheForget(t *testing.T) {
-	var c Cache[string, int]
-	calls := 0
-	compute := func() (int, error) { calls++; return calls, nil }
-	if v, _ := c.Do("k", compute); v != 1 {
-		t.Fatalf("first Do = %d", v)
-	}
-	if v, _ := c.Do("k", compute); v != 1 {
-		t.Fatalf("cached Do = %d, want memoized 1", v)
-	}
-	c.Forget("k")
-	if v, _ := c.Do("k", compute); v != 2 {
-		t.Fatalf("post-Forget Do = %d, want recompute 2", v)
-	}
-	if n := c.Len(); n != 1 {
-		t.Fatalf("Len = %d", n)
-	}
-	c.Forget("absent") // forgetting a missing key is a no-op
-}
-
 // TestDoContextCancelledLeaderWaiterRetries: a waiter that observes the
 // singleflight leader's cancellation recomputes under its own live
 // context, and the poisoned entry is never memoized.

@@ -170,20 +170,6 @@ func serialLoop() *kernel.ScalarLoop {
 	return &kernel.ScalarLoop{Name: "serial", Loads: 2, Stores: 1, IntOps: 2, FPOps: 1}
 }
 
-// BuildAll builds every benchmark at the given scale, in Table 3 order.
-func BuildAll(scale float64) ([]*Workload, error) {
-	specs := Specs()
-	out := make([]*Workload, 0, len(specs))
-	for _, s := range specs {
-		w, err := s.Build(scale)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
-	}
-	return out, nil
-}
-
 // ByShort returns the registered spec with the given short tag — from
 // the Table 3 catalog or the bench suite — or nil.
 func ByShort(short string) *Spec {

@@ -73,9 +73,13 @@ func TestCalibrationMatchesTable3(t *testing.T) {
 func TestVectorizationOrderingPreserved(t *testing.T) {
 	// Table 3 orders the programs by decreasing vectorization; the
 	// reconstructions must preserve that ordering property.
-	ws, err := BuildAll(testScale)
-	if err != nil {
-		t.Fatal(err)
+	var ws []*Workload
+	for _, s := range Specs() {
+		w, err := s.Build(testScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
 	}
 	for i := 1; i < len(ws); i++ {
 		prev, cur := ws[i-1].Stats.PctVectorized(), ws[i].Stats.PctVectorized()
