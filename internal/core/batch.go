@@ -1,34 +1,22 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"mtvec/internal/stats"
 )
 
-// batchWindow is how many dynamic instructions one lane dispatches
-// before the batch moves on to the next lane.
-const batchWindow = 2048
-
-// Batch advances N independently configured machines ("lanes") in
-// turn, one window of dispatched instructions per lane per round, over
-// their instruction streams. Lanes share no mutable state — each is a
-// complete Machine built by New — so every lane's Report is
-// byte-identical to the same configuration run solo, by construction:
-// a lane pauses only between cycles and resumes from exactly the state
-// it paused in.
+// Batch runs N independently configured machines ("lanes") one after
+// another, each from its first cycle to its last. Lanes share no mutable
+// state — each is a complete Machine built by New — so every lane's
+// Report is the same configuration's Report run on its own.
 //
-// The session layer runs every point on its own Machine; Batch remains
-// as the differential check that pausing and resuming a run is
-// invisible in its results.
-//
-// A Batch is single-use, like the machines it owns: build it, attach
-// each lane's threads through Machine(i), run once, read the per-lane
-// results. Batches are not safe for concurrent use.
+// Deprecated: a Batch is eight plain runs in a loop and nothing in the
+// engine uses it. It stays only because repobench's core.batch8_gain
+// micro-case calls NewBatch, Machine and Run; ROADMAP item 2's benchmark
+// PR schedules its removal.
 type Batch struct {
 	lanes []*Machine
-	ran   bool
 }
 
 // NewBatch builds one machine per config. Any invalid config fails the
@@ -49,57 +37,26 @@ func NewBatch(cfgs []Config) (*Batch, error) {
 }
 
 // Machine returns lane i's machine for thread attachment (SetThread,
-// SetThreadStream). Do not call its Run methods — the batch drives it.
+// SetThreadStream). Do not call its Run methods — the batch runs it.
 func (b *Batch) Machine(i int) *Machine { return b.lanes[i] }
 
-// Run advances all lanes to completion and returns the per-lane reports
+// Run runs every lane to completion and returns the per-lane reports
 // and errors (one entry per lane; exactly one of reps[i], errs[i] is
-// non-nil). stops[i] is lane i's stop rule.
+// non-nil). stops[i] is lane i's stop rule. Like its machines, a Batch
+// runs once: a second Run fails every lane.
 func (b *Batch) Run(stops []Stop) ([]*stats.Report, []error) {
 	n := len(b.lanes)
 	reps := make([]*stats.Report, n)
 	errs := make([]error, n)
-	fail := func(err error) ([]*stats.Report, []error) {
+	if len(stops) != n {
+		err := fmt.Errorf("core: batch has %d lanes, got %d stops", n, len(stops))
 		for i := range errs {
 			errs[i] = err
 		}
 		return reps, errs
 	}
-	if len(stops) != n {
-		return fail(fmt.Errorf("core: batch has %d lanes, got %d stops", n, len(stops)))
-	}
-	if b.ran {
-		return fail(fmt.Errorf("core: batch already ran; build a new one"))
-	}
-	b.ran = true
-
-	active := make([]bool, n)
-	live := 0
-	for i, m := range b.lanes {
-		if err := m.begin(); err != nil {
-			errs[i] = err
-			continue
-		}
-		active[i] = true
-		live++
-	}
-	for target := int64(batchWindow); live > 0; target += batchWindow {
-		for i, m := range b.lanes {
-			if !active[i] {
-				continue
-			}
-			finished, err := m.runLoop(context.Background(), stops[i], target)
-			if err != nil {
-				errs[i], active[i] = err, false
-				live--
-				continue
-			}
-			if finished {
-				reps[i], errs[i] = m.finish(stops[i])
-				active[i] = false
-				live--
-			}
-		}
+	for i, lane := range b.lanes {
+		reps[i], errs[i] = lane.Run(stops[i])
 	}
 	return reps, errs
 }

@@ -211,8 +211,7 @@ type Machine struct {
 	progressStride Cycle
 	nextProgress   Cycle
 
-	ran    bool
-	primed bool
+	ran bool
 }
 
 // New builds a machine from cfg.
@@ -416,43 +415,33 @@ const cancelCheckStride Cycle = 1 << 12
 // a run that reached its stop condition — and an uncancelled RunContext
 // is byte-identical to Run.
 func (m *Machine) RunContext(ctx context.Context, stop Stop) (*stats.Report, error) {
-	if err := m.begin(); err != nil {
-		return nil, err
-	}
-	if _, err := m.runLoop(ctx, stop, 0); err != nil {
-		return nil, err
-	}
-	return m.finish(stop)
-}
-
-// begin marks the single-use machine as consumed.
-func (m *Machine) begin() error {
 	if m.ran {
-		return fmt.Errorf("core: machine already ran; build a new one")
+		return nil, fmt.Errorf("core: machine already ran; build a new one")
 	}
 	m.ran = true
-	return nil
+	if err := m.runLoop(ctx, stop); err != nil {
+		return nil, err
+	}
+	if err := m.streamErrors(); err != nil {
+		return nil, err
+	}
+	return m.report(stop), nil
 }
 
-// runLoop is the simulation loop in resumable form. It advances the
-// machine until the stop condition triggers or all work drains
-// (finished=true), or — when paceTarget > 0 — until the machine has
-// dispatched at least paceTarget dynamic instructions (finished=false),
-// in which case a later call with a higher target resumes exactly where
-// this one paused. Pausing happens only between cycles and every check
-// is a pure function of machine state, so a paced run steps through the
-// same cycles, in the same order, as a single uninterrupted call: this
-// is what makes Batch lanes byte-identical to solo runs by construction.
+// runLoop is the simulation loop. It advances the machine from its
+// first cycle until the stop condition triggers or all work drains, in
+// one uninterrupted call; it returns an error only when ctx is
+// cancelled.
 //
 // Each iteration steps one cycle of the whole machine: stepShared while
 // two or more contexts have work, stepDualScalar on the dual-scalar
 // machine. Once a single context has work on the shared decoder, the
 // run continues in runSole, which steps that context alone.
-func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (bool, error) {
+func (m *Machine) runLoop(ctx context.Context, stop Stop) error {
 	done := ctx.Done()
 	if done != nil {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return err
 		}
 	}
 	// Prime every context once; afterwards only contexts that consumed
@@ -460,11 +449,8 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 	// A context's refill is a no-op while its head is pending and
 	// permanent once its job source drains, so the incremental pass is
 	// step-for-step identical to re-probing every context every cycle.
-	if !m.primed {
-		m.primed = true
-		for i := range m.ctxs {
-			m.ctxs[i].refill(m)
-		}
+	for i := range m.ctxs {
+		m.ctxs[i].refill(m)
 	}
 	var (
 		nextCheck = m.now + cancelCheckStride
@@ -475,23 +461,20 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 		nctx      = len(m.ctxs)
 	)
 	for {
-		if paceTarget > 0 && m.dispatched >= paceTarget {
-			return false, nil
-		}
 		if done != nil && m.now >= nextCheck {
 			nextCheck = m.now + cancelCheckStride
 			if err := ctx.Err(); err != nil {
-				return false, err
+				return err
 			}
 		}
 		if maxCycles > 0 && m.now >= maxCycles {
-			break
+			return nil
 		}
 		if t0done && c0.exhausted {
-			break
+			return nil
 		}
 		if maxInsts > 0 && c0.dispatched >= maxInsts {
-			break
+			return nil
 		}
 
 		if m.needRefill {
@@ -502,17 +485,17 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 				}
 			}
 			if t0done && c0.exhausted {
-				break
+				return nil
 			}
 		}
 		if m.exhaustedCtxs == nctx {
-			break
+			return nil
 		}
 
 		if m.dual {
 			m.stepDualScalar()
 		} else if m.sole >= 0 {
-			return m.runSole(ctx, stop, paceTarget, nextCheck)
+			return m.runSole(ctx, stop, nextCheck)
 		} else {
 			m.stepShared()
 		}
@@ -521,15 +504,15 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 			m.notifyProgress()
 		}
 	}
-	return true, nil
 }
 
 // runSole is runLoop for a shared-decoder machine on which only one
 // context still has work (m.sole). runLoop hands over to it at the first
 // cycle boundary where that holds — from the first cycle of a solo run,
 // or for the drained tail of a job queue — and it keeps the run until
-// the end, since exhaustion is permanent. Its arguments, results and
-// per-iteration checks are runLoop's.
+// the end, since exhaustion is permanent. Its result and per-iteration
+// checks are runLoop's; nextCheck carries on runLoop's cancellation
+// stride.
 //
 // A lone thread is not scheduled. Each cycle makes one booking
 // dispatch attempt on its head: no switch policy, no dispatch memo, no
@@ -542,7 +525,7 @@ func (m *Machine) runLoop(ctx context.Context, stop Stop, paceTarget int64) (boo
 // memo is never read again either: nothing probes a head twice in one
 // cycle from here on. Observer events (switches, progress, spans) are
 // the ones stepShared would emit.
-func (m *Machine) runSole(ctx context.Context, stop Stop, paceTarget int64, nextCheck Cycle) (bool, error) {
+func (m *Machine) runSole(ctx context.Context, stop Stop, nextCheck Cycle) error {
 	var (
 		done      = ctx.Done()
 		maxCycles = stop.MaxCycles
@@ -553,26 +536,23 @@ func (m *Machine) runSole(ctx context.Context, stop Stop, paceTarget int64, next
 		ff        = !m.cfg.DisableFastForward
 	)
 	for {
-		if paceTarget > 0 && m.dispatched >= paceTarget {
-			return false, nil
-		}
 		if done != nil && m.now >= nextCheck {
 			nextCheck = m.now + cancelCheckStride
 			if err := ctx.Err(); err != nil {
-				return false, err
+				return err
 			}
 		}
 		if maxCycles > 0 && m.now >= maxCycles {
-			break
+			return nil
 		}
 		if maxInsts > 0 && c0.dispatched >= maxInsts {
-			break
+			return nil
 		}
 		// Thread0Complete needs no check of its own: runLoop checked it
 		// just before the hand-off, so when it is set the lone context
 		// is context 0, whose exhaustion ends the run right here.
 		if !c.headValid && !c.refill(m) {
-			break // the lone context drained: no work is left
+			return nil // the lone context drained: no work is left
 		}
 
 		if ok, hint := m.dispatch(c, true); ok {
@@ -596,15 +576,6 @@ func (m *Machine) runSole(ctx context.Context, stop Stop, paceTarget int64, next
 			m.notifyProgress()
 		}
 	}
-	return true, nil
-}
-
-// finish surfaces stream errors and assembles the run's Report.
-func (m *Machine) finish(stop Stop) (*stats.Report, error) {
-	if err := m.streamErrors(); err != nil {
-		return nil, err
-	}
-	return m.report(stop), nil
 }
 
 // stepShared is the paper's machine: one decode unit, one thread

@@ -26,10 +26,6 @@ func TestProbeBooksNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := m.begin(); err != nil {
-			t.Fatal(err)
-		}
-		m.primed = true
 		passed := map[isa.Kind]int{}
 		for m.exhaustedCtxs < len(m.ctxs) {
 			for i := range m.ctxs {

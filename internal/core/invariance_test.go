@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -97,7 +98,8 @@ func runMixed(t *testing.T, policy string, contexts int, disableFF bool, observe
 			t.Fatal(err)
 		}
 	}
-	rep, err := m.Run(Stop{})
+	name := fmt.Sprintf("mixed/%s/ctx%d/ff=%t/obs%d", policy, contexts, !disableFF, len(observers))
+	rep, err := runGuarded(t, name, Stop{}, m.Run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,9 @@ import (
 // included. Both must produce field-identical Reports and identical
 // observer event streams.
 
-// runPolicyPath is the oracle: runLoop (unpaced, uncancelled) without
-// the hand-off to runSole.
+// runPolicyPath is the oracle: RunContext, uncancelled, with runLoop's
+// cycle loop minus the hand-off to runSole.
 func runPolicyPath(m *Machine, stop Stop) (*stats.Report, error) {
-	if err := m.begin(); err != nil {
-		return nil, err
-	}
-	m.primed = true
 	for i := range m.ctxs {
 		m.ctxs[i].refill(m)
 	}
@@ -62,7 +58,32 @@ func runPolicyPath(m *Machine, stop Stop) (*stats.Report, error) {
 			m.notifyProgress()
 		}
 	}
-	return m.finish(stop)
+	if err := m.streamErrors(); err != nil {
+		return nil, err
+	}
+	return m.report(stop), nil
+}
+
+// cycleGuard bounds every differential run whose stop has no MaxCycles
+// of its own, so an engine livelock fails fast, naming its point,
+// instead of hanging the test binary. The longest guarded run in this
+// package, a TestLoneLoopLong queue tail, takes about 200,000 cycles.
+// report never reads MaxCycles, so the guard changes no Report below it.
+const cycleGuard Cycle = 1 << 20
+
+// runGuarded runs run(stop) under cycleGuard when stop sets no
+// MaxCycles, and fails the test, naming the point, if the run reaches it.
+func runGuarded(t testing.TB, name string, stop Stop, run func(Stop) (*stats.Report, error)) (*stats.Report, error) {
+	t.Helper()
+	if stop.MaxCycles != 0 {
+		return run(stop)
+	}
+	stop.MaxCycles = cycleGuard
+	rep, err := run(stop)
+	if err == nil && rep.Cycles >= cycleGuard {
+		t.Fatalf("%s: run reached the %d-cycle guard: the engine livelocked", name, cycleGuard)
+	}
+	return rep, err
 }
 
 // loneOutcome is everything one run observably produces.
@@ -93,7 +114,7 @@ func runPoint(t testing.TB, pt diffPoint, oracle, observed bool) loneOutcome {
 	if oracle {
 		run = func(stop Stop) (*stats.Report, error) { return runPolicyPath(m, stop) }
 	}
-	rep, err := run(pt.stop)
+	rep, err := runGuarded(t, pt.name, pt.stop, run)
 	return loneOutcome{rep: rep, log: log, err: err}
 }
 
@@ -235,50 +256,28 @@ func TestLoneLoopQueueTail(t *testing.T) {
 	}
 }
 
-// TestLoneLoopPaced: lanes of a Batch pause and resume every
-// batchWindow instructions, inside the lone-context loop too, and each
-// lane still equals the oracle's uninterrupted policy-path run. Every
-// lane runs over two windows alone, so it pauses in the lone loop.
-func TestLoneLoopPaced(t *testing.T) {
-	const reps = 350 // 13 instructions each: over two windows
-	var pts []diffPoint
+// TestLoneLoopLong: solo runs and queue tails of 350 iterations, which
+// keep the lone-context loop running for thousands of instructions,
+// equal the oracle's.
+func TestLoneLoopLong(t *testing.T) {
+	const reps = 350
 	for _, pt := range lonePoints(reps) {
 		// Every policy and both engine modes, on 1 and 4 contexts.
 		if pt.stop == (Stop{}) && pt.cfg.IssueWidth == 1 && (pt.cfg.Contexts == 1 || pt.cfg.Contexts == 4) {
-			pts = append(pts, pt)
+			checkLone(t, pt)
 		}
 	}
 	for _, name := range sched.Names() {
-		pts = append(pts, queueTailPoint(name, 1, false, reps), queueTailPoint(name, 2, true, reps))
+		checkLone(t, queueTailPoint(name, 1, false, reps))
+		checkLone(t, queueTailPoint(name, 2, true, reps))
 	}
-	cfgs := make([]Config, len(pts))
-	stops := make([]Stop, len(pts))
-	logs := make([]*eventLog, len(pts))
-	for i, pt := range pts {
-		logs[i] = &eventLog{}
-		cfgs[i] = pt.cfg
-		cfgs[i].Observers = []Observer{logs[i]}
-		stops[i] = pt.stop
-	}
-	b, err := NewBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pt := range pts {
-		if err := pt.attach(b.Machine(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reports, errs := b.Run(stops)
-	for i, pt := range pts {
-		if errs[i] == nil && reports[i].Insts < 2*batchWindow {
-			t.Fatalf("%s: %d instructions do not span two windows", pt.name, reports[i].Insts)
-		}
-		got := loneOutcome{rep: reports[i], log: logs[i], err: errs[i]}
-		want := runPoint(t, pt, true, true)
-		if d := sameOutcome(got, want); d != "" {
-			t.Errorf("%s/paced: %s", pt.name, d)
-		}
+}
+
+// TestLoneLoopRandom compares runLoop with the oracle on the first 208
+// generator points (randPoint), observed and unobserved.
+func TestLoneLoopRandom(t *testing.T) {
+	for seed := int64(0); seed < 208; seed++ {
+		checkLone(t, randPoint(seed))
 	}
 }
 

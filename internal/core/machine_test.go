@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -202,6 +203,8 @@ func TestStopMaxCycles(t *testing.T) {
 	}
 }
 
+// TestMachineSingleUse: a machine runs once. A second Run or
+// RunContext returns an error and no Report.
 func TestMachineSingleUse(t *testing.T) {
 	m, err := New(testConfig(1))
 	if err != nil {
@@ -211,8 +214,11 @@ func TestMachineSingleUse(t *testing.T) {
 	if _, err := m.Run(Stop{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(Stop{}); err == nil {
-		t.Fatal("second Run accepted")
+	if rep, err := m.Run(Stop{}); rep != nil || err == nil {
+		t.Errorf("second Run = (%v, %v), want no report and an error", rep, err)
+	}
+	if rep, err := m.RunContext(context.Background(), Stop{}); rep != nil || err == nil {
+		t.Errorf("RunContext after Run = (%v, %v), want no report and an error", rep, err)
 	}
 }
 

@@ -57,7 +57,8 @@ func soloRun(t *testing.T, policy sched.Policy, contexts, width int, disableFF b
 	if err := m.SetThreadStream(0, "mix", mixedStream(2, 12)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.Run(Stop{})
+	name := fmt.Sprintf("solo/%s/ctx%d/w%d/ff=%t", m.cfg.Policy.Name(), contexts, width, !disableFF)
+	rep, err := runGuarded(t, name, Stop{}, m.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestQueuePicksOnlyWithChoice(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rep, err := m.Run(Stop{})
+		rep, err := runGuarded(t, "queue/"+name, Stop{}, m.Run)
 		if err != nil {
 			t.Fatal(err)
 		}

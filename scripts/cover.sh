@@ -21,7 +21,7 @@ declare -A FLOOR=(
   [mtvec/cmd/mtvlint]=70
   [mtvec/internal/arch]=90
   [mtvec/internal/cluster]=78
-  [mtvec/internal/core]=90
+  [mtvec/internal/core]=93
   [mtvec/internal/lint]=85
   [mtvec/internal/experiments]=88
   [mtvec/internal/isa]=85
