@@ -6,78 +6,133 @@ import (
 	"mtvec/internal/isa"
 )
 
-// opCount is n static occurrences of one opcode.
-type opCount struct {
-	op isa.Op
-	n  int64
-}
-
-// blockProfile is one basic block's static share of a dynamic profile:
-// its opcode histogram, how many values a visit draws from each value
-// stream, and where its VL segments start in the segment table. A block
-// with k SetVL instructions has k+1 segments: the run before the first
-// SetVL executes under the VL in force on entry, each later run under
-// the value its SetVL installed.
+// blockProfile is what one visit of a basic block draws from each
+// value stream, and where the block's VL segments start in a Tally's
+// segment table. A block with k SetVL
+// instructions has k+1 segments: the run before the first SetVL
+// executes under the VL in force on entry, each later run under the
+// value its SetVL installed.
 type blockProfile struct {
-	ops                 []opCount
 	vls, strides, addrs int
 	seg                 int
 }
 
-// profileTables builds the per-block and per-segment static tables of
-// p. Segments list only the vector opcodes, the ones whose accounting
-// depends on VL.
-func profileTables(p *Program) ([]blockProfile, [][]opCount) {
+// Tally folds weighted basic-block visits of one program into its
+// dynamic profile: it counts visits per block and sums the VL in force
+// over each VL segment's executions, and Stats folds those sums against
+// the blocks' instructions. Profile drives it from a trace's streams; a
+// compiler that knows its own schedule can drive it directly and never
+// synthesize the streams. A Tally carries the VL in force from one
+// visit to the next, as a replay carries the VL register, starting at
+// the replay's reset value.
+type Tally struct {
+	p       *Program
+	blocks  []blockProfile
+	visits  []int64
+	weights []int64 // Σ VL in force over each segment's executions
+
+	// perOp and elems take instruction-by-instruction accounting (a
+	// block Profile replays past a dry stream).
+	perOp, elems [isa.NumOps]int64
+
+	maxVL, vl int64
+}
+
+// NewTally returns an empty tally of p for replays at hardware vector
+// length maxVL (isa.MaxVL when maxVL <= 0).
+func NewTally(p *Program, maxVL int64) *Tally {
+	if maxVL <= 0 {
+		maxVL = isa.MaxVL
+	}
 	blocks := make([]blockProfile, len(p.Blocks))
-	var segs [][]opCount
-	var seen [isa.NumOps]int64
-	var touched []isa.Op
-	count := func(op isa.Op) {
-		if seen[op] == 0 {
-			touched = append(touched, op)
-		}
-		seen[op]++
-	}
-	flush := func() []opCount {
-		out := make([]opCount, len(touched))
-		for i, op := range touched {
-			out[i] = opCount{op, seen[op]}
-			seen[op] = 0
-		}
-		touched = touched[:0]
-		return out
-	}
+	segs := 0
 	for bi := range p.Blocks {
-		insts := p.Blocks[bi].Insts
 		bp := &blocks[bi]
-		bp.seg = len(segs)
-		// Draws and vector opcodes per segment, then the whole-block
-		// histogram.
-		for _, in := range insts {
+		bp.seg = segs
+		for _, in := range p.Blocks[bi].Insts {
 			switch isa.KindOf(in.Op) {
 			case isa.KindVLVS:
 				if in.Op == isa.OpSetVL {
 					bp.vls++
-					segs = append(segs, flush())
 				} else {
 					bp.strides++
 				}
-			case isa.KindVector:
-				count(in.Op)
-			case isa.KindVectorMem:
-				count(in.Op)
-				bp.addrs++
-			case isa.KindScalarMem:
+			case isa.KindVectorMem, isa.KindScalarMem:
 				bp.addrs++
 			}
 		}
-		segs = append(segs, flush())
-		for _, in := range insts {
-			count(in.Op)
-		}
-		bp.ops = flush()
+		segs += bp.vls + 1
 	}
-	return blocks, segs
+	return &Tally{
+		p:       p,
+		blocks:  blocks,
+		visits:  make([]int64, len(blocks)),
+		weights: make([]int64, segs),
+		maxVL:   maxVL,
+		vl:      maxVL,
+	}
+}
+
+// clamp is the replay's SetVL rule: a requested length lands in
+// [1, maxVL].
+func (t *Tally) clamp(v int64) int64 {
+	return min(max(v, 1), t.maxVL)
+}
+
+// Visit accounts n consecutive visits of block b in which every SetVL
+// installs v. n <= 0 accounts nothing.
+func (t *Tally) Visit(b int, n, v int64) {
+	vl := [1]int64{v}
+	t.visit(b, n, vl[:])
+}
+
+// visit accounts n consecutive visits of block b in which the j-th
+// SetVL of each visit installs vls[j], or the last of vls once j runs
+// past it. vls may be empty only if the block has no SetVL.
+func (t *Tally) visit(b int, n int64, vls []int64) {
+	if n <= 0 {
+		return
+	}
+	bp := &t.blocks[b]
+	t.visits[b] += n
+	w := t.weights[bp.seg : bp.seg+bp.vls+1]
+	in := int64(uint16(t.vl))
+	for j := 1; j < len(w); j++ {
+		t.vl = t.clamp(vls[min(j, len(vls))-1])
+		w[j] += n * int64(uint16(t.vl))
+	}
+	// The run before the first SetVL executes under the VL carried in
+	// on the first visit, and under the last SetVL's value after that.
+	w[0] += in + (n-1)*int64(uint16(t.vl))
+}
+
+// Stats returns the profile of every visit accounted so far.
+func (t *Tally) Stats() Stats {
+	perOp, elems := t.perOp, t.elems
+	for b, v := range t.visits {
+		if v == 0 {
+			continue
+		}
+		seg := t.blocks[b].seg
+		for _, in := range t.p.Blocks[b].Insts {
+			perOp[in.Op] += v
+			switch isa.KindOf(in.Op) {
+			case isa.KindVLVS:
+				if in.Op == isa.OpSetVL {
+					seg++
+				}
+			case isa.KindVector, isa.KindVectorMem:
+				elems[in.Op] += t.weights[seg]
+			}
+		}
+	}
+	var st Stats
+	for op, n := range perOp {
+		if n != 0 {
+			st.addN(isa.Op(op), n, elems[op])
+		}
+	}
+	return st
 }
 
 // Profile returns the dynamic statistics and terminal error that
@@ -86,37 +141,26 @@ func profileTables(p *Program) ([]blockProfile, [][]opCount) {
 // instruction. Only the VL values affect the statistics; of the stride
 // and address streams only their lengths matter.
 //
-// The work is one walk of bbs that counts visits per block and sums the
-// clamped VL in force over each VL segment, plus a fold of those sums
-// against per-block static tables. It makes the replay's own checks: a
-// block id out of range ends the profile with Stream's error, and a
-// block that would draw more values than a stream has left is accounted
-// instruction by instruction, exactly as Stream replays it over the
-// standard sources. Such a block runs to its end with each exhausted
-// draw reading VL 1, and then the replay stops. dry, which must not be
-// nil, is called once per exhausted draw, in program order, with the
-// stream's name ("vector-length", "stride" or "address"), so the caller
-// can build the error its source would have reported.
+// The work is one walk of bbs that feeds each block visit to a Tally.
+// It makes the replay's own checks: a block id out of range ends the
+// profile with Stream's error, and a block that would draw more values
+// than a stream has left is accounted instruction by instruction,
+// exactly as Stream replays it over the standard sources. Such a block
+// runs to its end with each exhausted draw reading VL 1, and then the
+// replay stops. dry, which must not be nil, is called once per
+// exhausted draw, in program order, with the stream's name
+// ("vector-length", "stride" or "address"), so the caller can build the
+// error its source would have reported.
 func Profile(p *Program, bbs []int32, vls []int64, strides, addrs int, maxVL int64, dry func(stream string)) (Stats, error) {
-	if maxVL <= 0 {
-		maxVL = isa.MaxVL
-	}
-	clamp := func(v int64) int64 {
-		return min(max(v, 1), maxVL)
-	}
-	blocks, segs := profileTables(p)
-	visits := make([]int64, len(blocks))
-	weights := make([]int64, len(segs)) // Σ VL in force over each segment's executions
-	var perOp, elems [isa.NumOps]int64
-	vl := maxVL
+	t := NewTally(p, maxVL)
 	vi, si, ai := 0, 0, 0
 	var err error
 	for _, b := range bbs {
-		if b < 0 || int(b) >= len(blocks) {
-			err = fmt.Errorf("prog: %s: trace names block %d of %d", p.Name, b, len(blocks))
+		if b < 0 || int(b) >= len(t.blocks) {
+			err = fmt.Errorf("prog: %s: trace names block %d of %d", p.Name, b, len(t.blocks))
 			break
 		}
-		bp := &blocks[b]
+		bp := &t.blocks[b]
 		if vi+bp.vls > len(vls) || si+bp.strides > strides || ai+bp.addrs > addrs {
 			// A stream runs dry inside this block: replay it one
 			// instruction at a time, then end as the sources do.
@@ -129,7 +173,7 @@ func Profile(p *Program, bbs []int32, vls []int64, strides, addrs int, maxVL int
 				return false
 			}
 			for _, in := range p.Blocks[b].Insts {
-				perOp[in.Op]++
+				t.perOp[in.Op]++
 				switch isa.KindOf(in.Op) {
 				case isa.KindVLVS:
 					if in.Op == isa.OpSetVL {
@@ -137,14 +181,14 @@ func Profile(p *Program, bbs []int32, vls []int64, strides, addrs int, maxVL int
 						if draw(&vi, len(vls), "vector-length") {
 							v = vls[vi-1]
 						}
-						vl = clamp(v)
+						t.vl = t.clamp(v)
 					} else {
 						draw(&si, strides, "stride")
 					}
 				case isa.KindVector:
-					elems[in.Op] += int64(uint16(vl))
+					t.elems[in.Op] += int64(uint16(t.vl))
 				case isa.KindVectorMem:
-					elems[in.Op] += int64(uint16(vl))
+					t.elems[in.Op] += int64(uint16(t.vl))
 					draw(&ai, addrs, "address")
 				case isa.KindScalarMem:
 					draw(&ai, addrs, "address")
@@ -152,37 +196,10 @@ func Profile(p *Program, bbs []int32, vls []int64, strides, addrs int, maxVL int
 			}
 			break
 		}
-		visits[b]++
-		w := weights[bp.seg : bp.seg+bp.vls+1]
-		w[0] += int64(uint16(vl))
-		for j := 1; j < len(w); j++ {
-			vl = clamp(vls[vi])
-			vi++
-			w[j] += int64(uint16(vl))
-		}
+		t.visit(int(b), 1, vls[vi:vi+bp.vls])
+		vi += bp.vls
 		si += bp.strides
 		ai += bp.addrs
 	}
-
-	for b := range blocks {
-		if v := visits[b]; v != 0 {
-			for _, oc := range blocks[b].ops {
-				perOp[oc.op] += v * oc.n
-			}
-		}
-	}
-	for s, w := range weights {
-		if w != 0 {
-			for _, oc := range segs[s] {
-				elems[oc.op] += w * oc.n
-			}
-		}
-	}
-	var st Stats
-	for op, n := range perOp {
-		if n != 0 {
-			st.addN(isa.Op(op), n, elems[op])
-		}
-	}
-	return st, err
+	return t.Stats(), err
 }

@@ -24,7 +24,7 @@ type Stats struct {
 func (st *Stats) Add(d *isa.DynInst) { st.addN(d.Op, 1, int64(d.VL)) }
 
 // addN accounts n dynamic instructions of opcode op whose vector
-// lengths sum to elems (ignored for scalar opcodes). Add and Profile
+// lengths sum to elems (ignored for scalar opcodes). Add and Tally
 // share it, so the per-instruction and per-block accountings classify
 // opcodes identically.
 func (st *Stats) addN(op isa.Op, n, elems int64) {

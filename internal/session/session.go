@@ -522,6 +522,13 @@ func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan, traces *tr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Synthesize and predecode the supplies before taking a gate slot:
+	// a built workload's trace is deferred, so its first replay pays for
+	// synthesis, and points waiting on a synthesis another point started
+	// must not hold slots while they wait.
+	for _, w := range spec.workloads {
+		w.Trace.Decoded()
+	}
 	s.gate.Do(func() {
 		// Re-check after possibly parking on the gate.
 		if err = ctx.Err(); err != nil {

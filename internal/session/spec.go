@@ -580,7 +580,10 @@ func (s RunSpec) persistKey(p *plan) (string, bool) {
 	b = appendNum(b, int64(s.mode))
 	b = append(b, "|ws="...)
 	for _, w := range s.workloads {
-		id, ok := stableWorkloadID(w)
+		if w == nil {
+			return "", false
+		}
+		id, ok := w.PersistID()
 		if !ok {
 			return "", false
 		}
@@ -596,34 +599,6 @@ func (s RunSpec) persistKey(p *plan) (string, bool) {
 	}
 	b = appendMachineKey(b, p)
 	return string(b), true
-}
-
-// stableWorkloadID derives a process-stable content identity for a
-// workload: the registered catalog spec it was built from, the build
-// inputs (scale, compiler options), and a fingerprint of the built
-// artifact's dynamic profile. Hand-assembled workloads — a Spec not in
-// the catalog, or none at all — have no such identity.
-//
-// The fingerprint hashes the workload's full dynamic statistics
-// (including the per-opcode histogram), so editing a benchmark kernel,
-// the compiler, or the calibration planner changes the key and retires
-// every stored result built from the old code — a store directory that
-// outlives a source change misses instead of serving stale Reports.
-// (Changes to the cycle engine itself alter Reports without altering
-// workloads; those must bump store.Schema, and the golden CI gate is
-// what detects them.)
-func stableWorkloadID(w *workload.Workload) (string, bool) {
-	if w == nil || w.Spec == nil || w.Trace == nil || workload.ByName(w.Spec.Name) != w.Spec {
-		return "", false
-	}
-	id := w.Spec.Name + "@" + strconv.FormatFloat(w.Scale, 'g', -1, 64)
-	if w.Opts.NoHoist {
-		id += "+nohoist"
-	}
-	if rf := w.Opts.RegFile.BuildKey(); rf != arch.DefaultRegFile().BuildKey() {
-		id += fmt.Sprintf("+rf%d.%d.%d", rf.VRegs, rf.VLen, rf.VRegsPerBank)
-	}
-	return id + "+fp" + strconv.FormatUint(w.Fingerprint(), 16), true
 }
 
 // appendNum is the keys' shared integer encoding.

@@ -27,6 +27,11 @@ import (
 // The first Stream call may predecode the whole dynamic instruction
 // sequence and cache it on the Trace (see Decoded); do not mutate a
 // Trace's fields after streams have been created from it.
+//
+// A trace made by Deferred holds no streams until first use: its BBs,
+// VLs, Strides and Addrs fields are valid only after a call to Source,
+// Stream, Decoded, Profile, Encode or ExportRVV has synthesized them.
+// Prog and MaxVL are valid from the start.
 type Trace struct {
 	Prog    *prog.Program
 	BBs     []int32
@@ -43,6 +48,42 @@ type Trace struct {
 
 	decOnce sync.Once
 	dec     []prog.DecodedInst // predecoded dynamic stream, nil if unavailable
+
+	// fill synthesizes a deferred trace's streams, once; fillErr is its
+	// failure, which the trace then reports as a replay error.
+	fill     func() (*Trace, error)
+	fillOnce sync.Once
+	fillErr  error
+}
+
+// Deferred returns a trace of p at hardware vector length maxVL whose
+// four streams are synthesized by fill on first use, under a sync.Once,
+// so concurrent first uses synthesize once. fill must return an eager
+// trace of the same program and vector length; its streams become this
+// trace's. A trace whose fill fails replays nothing and reports fill's
+// error from every replay. Consumers that only read Prog, MaxVL or a
+// profile computed elsewhere never pay for synthesis.
+func Deferred(p *prog.Program, maxVL int64, fill func() (*Trace, error)) *Trace {
+	return &Trace{Prog: p, MaxVL: maxVL, fill: fill}
+}
+
+// materialize runs a deferred trace's fill, once; on an eager trace it
+// does nothing.
+func (t *Trace) materialize() {
+	if t.fill == nil {
+		return
+	}
+	t.fillOnce.Do(func() {
+		src, err := t.fill()
+		switch {
+		case err != nil:
+			t.fillErr = err
+		case src.Prog != t.Prog || src.MaxVL != t.MaxVL:
+			t.fillErr = fmt.Errorf("trace: deferred %s: synthesized trace has another program or vector length", t.Prog.Name)
+		default:
+			t.BBs, t.VLs, t.Strides, t.Addrs = src.BBs, src.VLs, src.Strides, src.Addrs
+		}
+	})
 }
 
 // maxDecodedInsts caps the predecode cache, in dynamic instructions:
@@ -53,7 +94,8 @@ const maxDecodedInsts = 2 << 20
 // Source returns a TraceSource replaying the captured streams. Each call
 // returns an independent replay positioned at the beginning.
 func (t *Trace) Source() prog.TraceSource {
-	return &replay{t: t}
+	t.materialize()
+	return &replay{t: t, err: t.fillErr}
 }
 
 // Stream returns a dynamic instruction stream replaying the trace.
@@ -64,8 +106,8 @@ func (t *Trace) Source() prog.TraceSource {
 // once per trace, not once per run. Its NextDec hands out the shared
 // entries; its Next expands a source replay of the trace, opened on the
 // first Next call, so both deliver exactly what source replay does.
-// Consumers that never replay (workload builds validating through
-// Source-driven streams) never pay for materialization.
+// Consumers that never replay (a workload build, which profiles its
+// schedule instead) never pay for materialization.
 func (t *Trace) Stream() *prog.Stream {
 	if dec := t.Decoded(); dec != nil {
 		return prog.NewDecodedStream(t.Prog, dec, t, t.MaxVL)
@@ -100,6 +142,7 @@ func (t *Trace) dynLen() int64 {
 // surfaces the same error at the same instruction, if any).
 func (t *Trace) Decoded() []prog.DecodedInst {
 	t.decOnce.Do(func() {
+		t.materialize()
 		n := t.dynLen()
 		if n == 0 || n > maxDecodedInsts {
 			return
@@ -116,8 +159,12 @@ func (t *Trace) Decoded() []prog.DecodedInst {
 // Profile returns the trace's dynamic statistics and replay error —
 // exactly what draining a Stream of it returns — computed per basic
 // block rather than per instruction (see prog.Profile). It reads the
-// streams without materializing the predecode cache.
+// streams, synthesizing a deferred trace's first, without
+// materializing the predecode cache.
 func (t *Trace) Profile() (prog.Stats, error) {
+	if t.materialize(); t.fillErr != nil {
+		return prog.Stats{}, t.fillErr
+	}
 	var dryErr error
 	st, err := prog.Profile(t.Prog, t.BBs, t.VLs, len(t.Strides), len(t.Addrs), t.MaxVL, func(stream string) {
 		dryErr = exhausted(stream) // like replay, the last dry draw names the error
@@ -253,6 +300,9 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // Encode writes the trace in the versioned binary format: header, program
 // section, four delta/varint-encoded stream sections, CRC-32 trailer.
 func (t *Trace) Encode(w io.Writer) error {
+	if t.materialize(); t.fillErr != nil {
+		return t.fillErr
+	}
 	var crc crcWriter
 	if err := t.encodeBody(io.MultiWriter(w, &crc)); err != nil {
 		return err

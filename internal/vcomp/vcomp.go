@@ -153,13 +153,22 @@ func (c *Compiled) UnitIndex(name string) int {
 	return -1
 }
 
-// AppendTrace appends the dynamic streams for one invocation to tr.
-func (c *Compiled) AppendTrace(tr *trace.Trace, inv Invocation) error {
+// checkInvocation rejects an invocation of a unit the kernel lacks or
+// with a negative trip count.
+func (c *Compiled) checkInvocation(inv Invocation) error {
 	if inv.Unit < 0 || inv.Unit >= len(c.units) {
 		return fmt.Errorf("vcomp: invocation names unit %d of %d", inv.Unit, len(c.units))
 	}
 	if inv.N < 0 {
 		return fmt.Errorf("vcomp: negative trip count %d", inv.N)
+	}
+	return nil
+}
+
+// AppendTrace appends the dynamic streams for one invocation to tr.
+func (c *Compiled) AppendTrace(tr *trace.Trace, inv Invocation) error {
+	if err := c.checkInvocation(inv); err != nil {
+		return err
 	}
 	if inv.N == 0 {
 		return nil
@@ -289,6 +298,43 @@ func emitSlots(tr *trace.Trace, slots []slot, vl int64, elem int64) {
 			tr.Addrs = append(tr.Addrs, a)
 		}
 	}
+}
+
+// Profile returns the dynamic statistics of replaying Trace(schedule),
+// computed from the schedule without synthesizing a stream: it visits
+// the blocks emitVectorUnit and emitScalarUnit would emit, each run of
+// body visits at once, through a prog.Tally at the compilation's
+// vector length. The VL in force carries across invocations as the
+// replay carries it. Invalid invocations are rejected as Trace rejects
+// them.
+func (c *Compiled) Profile(schedule []Invocation) (prog.Stats, error) {
+	t := prog.NewTally(c.Prog, c.vlen)
+	for _, inv := range schedule {
+		if err := c.checkInvocation(inv); err != nil {
+			return prog.Stats{}, err
+		}
+		if inv.N == 0 {
+			continue
+		}
+		u := c.units[inv.Unit]
+		if !isVectorUnit(u) {
+			t.Visit(u.entry, 1, 0)
+			t.Visit(u.body, inv.N, 0)
+			continue
+		}
+		f := inv.N / c.vlen
+		rem := inv.N % c.vlen
+		entryVL := c.vlen
+		if f == 0 {
+			entryVL = rem
+		}
+		t.Visit(u.entry, 1, entryVL)
+		t.Visit(u.body, f, c.vlen)
+		if rem > 0 {
+			t.Visit(u.tail, 1, rem)
+		}
+	}
+	return t.Stats(), nil
 }
 
 // EstimateInvocation returns the exact dynamic instruction counts one

@@ -24,11 +24,11 @@
 //
 // # Registration contract
 //
-// ByName and ByShort resolve over the union of both catalogs, and the
-// session layer defines a workload's identity by registry membership: a
+// ByName and ByShort resolve over the union of both catalogs, and a
+// workload's persist identity rests on registry membership: a
 // *Workload whose Spec pointer is reachable through ByName(Spec.Name)
-// gets a stable, content-addressed persist key of the form
-// "name@scale[+options]+fp<stats fingerprint>", which is what lets the
+// has a stable, content-addressed identity (Workload.PersistID) of the
+// form "name@scale[+options]+fp<stats fingerprint>", which is what lets the
 // on-disk store and the cluster tier share results across processes.
 // New kernels therefore MUST be added to one of the two registries (and
 // keep their recipes deterministic — same Spec + Scale + Options must
@@ -39,7 +39,9 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
+	"mtvec/internal/arch"
 	"mtvec/internal/kernel"
 	"mtvec/internal/prog"
 	"mtvec/internal/trace"
@@ -89,8 +91,11 @@ type phase struct {
 	share float64
 }
 
-// Workload is a built benchmark: the compiled program, its full trace at
-// the requested scale, and the measured dynamic statistics.
+// Workload is a built benchmark: the compiled program, its trace at the
+// requested scale, and its dynamic statistics. A build's trace is
+// deferred (trace.Deferred): its streams are synthesized by the first
+// call that replays them, and a consumer that only reads Stats never
+// pays for them.
 type Workload struct {
 	Spec  *Spec
 	Scale float64
@@ -104,17 +109,50 @@ type Workload struct {
 	Opts vcomp.Options
 
 	fp uint64 // Stats.Fingerprint(), taken once at build
+	id string // PersistID(), derived once at build; "" if none
 }
 
 // Fingerprint returns the fingerprint of the workload's dynamic profile
 // (prog.Stats.Fingerprint), the content part of its persist key. Build
 // and FromTrace compute it once; a hand-assembled Workload hashes its
-// Stats on every call. Stats must not change after a build.
+// Stats on every call. A build's fields must not change after it.
 func (w *Workload) Fingerprint() uint64 {
 	if w.fp != 0 {
 		return w.fp
 	}
 	return w.Stats.Fingerprint()
+}
+
+// PersistID returns the workload's process-stable content identity and
+// whether it has one: the registered catalog spec it was built from,
+// the build inputs (scale, compiler options) and the fingerprint of its
+// dynamic profile, as "name@scale[+nohoist][+rfR.L.B]+fp<hex>". Only a
+// workload whose Spec is the catalog's own (ByName(Spec.Name) == Spec)
+// has one; a hand-assembled workload or one wrapping an imported trace
+// does not.
+//
+// The fingerprint hashes the full dynamic statistics (including the
+// per-opcode histogram), so editing a benchmark kernel, the compiler,
+// or the calibration planner changes the identity and retires every
+// stored result keyed on the old one. (A change to the cycle engine
+// alters Reports without altering workloads; it must bump store.Schema
+// instead.) A build derives the identity once; a hand-assembled
+// workload derives it on every call.
+func (w *Workload) PersistID() (string, bool) {
+	if w.id != "" {
+		return w.id, true
+	}
+	if w.Spec == nil || w.Trace == nil || ByName(w.Spec.Name) != w.Spec {
+		return "", false
+	}
+	id := w.Spec.Name + "@" + strconv.FormatFloat(w.Scale, 'g', -1, 64)
+	if w.Opts.NoHoist {
+		id += "+nohoist"
+	}
+	if rf := w.Opts.RegFile.BuildKey(); rf != arch.DefaultRegFile().BuildKey() {
+		id += fmt.Sprintf("+rf%d.%d.%d", rf.VRegs, rf.VLen, rf.VRegsPerBank)
+	}
+	return id + "+fp" + strconv.FormatUint(w.Fingerprint(), 16), true
 }
 
 // Build compiles the benchmark and solves the invocation schedule for the
@@ -124,7 +162,11 @@ func (s *Spec) Build(scale float64) (*Workload, error) {
 }
 
 // BuildOpts is Build with explicit compiler options (the ext-compiler
-// ablation builds the suite with load hoisting disabled).
+// ablation builds the suite with load hoisting disabled). It profiles
+// the schedule in closed form (vcomp.Compiled.Profile) and defers the
+// trace's synthesis to its first replay; the profile equals the
+// replayed one field for field, which the package tests and the vcomp
+// fuzz target check instead of every build.
 func (s *Spec) BuildOpts(scale float64, opts vcomp.Options) (*Workload, error) {
 	if scale <= 0 {
 		return nil, fmt.Errorf("workload: %s: non-positive scale %g", s.Name, scale)
@@ -144,19 +186,14 @@ func (s *Spec) BuildOpts(scale float64, opts vcomp.Options) (*Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", s.Name, err)
 	}
-	tr, err := c.Trace(sched)
+	st, err := c.Profile(sched)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", s.Name, err)
 	}
-	// Validate the replay and measure its dynamic statistics per basic
-	// block, leaving the trace's predecode cache to the first run that
-	// actually streams it (build-only consumers like the Table 3 counts
-	// never pay for materialization).
-	st, err := tr.Profile()
-	if err != nil {
-		return nil, fmt.Errorf("workload: %s: generated trace does not replay: %w", s.Name, err)
-	}
-	return &Workload{Spec: s, Scale: scale, Trace: tr, Stats: st, Opts: opts, fp: st.Fingerprint()}, nil
+	tr := trace.Deferred(c.Prog, int64(c.RegFile().VLen), func() (*trace.Trace, error) { return c.Trace(sched) })
+	w := &Workload{Spec: s, Scale: scale, Trace: tr, Stats: st, Opts: opts, fp: st.Fingerprint()}
+	w.id, _ = w.PersistID()
+	return w, nil
 }
 
 // Stream returns a fresh dynamic instruction stream of the workload.
@@ -182,8 +219,8 @@ func ByName(name string) *Spec {
 	return lookup(func(s *Spec) bool { return s.Name == name })
 }
 
-// lookup scans both shared registries in place: the session layer
-// resolves a name on every persist key, so it must not copy them.
+// lookup scans both shared registries in place: every build resolves
+// its own name (Workload.PersistID), so it must not copy them.
 func lookup(match func(*Spec) bool) *Spec {
 	for _, reg := range [][]*Spec{specsShared(), benchSpecsShared()} {
 		for _, s := range reg {
@@ -197,8 +234,9 @@ func lookup(match func(*Spec) bool) *Spec {
 
 // FromTrace wraps an externally supplied trace — decoded from a .mtvt
 // file or imported from an RVV-flavoured text trace — as a runnable
-// Workload. The trace is replay-validated and profiled exactly like a
-// built workload. The synthesized Spec is deliberately NOT registered:
+// Workload. The trace is replay-validated and profiled by replaying its
+// streams (Trace.Profile); a build profiles its schedule instead. The
+// synthesized Spec is deliberately NOT registered:
 // the session layer will run and memoize the workload normally,
 // but never persist it to the store (an external trace has no
 // content-addressed recipe to key on, only process-local identity).
