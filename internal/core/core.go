@@ -108,21 +108,40 @@ func DefaultConfig() Config {
 // memo key all operate on the normalized form, so a defaulted config and
 // its explicit spelling are the same machine.
 func (c Config) Normalized() Config {
+	c.Normalize()
+	return c
+}
+
+// Normalize applies Normalized's defaulting rules in place.
+func (c *Config) Normalize() {
 	if c.Spec.IsZero() {
 		c.Spec = arch.ConvexC3400()
 	}
 	if c.IssueWidth == 0 {
 		c.IssueWidth = 1
 	}
-	return c
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	c = c.Normalized()
-	if _, err := c.Spec.Derive(c.Contexts); err != nil {
+// Validate reports configuration errors of the normalized config. It
+// runs the checks of New without resolving the engine tables, so a
+// valid config validates without allocating.
+func (c *Config) Validate() error {
+	if c.Spec.IsZero() || c.IssueWidth == 0 {
+		n := c.Normalized()
+		return n.Validate()
+	}
+	if err := c.Spec.Validate(); err != nil {
 		return err
 	}
+	if err := c.Spec.ValidateContexts(c.Contexts); err != nil {
+		return err
+	}
+	return c.validateKnobs()
+}
+
+// validateKnobs runs the cross-knob checks that the shape's own
+// validation cannot see.
+func (c *Config) validateKnobs() error {
 	if c.DualScalar && c.Contexts != 2 {
 		return fmt.Errorf("core: dual-scalar mode requires exactly 2 contexts, have %d", c.Contexts)
 	}
@@ -217,17 +236,14 @@ type Machine struct {
 // New builds a machine from cfg.
 func New(cfg Config) (*Machine, error) {
 	cfg = cfg.Normalized()
-	// Derive runs the spec- and context-level validation; only the two
+	// Derive runs the spec- and context-level validation; only the
 	// cross-knob checks of Config.Validate remain.
 	der, err := cfg.Spec.Derive(cfg.Contexts)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.DualScalar && cfg.Contexts != 2 {
-		return nil, fmt.Errorf("core: dual-scalar mode requires exactly 2 contexts, have %d", cfg.Contexts)
-	}
-	if cfg.IssueWidth < 1 || cfg.IssueWidth > cfg.Contexts {
-		return nil, fmt.Errorf("core: issue width %d out of range 1..contexts", cfg.IssueWidth)
+	if err := cfg.validateKnobs(); err != nil {
+		return nil, err
 	}
 	mem, err := memsys.New(cfg.Mem)
 	if err != nil {

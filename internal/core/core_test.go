@@ -53,7 +53,8 @@ func manyAddrs(n int) []uint64 {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	def := DefaultConfig()
+	if err := def.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := DefaultConfig()

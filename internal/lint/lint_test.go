@@ -15,6 +15,12 @@ func TestKeyComplete(t *testing.T) {
 	runFixture(t, KeyComplete, "keys/session", "keys/internal/arch")
 }
 
+// TestKeyCompleteBinary: with a text and a binary machine encoder, a
+// field only one of them drops is still flagged, naming that encoder.
+func TestKeyCompleteBinary(t *testing.T) {
+	runFixture(t, KeyComplete, "keys/binary/session", "keys/binary/internal/arch")
+}
+
 func TestJoinedValidate(t *testing.T) {
 	runFixture(t, JoinedValidate, "jv/internal/memsys", "jv/plain")
 }

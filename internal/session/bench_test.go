@@ -33,3 +33,25 @@ func BenchmarkRunAllSweep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMemoHit times one Run of a point the session has already
+// simulated: prepare, the memo key and one completed-entry lookup.
+func BenchmarkMemoHit(b *testing.B) {
+	w, err := buildOnce()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New()
+	spec := Solo(w, WithMemLatency(50))
+	ctx := context.Background()
+	if _, err := s.Run(ctx, spec); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Run(ctx, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

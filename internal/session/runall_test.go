@@ -442,12 +442,12 @@ func TestBatchObserverBypass(t *testing.T) {
 func TestProvenanceKeyGroupsBySupply(t *testing.T) {
 	w := testWorkload(t)
 	s := New()
-	a := Solo(w, WithMemLatency(10)).provenanceKey(s.idOf)
-	b := Solo(w, WithMemLatency(90), WithContexts(2)).provenanceKey(s.idOf)
+	a := Solo(w, WithMemLatency(10)).provenanceKey(&s.ids)
+	b := Solo(w, WithMemLatency(90), WithContexts(2)).provenanceKey(&s.ids)
 	if a != b {
 		t.Error("machine knobs split a shared-supply group")
 	}
-	q := Queue([]*workload.Workload{w}).provenanceKey(s.idOf)
+	q := Queue([]*workload.Workload{w}).provenanceKey(&s.ids)
 	if a == q {
 		t.Error("different modes grouped")
 	}
@@ -455,7 +455,7 @@ func TestProvenanceKeyGroupsBySupply(t *testing.T) {
 
 // sweepKernel compiles a small vector-plus-scalar kernel for the
 // compiled-sweep tests.
-func sweepKernel(t *testing.T) *vcomp.Compiled {
+func sweepKernel(t testing.TB) *vcomp.Compiled {
 	t.Helper()
 	x := &kernel.Array{Name: "x", Base: 0x10000, Stride: 8}
 	y := &kernel.Array{Name: "y", Base: 0x20000, Stride: 8}

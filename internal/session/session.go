@@ -85,26 +85,31 @@ type Session struct {
 	gate *runner.Gate
 	runs runner.Cache[string, *stats.Report]
 
-	// idTab assigns session-stable identities to run artifacts
-	// (workloads, compiled kernels, policy instances) for memo keys.
-	// Retaining the reference here is deliberate: the artifact's
-	// address can never be recycled by the GC into a colliding key
-	// while a cached result still depends on it.
-	idMu  sync.Mutex
-	idTab map[any]uint64
+	// ids assigns session-stable identities to run artifacts for memo
+	// keys.
+	ids idTable
 }
 
-// idOf returns the session-stable identity of a run artifact.
-func (s *Session) idOf(x any) uint64 {
-	s.idMu.Lock()
-	defer s.idMu.Unlock()
-	if s.idTab == nil {
-		s.idTab = make(map[any]uint64)
+// idTable assigns session-stable identities to run artifacts
+// (workloads, compiled kernels, policy instances). Retaining the
+// reference here is deliberate: the artifact's address can never be
+// recycled by the GC into a colliding key while a cached result still
+// depends on it. A key encoder holds mu across all of its lookups.
+type idTable struct {
+	mu sync.Mutex
+	m  map[any]uint64
+}
+
+// id returns x's identity, assigning the next one on first sight. The
+// caller holds t.mu.
+func (t *idTable) id(x any) uint64 {
+	if t.m == nil {
+		t.m = make(map[any]uint64)
 	}
-	id, ok := s.idTab[x]
+	id, ok := t.m[x]
 	if !ok {
-		id = uint64(len(s.idTab)) + 1
-		s.idTab[x] = id
+		id = uint64(len(t.m)) + 1
+		t.m[x] = id
 	}
 	return id
 }
@@ -288,47 +293,64 @@ func (s *Session) runTracked(ctx context.Context, spec RunSpec, traces *traceSha
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	st := s.backend()
-	if !s.memo || !p.memoizable {
-		// Memo-less path (session-wide or observer-carrying spec): the
-		// store still applies when the spec is persistable. A store hit
-		// skips the simulation, so attached observers see no events.
-		key, persistable := "", false
-		if st != nil {
-			key, persistable = spec.persistKey(&p)
-		}
-		if persistable {
-			if rep, tier := st.Get(key); tier.Hit() {
-				if s.memo {
-					// Promote to the memo tier: repeated requests for a
-					// hot point should not re-read and re-verify the
-					// disk record every time.
-					s.runs.Add(spec.memoKey(&p, s.idOf), rep)
-				}
-				return rep, s.storeHit(), nil
+	key := ""
+	if s.memo {
+		key = spec.memoKey(&p, &s.ids)
+		if p.memoizable {
+			// A completed entry answers before any closure is built, so
+			// a hit costs the key and one lookup.
+			if rep, ok := s.runs.Peek(key); ok {
+				return rep, SourceMemo, nil
 			}
+			return s.runMemo(ctx, spec, p, key, traces)
 		}
-		rep, err := s.simulate(ctx, spec, p, traces)
-		if err == nil {
-			if persistable {
-				// Write-through is best-effort: a full disk degrades
-				// the store to a miss next time, never the run itself.
-				_ = st.Put(key, rep)
-			}
-			if s.memo && !p.memoizable {
-				// Reports are observation-invariant, so an observer
-				// run's result is exactly what a plain Run of the same
-				// spec would memoize — install it (the memo key ignores
-				// observers) and let future plain or Cached requests
-				// hit. Observer-carrying requests still always reach
-				// this branch and simulate.
-				s.runs.Add(spec.memoKey(&p, s.idOf), rep)
-			}
-		}
-		return rep, SourceSim, err
 	}
+	// Memo-less path (session-wide or observer-carrying spec): the store
+	// still applies when the spec is persistable. A store hit skips the
+	// simulation, so attached observers see no events.
+	st := s.backend()
+	pkey, persistable := "", false
+	if st != nil {
+		pkey, persistable = spec.persistKey(&p)
+	}
+	if persistable {
+		if rep, tier := st.Get(pkey); tier.Hit() {
+			if s.memo {
+				// Promote to the memo tier: repeated requests for a hot
+				// point should not re-read and re-verify the disk record
+				// every time.
+				s.runs.Add(key, rep)
+			}
+			return rep, s.storeHit(), nil
+		}
+	}
+	rep, err := s.simulate(ctx, spec, p, traces)
+	if err == nil {
+		if persistable {
+			// Write-through is best-effort: a full disk degrades the
+			// store to a miss next time, never the run itself.
+			_ = st.Put(pkey, rep)
+		}
+		if s.memo {
+			// Reports are observation-invariant, so an observer run's
+			// result is exactly what a plain Run of the same spec would
+			// memoize — install it (the memo key ignores observers) and
+			// let future plain or Cached requests hit. Observer-carrying
+			// requests still always reach this branch and simulate.
+			s.runs.Add(key, rep)
+		}
+	}
+	return rep, SourceSim, err
+}
+
+// runMemo resolves a memoizable point the memo does not hold yet:
+// singleflight on its memo key, then the store, then a simulation. It
+// takes the plan by value, so only a miss moves the plan to the heap
+// for the compute closure.
+func (s *Session) runMemo(ctx context.Context, spec RunSpec, p plan, key string, traces *traceShare) (*stats.Report, Source, error) {
+	st := s.backend()
 	src := SourceMemo // overwritten iff this caller computes
-	rep, err := s.runs.DoContext(ctx, spec.memoKey(&p, s.idOf), func() (*stats.Report, error) {
+	rep, err := s.runs.DoContext(ctx, key, func() (*stats.Report, error) {
 		if st != nil {
 			if key, ok := spec.persistKey(&p); ok {
 				compute := func() (*stats.Report, error) { return s.simulate(ctx, spec, p, traces) }
@@ -396,18 +418,20 @@ func (s *Session) Cached(spec RunSpec) (*stats.Report, Source, bool) {
 	if err != nil {
 		return nil, SourceSim, false
 	}
+	key := ""
 	if s.memo {
-		if rep, ok := s.runs.Peek(spec.memoKey(&p, s.idOf)); ok {
+		key = spec.memoKey(&p, &s.ids)
+		if rep, ok := s.runs.Peek(key); ok {
 			return rep, SourceMemo, true
 		}
 	}
 	if st := s.backend(); st != nil {
-		if key, ok := spec.persistKey(&p); ok {
-			if rep, tier := st.Get(key); tier.Hit() {
+		if pkey, ok := spec.persistKey(&p); ok {
+			if rep, tier := st.Get(pkey); tier.Hit() {
 				if s.memo {
 					// Promote to the memo tier (see RunTracked): the
 					// next lookup answers from memory.
-					s.runs.Add(spec.memoKey(&p, s.idOf), rep)
+					s.runs.Add(key, rep)
 				}
 				return rep, s.storeHit(), true
 			}
@@ -457,7 +481,7 @@ func (s *Session) RunAllTracked(ctx context.Context, specs ...RunSpec) []Result 
 		ctx = context.Background()
 	}
 	results := make([]Result, len(specs))
-	traces := &traceShare{idOf: s.idOf}
+	traces := &traceShare{ids: &s.ids}
 	// The pool only orchestrates: simulations admit through the
 	// session's gate, so width beyond Jobs() keeps gate slots fed while
 	// some points read the store or park on shared singleflight entries.
@@ -483,7 +507,7 @@ var compiledTrace = (*vcomp.Compiled).Trace
 // lives only as long as the call, so no trace outlives its sweep. A nil
 // *traceShare builds a fresh trace for every point.
 type traceShare struct {
-	idOf func(any) uint64
+	ids *idTable
 
 	mu sync.Mutex
 	m  map[string]*sharedTrace
@@ -502,7 +526,7 @@ func (t *traceShare) trace(spec RunSpec) (*trace.Trace, error) {
 	if t == nil {
 		return compiledTrace(spec.compiled, spec.schedule)
 	}
-	key := spec.provenanceKey(t.idOf)
+	key := spec.provenanceKey(t.ids)
 	t.mu.Lock()
 	e := t.m[key]
 	if e == nil {

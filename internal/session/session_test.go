@@ -9,6 +9,7 @@ import (
 
 	"mtvec/internal/arch"
 	"mtvec/internal/core"
+	"mtvec/internal/vcomp"
 	"mtvec/internal/workload"
 )
 
@@ -40,7 +41,7 @@ func keyOf(t *testing.T, spec RunSpec) string {
 	if !p.memoizable {
 		t.Fatal("spec unexpectedly unmemoizable")
 	}
-	return spec.memoKey(&p, keySession.idOf)
+	return spec.memoKey(&p, &keySession.ids)
 }
 
 func TestMemoKeyCanonical(t *testing.T) {
@@ -82,6 +83,25 @@ func TestMemoKeyCanonical(t *testing.T) {
 			t.Errorf("%s and %s share a memo key: %s", name, prev, key)
 		}
 		seen[key] = name
+	}
+
+	// The lists carry their lengths: each list-bearing key decodes back
+	// to its spec's workloads or schedule, so no spec with other lists
+	// can share it.
+	c := sweepKernel(t)
+	for name, spec := range map[string]RunSpec{
+		"queue": Queue([]*workload.Workload{w, w, w}, WithContexts(2)),
+		"group": Group(w, []*workload.Workload{w}),
+		"compiled": Compiled(c, []vcomp.Invocation{{Unit: 1, N: 3}, {Unit: 0, N: 300}, {Unit: 1, N: 1}},
+			WithPolicy("lru")),
+	} {
+		p, err := spec.prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := decodeSupplyOK(spec.memoKey(&p, &keySession.ids), spec, &keySession.ids); msg != "" {
+			t.Errorf("%s: %s", name, msg)
+		}
 	}
 
 	// The defaulted shape and its explicit spellings are the same
@@ -263,5 +283,46 @@ func TestValidationListsAllProblems(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error missing %q: %v", want, err)
 		}
+	}
+}
+
+// TestPrepareAllocatesNothing pins prepare's cost on the paths every
+// warm point takes: the options apply to a build on prepare's stack,
+// and a valid config normalizes and validates in place.
+func TestPrepareAllocatesNothing(t *testing.T) {
+	w := testWorkload(t)
+	specs := map[string]RunSpec{
+		"solo": Solo(w, WithMemLatency(50)),
+		"queue": Queue([]*workload.Workload{w, w, w, w},
+			WithContexts(4), WithMemLatency(70), WithXbar(3), WithPolicy("roundrobin")),
+	}
+	for name, spec := range specs {
+		if _, err := spec.prepare(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = spec.prepare() }); n != 0 {
+			t.Errorf("%s: prepare allocates %.0f times, want 0", name, n)
+		}
+	}
+}
+
+// TestMemoHitAllocs pins a memo hit to the key it builds: a completed
+// entry answers before any compute closure exists, so the plan never
+// leaves the stack.
+func TestMemoHitAllocs(t *testing.T) {
+	w := testWorkload(t)
+	s := New()
+	spec := Solo(w, WithMemLatency(50))
+	ctx := context.Background()
+	if _, err := s.Run(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, src, err := s.RunTracked(ctx, spec); err != nil || src != SourceMemo {
+			t.Fatalf("memo hit: src=%v err=%v", src, err)
+		}
+	})
+	if n > 1 {
+		t.Errorf("a memo hit allocates %.0f times, want at most 1 (its key)", n)
 	}
 }

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -57,7 +58,8 @@ type RunSpec struct {
 	compiled  *vcomp.Compiled
 	schedule  []vcomp.Invocation
 	// opts is consumed into the plan before any key is computed; every
-	// option's effect lands in a field appendMachineKey already encodes.
+	// option's effect lands in a field appendMachineBin and
+	// appendMachineKey already encode.
 	//mtvlint:allow keycomplete -- options are resolved into plan/cfg fields that the key functions encode
 	opts []Option
 }
@@ -125,8 +127,10 @@ type build struct {
 // Option configures one aspect of a run's machine or stop rule. Options
 // apply in order; later options win. An invalid option records a
 // diagnostic that surfaces — joined with every other diagnostic — when
-// the spec is validated or run.
-type Option func(*build)
+// the spec is validated or run. An option takes the build by value and
+// returns it: no pointer into prepare's frame reaches a callee escape
+// analysis cannot see, so the build stays on prepare's stack.
+type Option func(build) build
 
 func (b *build) errf(format string, args ...any) {
 	b.errs = append(b.errs, fmt.Errorf(format, args...))
@@ -138,7 +142,7 @@ func (b *build) errf(format string, args ...any) {
 // knobs without a dedicated option (DisableFastForward, custom
 // latency tables).
 func WithConfig(cfg core.Config) Option {
-	return func(b *build) {
+	return func(b build) build {
 		b.cfg = cfg
 		b.spans = false
 		b.contextsSet = true
@@ -147,6 +151,7 @@ func WithConfig(cfg core.Config) Option {
 			b.observers = append(b.observers, cfg.Observers...)
 			b.cfg.Observers = nil
 		}
+		return b
 	}
 }
 
@@ -155,13 +160,14 @@ func WithConfig(cfg core.Config) Option {
 // checked when the spec validates — after every option, including a
 // later WithArch, has applied.
 func WithContexts(n int) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if n < 1 {
 			b.errf("session: contexts %d out of range (need at least 1)", n)
-			return
+			return b
 		}
 		b.cfg.Contexts = n
 		b.contextsSet = true
+		return b
 	}
 }
 
@@ -172,12 +178,13 @@ func WithContexts(n int) Option {
 // top, so WithArch(spec) + WithMemLatency(80) is the spec at 80-cycle
 // memory.
 func WithArch(spec arch.Spec) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if spec.IsZero() {
 			b.errf("session: zero arch spec (start from a preset like arch.ConvexC3400)")
-			return
+			return b
 		}
 		b.cfg.Spec = spec
+		return b
 	}
 }
 
@@ -187,12 +194,13 @@ func WithArch(spec arch.Spec) Option {
 // organization (BuildWorkloadsRegFile / vcomp.Options.RegFile) when it
 // changes the register count or length.
 func WithRegFile(rf arch.RegFile) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if rf.IsZero() {
 			b.errf("session: zero register-file organization")
-			return
+			return b
 		}
 		b.cfg.RegFile = rf
+		return b
 	}
 }
 
@@ -200,75 +208,81 @@ func WithRegFile(rf arch.RegFile) Option {
 // study's central register-file axis), keeping the rest of the
 // organization.
 func WithVLen(n int) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if n < 1 {
 			b.errf("session: vector length %d < 1", n)
-			return
+			return b
 		}
 		b.cfg.RegFile = b.cfg.RegFile.Normalize()
 		b.cfg.VLen = n
+		return b
 	}
 }
 
 // WithBankPorts sets each register bank's read and write ports into the
 // crossbars (the reference machine has 2 read, 1 write).
 func WithBankPorts(read, write int) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if read < 1 || write < 1 {
 			b.errf("session: bank ports need at least 1 read and 1 write, have %d/%d", read, write)
-			return
+			return b
 		}
 		b.cfg.RegFile = b.cfg.RegFile.Normalize()
 		b.cfg.BankReadPorts, b.cfg.BankWritePorts = read, write
+		return b
 	}
 }
 
 // WithMemLatency sets the main-memory latency in cycles (the paper's
 // central parameter; it varies 1..100).
 func WithMemLatency(cycles int) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if cycles < 1 {
 			b.errf("session: memory latency %d < 1", cycles)
-			return
+			return b
 		}
 		b.cfg.Mem.Latency = cycles
+		return b
 	}
 }
 
 // WithScalarLatency sets the scalar-access completion latency (the
 // Convex scalar cache); 0 means "same as main memory".
 func WithScalarLatency(cycles int) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if cycles < 0 {
 			b.errf("session: negative scalar latency %d", cycles)
-			return
+			return b
 		}
 		b.cfg.Mem.ScalarLatency = cycles
+		return b
 	}
 }
 
 // WithXbar sets both register-file crossbar latencies (Section 8 charges
 // the multithreaded machine 3 cycles instead of the reference 2).
 func WithXbar(cycles int) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if cycles < 1 {
 			b.errf("session: crossbar latency %d < 1", cycles)
-			return
+			return b
 		}
 		b.cfg.Lat.ReadXbar, b.cfg.Lat.WriteXbar = cycles, cycles
+		return b
 	}
 }
 
 // WithPolicy selects a thread-switch policy by name (sched.Names).
 func WithPolicy(name string) Option {
-	return func(b *build) {
+	return func(b build) build {
 		p := sched.ByName(name)
 		if p == nil {
 			b.errf("session: unknown policy %q (have %s)", name, strings.Join(sched.Names(), ", "))
-			return
+			return b
 		}
 		b.cfg.Policy = p
 		b.policyName, b.policyInst = name, nil
+		return b
 	}
 }
 
@@ -277,31 +291,36 @@ func WithPolicy(name string) Option {
 // specs. The policy is consulted only while two or more threads have
 // work; a lone thread is dispatched without calling Pick.
 func WithPolicyInstance(p sched.Policy) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if p == nil {
 			b.errf("session: nil policy instance")
-			return
+			return b
 		}
 		b.cfg.Policy = p
 		b.policyName, b.policyInst = "", p
+		return b
 	}
 }
 
 // WithDualScalar toggles the Fujitsu VP2000 dual-scalar mode of
 // Section 9 (requires exactly 2 contexts).
 func WithDualScalar(enabled bool) Option {
-	return func(b *build) { b.cfg.DualScalar = enabled }
+	return func(b build) build {
+		b.cfg.DualScalar = enabled
+		return b
+	}
 }
 
 // WithIssueWidth sets the decode slots per cycle (the paper's
 // future-work simultaneous-issue study; 1 is the paper's machine).
 func WithIssueWidth(n int) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if n < 1 {
 			b.errf("session: issue width %d < 1", n)
-			return
+			return b
 		}
 		b.cfg.IssueWidth = n
+		return b
 	}
 }
 
@@ -311,10 +330,10 @@ func WithIssueWidth(n int) Option {
 // scalar cache (scalar accesses pay full memory latency); banking set
 // by WithMemBanks is preserved. Apply after WithMemLatency.
 func WithMemPorts(load, store int) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if load < 1 || store < 1 {
 			b.errf("session: dedicated ports need at least 1 load and 1 store, have %d/%d", load, store)
-			return
+			return b
 		}
 		b.cfg.Mem = memsys.Config{
 			Latency:    b.cfg.Mem.Latency,
@@ -323,6 +342,7 @@ func WithMemPorts(load, store int) Option {
 			Banks:      b.cfg.Mem.Banks,
 			BankBusy:   b.cfg.Mem.BankBusy,
 		}
+		return b
 	}
 }
 
@@ -332,16 +352,17 @@ func WithMemPorts(load, store int) Option {
 // silent no-op (memsys.Config.Validate rejects that shape too); busy 1
 // is the explicit "banked but conflict-free" spelling.
 func WithMemBanks(banks, busy int) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if banks < 1 {
 			b.errf("session: bank count %d < 1 (use the zero config, not WithMemBanks, for conflict-free memory)", banks)
-			return
+			return b
 		}
 		if busy < 1 {
 			b.errf("session: bank busy time %d < 1 would silently disable the %d-bank conflict model (busy 1 means a bank recovers by the next cycle)", busy, banks)
-			return
+			return b
 		}
 		b.cfg.Mem.Banks, b.cfg.Mem.BankBusy = banks, busy
+		return b
 	}
 }
 
@@ -349,7 +370,10 @@ func WithMemBanks(banks, busy int) Option {
 // Report.Spans (a built-in SpanRecorder observer; unlike WithObserver
 // the captured spans are part of the memoized Report).
 func WithSpans() Option {
-	return func(b *build) { b.spans = true }
+	return func(b build) build {
+		b.spans = true
+		return b
+	}
 }
 
 // WithObserver attaches streaming run observers (progress, thread
@@ -357,38 +381,41 @@ func WithSpans() Option {
 // observers is never served from the session's memo cache — every Run
 // simulates.
 func WithObserver(obs ...core.Observer) Option {
-	return func(b *build) {
+	return func(b build) build {
 		for _, o := range obs {
 			if o == nil {
 				b.errf("session: nil observer")
-				return
+				return b
 			}
 		}
 		b.observers = append(b.observers, obs...)
+		return b
 	}
 }
 
 // WithProgressStride sets the simulated-cycle interval between
 // Observer.Progress events; 0 selects core.DefaultProgressStride.
 func WithProgressStride(cycles core.Cycle) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if cycles < 0 {
 			b.errf("session: negative progress stride %d", cycles)
-			return
+			return b
 		}
 		b.cfg.ProgressStride = cycles
+		return b
 	}
 }
 
 // WithMaxCycles bounds the run to the given cycle count (a safety stop;
 // 0 disables).
 func WithMaxCycles(n core.Cycle) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if n < 0 {
 			b.errf("session: negative cycle bound %d", n)
-			return
+			return b
 		}
 		b.stop.MaxCycles = n
+		return b
 	}
 }
 
@@ -396,12 +423,13 @@ func WithMaxCycles(n core.Cycle) Option {
 // dynamic instructions — the partial reference runs of the Section 4.1
 // speedup formula. 0 disables.
 func WithMaxThread0Insts(n int64) Option {
-	return func(b *build) {
+	return func(b build) build {
 		if n < 0 {
 			b.errf("session: negative instruction bound %d", n)
-			return
+			return b
 		}
 		b.stop.MaxThread0Insts = n
+		return b
 	}
 }
 
@@ -419,17 +447,23 @@ type plan struct {
 	policyInst sched.Policy
 }
 
-// prepare applies the options, runs every validation layer, and builds
-// the memo key. All diagnostics are joined so a caller sees the full
-// list at once.
+// defaultConfig is the base configuration options apply to: one
+// resolved reference shape, copied per spec instead of rebuilt.
+var defaultConfig = core.DefaultConfig()
+
+// prepare applies the options to a copy of defaultConfig, normalizes
+// the result in place and runs every validation layer, joining all
+// diagnostics so a caller sees the full list at once. A valid spec
+// prepares without allocating: the build and the plan stay on the
+// caller's stack. Keys are computed from the plan afterwards.
 func (s RunSpec) prepare() (plan, error) {
-	b := build{cfg: core.DefaultConfig()}
+	b := build{cfg: defaultConfig}
 	for _, opt := range s.opts {
 		if opt == nil {
 			b.errf("session: nil option")
 			continue
 		}
-		opt(&b)
+		b = opt(b)
 	}
 
 	switch s.mode {
@@ -473,7 +507,7 @@ func (s RunSpec) prepare() (plan, error) {
 	// Normalize before validating and keying: a defaulted shape and its
 	// explicit arch.ConvexC3400() spelling are the same machine, so they
 	// must share a memo entry.
-	b.cfg = b.cfg.Normalized()
+	b.cfg.Normalize()
 	if len(b.errs) == 0 {
 		if err := b.cfg.Validate(); err != nil {
 			b.errs = append(b.errs, err)
@@ -494,48 +528,113 @@ func (s RunSpec) prepare() (plan, error) {
 	}, nil
 }
 
-// memoKey canonically encodes everything a run's Report depends on. It
-// is computed lazily — only when a memoizing session actually consults
-// the cache — so the memo-less fast path pays nothing for it.
-// Workloads, compiled kernels and custom policy instances are
-// identified by the session's identity registry (idOf), which retains
-// the artifact, so a recycled allocation can never collide with a
-// cached key: two specs share a simulation only when they share the
-// built artifacts — exactly the invariant the experiment Env maintains.
-func (s RunSpec) memoKey(p *plan, idOf func(any) uint64) string {
-	// Hand-rolled encoding: the key is computed once per memoized Run
-	// and the reflective fmt path dominated the cache-hit profile. Any
-	// injective encoding works — the cache is in-memory only.
-	b := make([]byte, 0, 256)
-	b = append(b, "mode="...)
-	b = appendNum(b, int64(s.mode))
-	b = append(b, "|ws="...)
-	for _, w := range s.workloads {
-		b = appendNum(b, int64(idOf(w)))
-	}
-	if s.compiled != nil {
-		b = append(b, "|compiled="...)
-		b = appendNum(b, int64(idOf(s.compiled)))
-		b = append(b, "|sched="...)
-		for _, inv := range s.schedule {
-			b = appendNum(b, int64(inv.Unit))
-			b = append(b, ':')
-			b = appendNum(b, inv.N)
-		}
-	}
-	b = append(b, "|policy="...)
+// memoKeyCap sizes memoKey's stack buffer: a single-workload point
+// encodes in under 64 bytes, and a longer key only moves the buffer to
+// the heap.
+const memoKeyCap = 192
+
+// memoKey encodes everything a run's Report depends on in a fixed
+// binary layout: the mode, the artifact identities, the policy identity
+// and the machine tail (appendMachineBin). The key never leaves the
+// process, so it needs only to be injective, not readable or stable
+// across builds: integers are varints, which no varint is a prefix of;
+// the workload and schedule lists and the policy name carry their
+// lengths; and a presence byte leads each optional field. Workloads,
+// compiled kernels and custom policy instances are identified by the
+// session's identity table, which retains the artifact, so a recycled
+// allocation can never collide with a cached key: two specs share a
+// simulation only when they share the built artifacts — exactly the
+// invariant the experiment Env maintains. The table's lock is taken
+// once per key.
+func (s RunSpec) memoKey(p *plan, ids *idTable) string {
+	var buf [memoKeyCap]byte
+	b := binary.AppendUvarint(buf[:0], uint64(s.mode))
+	ids.mu.Lock()
+	b = s.appendSupply(b, ids)
 	switch {
 	case p.policyName != "":
-		b = append(b, "name:"...)
+		b = append(b, 1)
+		b = binary.AppendUvarint(b, uint64(len(p.policyName)))
 		b = append(b, p.policyName...)
 	case p.policyInst != nil:
-		b = append(b, "inst:"...)
-		b = appendNum(b, int64(idOf(p.policyInst)))
+		b = append(b, 2)
+		b = binary.AppendUvarint(b, ids.id(p.policyInst))
 	default:
-		b = append(b, "default"...)
+		b = append(b, 0)
 	}
-	b = appendMachineKey(b, p)
+	ids.mu.Unlock()
+	b = appendMachineBin(b, p)
 	return string(b)
+}
+
+// appendSupply encodes the spec's instruction supply for the binary
+// keys: the length-prefixed workload identities, then the compiled
+// kernel (absent, or present with its identity and its length-prefixed
+// schedule). The caller holds ids.mu.
+func (s RunSpec) appendSupply(b []byte, ids *idTable) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s.workloads)))
+	for _, w := range s.workloads {
+		b = binary.AppendUvarint(b, ids.id(w))
+	}
+	if s.compiled == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = binary.AppendUvarint(b, ids.id(s.compiled))
+	b = binary.AppendUvarint(b, uint64(len(s.schedule)))
+	for _, inv := range s.schedule {
+		b = binary.AppendVarint(b, int64(inv.Unit))
+		b = binary.AppendVarint(b, inv.N)
+	}
+	return b
+}
+
+// appendMachineBin is appendMachineKey's binary twin for the memo key:
+// the same fields, each a varint, with the partition bit and the four
+// flags packed into one byte. Every field has a fixed place, so the
+// tail is injective on its own.
+func appendMachineBin(b []byte, p *plan) []byte {
+	b = binary.AppendVarint(b, int64(p.cfg.Contexts))
+	rf := &p.cfg.RegFile
+	b = binary.AppendVarint(b, int64(rf.VRegs))
+	b = binary.AppendVarint(b, int64(rf.VLen))
+	b = binary.AppendVarint(b, int64(rf.VRegsPerBank))
+	b = binary.AppendVarint(b, int64(rf.BankReadPorts))
+	b = binary.AppendVarint(b, int64(rf.BankWritePorts))
+	b = binary.AppendVarint(b, int64(p.cfg.RestrictedFUs))
+	b = binary.AppendVarint(b, int64(p.cfg.GeneralFUs))
+	b = binary.AppendVarint(b, int64(p.cfg.MaxContexts))
+	lat := &p.cfg.Lat
+	for _, v := range lat.ScalarInt {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	for _, v := range lat.ScalarFP {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	for _, v := range lat.Vector {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	b = binary.AppendVarint(b, int64(lat.VectorStartup))
+	b = binary.AppendVarint(b, int64(lat.ReadXbar))
+	b = binary.AppendVarint(b, int64(lat.WriteXbar))
+	mem := &p.cfg.Mem
+	b = binary.AppendVarint(b, int64(mem.Latency))
+	b = binary.AppendVarint(b, int64(mem.ScalarLatency))
+	b = binary.AppendVarint(b, int64(mem.GeneralPorts))
+	b = binary.AppendVarint(b, int64(mem.LoadPorts))
+	b = binary.AppendVarint(b, int64(mem.StorePorts))
+	b = binary.AppendVarint(b, int64(mem.Banks))
+	b = binary.AppendVarint(b, int64(mem.BankBusy))
+	var flags byte
+	for i, f := range [...]bool{rf.PartitionPerContext, p.cfg.DualScalar, p.spans, p.cfg.DisableFastForward, p.stop.Thread0Complete} {
+		if f {
+			flags |= 1 << i
+		}
+	}
+	b = append(b, flags)
+	b = binary.AppendVarint(b, int64(p.cfg.IssueWidth))
+	b = binary.AppendVarint(b, p.stop.MaxThread0Insts)
+	return binary.AppendVarint(b, p.stop.MaxCycles)
 }
 
 // provenanceKey encodes the spec's instruction supply — mode, workload
@@ -543,24 +642,12 @@ func (s RunSpec) memoKey(p *plan, idOf func(any) uint64) string {
 // shape. Points that share it replay the same dynamic streams, so the
 // compiled points of one RunAll call share one synthesized trace per
 // key (see traceShare). The key orders nothing and caches no result.
-func (s RunSpec) provenanceKey(idOf func(any) uint64) string {
-	b := make([]byte, 0, 64)
-	b = append(b, "mode="...)
-	b = appendNum(b, int64(s.mode))
-	b = append(b, "|ws="...)
-	for _, w := range s.workloads {
-		b = appendNum(b, int64(idOf(w)))
-	}
-	if s.compiled != nil {
-		b = append(b, "|compiled="...)
-		b = appendNum(b, int64(idOf(s.compiled)))
-		b = append(b, "|sched="...)
-		for _, inv := range s.schedule {
-			b = appendNum(b, int64(inv.Unit))
-			b = append(b, ':')
-			b = appendNum(b, inv.N)
-		}
-	}
+func (s RunSpec) provenanceKey(ids *idTable) string {
+	var buf [64]byte
+	b := binary.AppendUvarint(buf[:0], uint64(s.mode))
+	ids.mu.Lock()
+	b = s.appendSupply(b, ids)
+	ids.mu.Unlock()
 	return string(b)
 }
 
@@ -601,7 +688,7 @@ func (s RunSpec) persistKey(p *plan) (string, bool) {
 	return string(b), true
 }
 
-// appendNum is the keys' shared integer encoding.
+// appendNum is the persist key's integer encoding.
 func appendNum(b []byte, v int64) []byte {
 	b = strconv.AppendInt(b, v, 10)
 	return append(b, ',')
@@ -610,8 +697,10 @@ func appendNum(b []byte, v int64) []byte {
 // appendMachineKey encodes the machine-shape and stop-rule dimensions a
 // run's Report depends on — contexts, the full register-file
 // organization (arch/VLen dims), FU mix, latency tables, memory system,
-// flags, issue width and stop bounds. The memo key and the persist key
-// share this tail; they differ only in how run artifacts are named.
+// flags, issue width and stop bounds — as the persist key's text tail,
+// whose bytes address every stored record. appendMachineBin encodes the
+// same fields for the memo key; keycomplete checks each against the
+// machine shape.
 func appendMachineKey(b []byte, p *plan) []byte {
 	b = append(b, "|ctx="...)
 	b = appendNum(b, int64(p.cfg.Contexts))

@@ -244,11 +244,25 @@ func DecodeRecord(data []byte, key string) (*stats.Report, error) {
 	return decodeReport(payload)
 }
 
-// path returns the sharded record path for a key.
+// path returns the sharded record path for a key,
+// filepath.Join(root, hex[:2], hex+".json") for the key's SHA-256 hex,
+// built in one fixed buffer that first holds the key for hashing. root
+// is clean and ends in layoutVersion (OpenOptions joins it), and the
+// hex parts hold no separator, so the join is a concatenation. Only a
+// key or root longer than the buffer costs more than the returned
+// string.
 func (s *Dir) path(key string) string {
-	h := sha256.Sum256([]byte(key))
-	name := hex.EncodeToString(h[:])
-	return filepath.Join(s.root, name[:2], name+".json")
+	var buf [1024]byte
+	h := sha256.Sum256(append(buf[:0], key...))
+	b := append(buf[:0], s.root...)
+	b = append(b, filepath.Separator)
+	var name [sha256.Size * 2]byte
+	hex.Encode(name[:], h[:])
+	b = append(b, name[:2]...)
+	b = append(b, filepath.Separator)
+	b = append(b, name[:]...)
+	b = append(b, ".json"...)
+	return string(b)
 }
 
 // Get returns the stored report for key (tier TierLocal), or TierMiss.

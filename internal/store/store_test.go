@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -402,6 +404,47 @@ func TestPathSharding(t *testing.T) {
 	base := filepath.Base(p)
 	if len(dir) != 2 || base[:2] != dir {
 		t.Errorf("path %q not sharded by leading hash byte", rel)
+	}
+}
+
+// TestPathMatchesJoin: the record name built in path's buffer is
+// byte-identical to filepath.Join(root, hex[:2], hex+".json"), the form
+// every store written so far is addressed by, for keys that JSON must
+// escape, non-ASCII keys, an empty key and a key longer than the
+// buffer, under roots spelled with redundant separators and non-ASCII
+// names; and it allocates only the returned string.
+func TestPathMatchesJoin(t *testing.T) {
+	tmp := t.TempDir()
+	roots := []string{
+		tmp,
+		tmp + string(filepath.Separator) + "a" + string(filepath.Separator) + string(filepath.Separator) + "b" + string(filepath.Separator) + ".",
+		filepath.Join(tmp, "störe dir", "ü"),
+		filepath.Join(tmp, strings.Repeat("long-root-segment"+string(filepath.Separator), 15)),
+	}
+	keys := []string{
+		"mode=1,|ws=flo52@0.0001+fpf546bc2976fd7d4a,|policy=default|ctx=1,",
+		"", "clé-ü→∞", `quote"back\slash`, "<&>", "ctl\x00\n\t", "\xff\xfe invalid utf-8",
+		strings.Repeat("k", 1000),
+	}
+	for _, dir := range roots {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range keys {
+			sum := sha256.Sum256([]byte(key))
+			name := hex.EncodeToString(sum[:])
+			if got, want := s.path(key), filepath.Join(s.root, name[:2], name+".json"); got != want {
+				t.Errorf("path(%q) under %q:\n got  %s\n want %s", key, dir, got, want)
+			}
+		}
+	}
+	s, err := Open(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.path(keys[0]) }); n > 1 {
+		t.Errorf("path allocates %.0f times, want at most the returned string", n)
 	}
 }
 

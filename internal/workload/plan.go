@@ -96,9 +96,19 @@ func plan(c *vcomp.Compiled, s *Spec, phases []phase, scale float64) ([]vcomp.In
 	}
 
 	// Interleave: split every phase's invocations (and the serial
-	// iterations) across interleaveGroups rounds.
+	// iterations) across interleaveGroups rounds. The schedule holds
+	// every full invocation, one serial entry per round that has
+	// iterations, and one partial per phase that has one, so it is
+	// sized once.
 	groups := int64(interleaveGroups)
-	var sched []vcomp.Invocation
+	size := min(serialIters, groups)
+	for _, pp := range plans {
+		size += pp.full
+		if pp.partialN > 0 {
+			size++
+		}
+	}
+	sched := make([]vcomp.Invocation, 0, max(size, 0))
 	for g := int64(0); g < groups; g++ {
 		for _, pp := range plans {
 			count := pp.full / groups

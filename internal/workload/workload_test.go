@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"mtvec/internal/arch"
 	"mtvec/internal/isa"
+	"mtvec/internal/vcomp"
 )
 
 // testScale keeps the calibration tests fast while large enough that
@@ -227,5 +229,41 @@ func TestWorkloadMixProperties(t *testing.T) {
 	}
 	if ws["a7"].Stats.PerOp[isa.OpSetVS] <= ws["sw"].Stats.PerOp[isa.OpSetVS] {
 		t.Error("nasa7 should have more stride traffic than swm256")
+	}
+}
+
+// TestPlanSizesScheduleOnce: the planner's count of full invocations,
+// serial rounds and partials is exact, so the schedule is allocated
+// once and never grows.
+func TestPlanSizesScheduleOnce(t *testing.T) {
+	short := arch.DefaultRegFile()
+	short.VLen = 32
+	planned := 0
+	for _, s := range append(Specs(), BenchSpecs()...) {
+		if s.schedule != nil {
+			continue
+		}
+		planned++
+		for _, opts := range []vcomp.Options{{}, {RegFile: short}} {
+			k, phases := s.build()
+			k.Units = append(k.Units, serialLoop())
+			c, err := vcomp.CompileOpts(k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, scale := range []float64{1e-5, testScale, DefaultScale} {
+				sched, err := plan(c, s, phases, scale)
+				if err != nil {
+					t.Fatalf("%s at %g: %v", s.Short, scale, err)
+				}
+				if len(sched) != cap(sched) {
+					t.Errorf("%s at %g, vlen %d: schedule of %d entries sized for %d",
+						s.Short, scale, c.RegFile().VLen, len(sched), cap(sched))
+				}
+			}
+		}
+	}
+	if planned < len(Specs()) {
+		t.Fatalf("only %d catalog specs go through the planner", planned)
 	}
 }
