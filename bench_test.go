@@ -221,9 +221,13 @@ func BenchmarkCompiledSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ses := mtvec.NewSession(mtvec.WithJobs(1))
+		w, err := mtvec.CompiledWorkload(c, sched)
+		if err != nil {
+			b.Fatal(err)
+		}
 		specs := make([]mtvec.RunSpec, 8)
 		for k := range specs {
-			specs[k] = mtvec.CompiledRun(c, sched, mtvec.WithMemLatency(30+10*k))
+			specs[k] = mtvec.Solo(w, mtvec.WithMemLatency(30+10*k))
 		}
 		if _, err := ses.RunAll(ctx, specs...); err != nil {
 			b.Fatal(err)

@@ -286,9 +286,9 @@ func benchCases(scale float64, jobs int) (cases []benchCase, cleanup func(), err
 	)
 
 	// Sweeps: the same memo-missed eight-point latency sweep over one
-	// compiled kernel, under the -bench-jobs gate width. The points share
-	// one synthesized and predecoded trace for the call (docs/PERF.md,
-	// "Sweeps run point by point").
+	// compiled kernel, under the -bench-jobs gate width. Each sweep wraps
+	// the kernel in a fresh workload, whose points share one synthesized
+	// and predecoded trace (docs/PERF.md, "Sweeps run point by point").
 	sweepKernel, err := compileSweepKernel()
 	if err != nil {
 		return nil, nil, err
@@ -313,9 +313,13 @@ func benchCases(scale float64, jobs int) (cases []benchCase, cleanup func(), err
 	cases = append(cases, benchCase{
 		name: "sweep/perpoint",
 		fn: func() (int64, error) {
+			w, err := mtvec.CompiledWorkload(sweepKernel, sweepSched)
+			if err != nil {
+				return 0, err
+			}
 			specs := make([]mtvec.RunSpec, 8)
 			for k := range specs {
-				specs[k] = mtvec.CompiledRun(sweepKernel, sweepSched, mtvec.WithMemLatency(30+10*k))
+				specs[k] = mtvec.Solo(w, mtvec.WithMemLatency(30+10*k))
 			}
 			return runSweep(specs)
 		},

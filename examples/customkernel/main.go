@@ -62,34 +62,23 @@ func main() {
 		{Unit: c.UnitIndex("relax"), N: 100_000},
 	}
 
+	relax, err := mtvec.CompiledWorkload(c, schedule)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	ctx := context.Background()
 	ses := mtvec.NewSession()
-	rep, err := ses.Run(ctx, mtvec.CompiledRun(c, schedule))
+	rep, err := ses.Run(ctx, mtvec.Solo(relax))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("reference machine: %d cycles, %.1f%% port occupation, VOPC %.2f\n",
 		rep.Cycles, 100*rep.MemOccupation(), rep.VOPC())
 
-	// The same kernel as two threads of a multithreaded machine: run a
-	// second instance as the companion via the trace API.
-	tr, err := c.Trace(schedule)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := mtvec.DefaultConfig()
-	cfg.Contexts = 2
-	m, err := mtvec.NewMachine(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := m.SetThreadStream(0, "relax-a", tr.Stream()); err != nil {
-		log.Fatal(err)
-	}
-	if err := m.SetThreadStream(1, "relax-b", tr.Stream()); err != nil {
-		log.Fatal(err)
-	}
-	rep2, err := m.Run(mtvec.Stop{})
+	// The same kernel as two threads of a multithreaded machine: a job
+	// queue of two instances, one per context.
+	rep2, err := ses.Run(ctx, mtvec.Queue([]*mtvec.Workload{relax, relax}, mtvec.WithContexts(2)))
 	if err != nil {
 		log.Fatal(err)
 	}

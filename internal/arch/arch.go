@@ -196,8 +196,10 @@ type Spec struct {
 	Mem memsys.Config
 }
 
-// IsZero reports whether the Spec is the unset zero value.
-func (s Spec) IsZero() bool { return s == Spec{} }
+// IsZero reports whether the Spec is the unset zero value. It compares
+// in place: Config.Normalize and Config.Validate call it once per run
+// point, and a value receiver would copy the whole shape each time.
+func (s *Spec) IsZero() bool { return *s == Spec{} }
 
 // Clone returns an independent copy of the spec. Specs are plain values
 // with no reference fields, so the copy is the assignment itself; the

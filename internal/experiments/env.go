@@ -97,8 +97,8 @@ func (e *Env) runCtx() context.Context { return e.ctx.Load().c }
 
 // SetStore attaches a persistent result backend to the Env's session:
 // simulation points some earlier process already ran are served from
-// disk (or a remote peer tier), and fresh ones are written through — a
-// warm store regenerates the whole evaluation with zero simulations.
+// it, and fresh ones are written through — a warm store regenerates
+// the whole evaluation with zero simulations.
 // Workload builds are not persisted (they are cheap relative to runs
 // and carry unexported state); only run Reports are.
 func (e *Env) SetStore(st store.Backend) { e.ses.SetStore(st) }

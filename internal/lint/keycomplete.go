@@ -23,10 +23,9 @@ var keyFuncNames = []string{"memoKey", "persistKey", "appendMachineBin", "append
 // (embedded promotion included). Each encoder must reach every
 // machine-shape field on its own, so a field one encoder drops is
 // flagged even when another encodes it; a receiver field needs only
-// one encoder (the persist key names a compiled kernel's schedule by
-// refusing the spec). A field that is deliberately not part of a run's
-// identity carries an //mtvlint:allow keycomplete directive at its
-// declaration.
+// one encoder, since the machine encoders see the plan and never the
+// spec. A field that is deliberately not part of a run's identity
+// carries an //mtvlint:allow keycomplete directive at its declaration.
 var KeyComplete = &Analyzer{
 	Name: "keycomplete",
 	Doc:  "every machine-shape field must be encoded by each of memoKey/persistKey/appendMachineBin/appendMachineKey (or be explicitly exempted)",
@@ -63,8 +62,8 @@ func runKeyComplete(pass *Pass) {
 	}
 
 	// Per root, the transitive closure over same-package calls: a
-	// helper like appendSupply or a future splitKey still credits the
-	// fields it reads.
+	// helper like appendMachineBin or a future splitKey still credits
+	// the fields it reads.
 	reached := make(map[string]map[*types.Var]bool, len(roots))
 	union := make(map[*types.Var]bool)
 	for _, name := range roots {

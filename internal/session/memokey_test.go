@@ -15,16 +15,14 @@ import (
 
 // keySupply is the supply part of a memo key, decoded.
 type keySupply struct {
-	mode     uint64
-	ws       []uint64
-	compiled uint64 // 0: none
-	sched    []vcomp.Invocation
+	mode uint64
+	ws   []uint64
 }
 
-// decodeSupply reads a memo key's mode and supply back (see
-// RunSpec.appendSupply) and returns the rest of the key. A key whose
-// lists decode back to the spec's lists cannot be shared by a spec
-// with other lists, which is what the length prefixes are for.
+// decodeSupply reads a memo key's mode and workload list back (see
+// RunSpec.memoKey) and returns the rest of the key. A key whose list
+// decodes back to the spec's list cannot be shared by a spec with
+// another list, which is what the length prefix is for.
 func decodeSupply(key string) (keySupply, string, bool) {
 	b := []byte(key)
 	ok := true
@@ -37,34 +35,10 @@ func decodeSupply(key string) (keySupply, string, bool) {
 		b = b[n:]
 		return v
 	}
-	sv := func() int64 {
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			ok = false
-			return 0
-		}
-		b = b[n:]
-		return v
-	}
 	var k keySupply
 	k.mode = uv()
 	for n := uv(); ok && n > 0; n-- {
 		k.ws = append(k.ws, uv())
-	}
-	if !ok || len(b) == 0 {
-		return k, "", false
-	}
-	present := b[0]
-	b = b[1:]
-	switch present {
-	case 0:
-	case 1:
-		k.compiled = uv()
-		for n := uv(); ok && n > 0; n-- {
-			k.sched = append(k.sched, vcomp.Invocation{Unit: int(sv()), N: sv()})
-		}
-	default:
-		return k, "", false
 	}
 	return k, string(b), ok
 }
@@ -73,18 +47,15 @@ func decodeSupply(key string) (keySupply, string, bool) {
 func supplyOf(spec RunSpec, ids *idTable) keySupply {
 	ids.mu.Lock()
 	defer ids.mu.Unlock()
-	k := keySupply{mode: uint64(spec.mode), sched: spec.schedule}
+	k := keySupply{mode: uint64(spec.mode)}
 	for _, w := range spec.workloads {
 		k.ws = append(k.ws, ids.id(w))
-	}
-	if spec.compiled != nil {
-		k.compiled = ids.id(spec.compiled)
 	}
 	return k
 }
 
 func (k keySupply) equal(o keySupply) bool {
-	return k.mode == o.mode && slices.Equal(k.ws, o.ws) && k.compiled == o.compiled && slices.Equal(k.sched, o.sched)
+	return k.mode == o.mode && slices.Equal(k.ws, o.ws)
 }
 
 // memoIdentity is what a memo key must identify: the spec's artifacts
@@ -117,17 +88,17 @@ func (m memoIdentity) equal(o memoIdentity) bool {
 		reflect.DeepEqual(m.cfg, o.cfg) && m.stop == o.stop && m.spans == o.spans
 }
 
-// fuzzArtifacts are the shared inputs fuzzed specs draw from: three
-// built workloads, a compiled kernel and two custom policy instances.
+// fuzzArtifacts are the shared inputs fuzzed specs draw from: five
+// workloads (three builds and two wrappings of one compiled kernel
+// under one schedule) and two custom policy instances.
 type fuzzArtifacts struct {
 	ws       []*workload.Workload
-	compiled *vcomp.Compiled
 	policies []sched.Policy
 }
 
-// fuzzSpec decodes a spec from data: a mode, a workload list (or a
-// compiled kernel and a schedule) of 1–4 entries, then options until
-// the bytes run out. Option arguments range over invalid values too.
+// fuzzSpec decodes a spec from data: a mode, a workload list of 1–4
+// entries, then options until the bytes run out. Option arguments range
+// over invalid values too.
 func fuzzSpec(data []byte, a *fuzzArtifacts) RunSpec {
 	next := func() int {
 		if len(data) == 0 {
@@ -137,27 +108,19 @@ func fuzzSpec(data []byte, a *fuzzArtifacts) RunSpec {
 		data = data[1:]
 		return v
 	}
-	mode, n := next()%4, 1+next()%4
+	mode, n := next()%3, 1+next()%4
+	ws := make([]*workload.Workload, n)
+	for i := range ws {
+		ws[i] = a.ws[next()%len(a.ws)]
+	}
 	var spec RunSpec
 	switch mode {
 	case 0:
-		spec = Solo(a.ws[next()%len(a.ws)])
-	case 1, 2:
-		ws := make([]*workload.Workload, n)
-		for i := range ws {
-			ws[i] = a.ws[next()%len(a.ws)]
-		}
-		if mode == 1 {
-			spec = Group(ws[0], ws[1:])
-		} else {
-			spec = Queue(ws)
-		}
-	case 3:
-		sched := make([]vcomp.Invocation, n)
-		for i := range sched {
-			sched[i] = vcomp.Invocation{Unit: next() % 2, N: int64(next() % 3 * 64)}
-		}
-		spec = Compiled(a.compiled, sched)
+		spec = Solo(ws[0])
+	case 1:
+		spec = Group(ws[0], ws[1:])
+	case 2:
+		spec = Queue(ws)
 	}
 	policies := []string{"unfair", "roundrobin", "everycycle", "lru", "bogus"}
 	presets := arch.Presets()
@@ -225,10 +188,17 @@ func FuzzMemoKeyInjective(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	a := &fuzzArtifacts{ws: []*workload.Workload{w}, compiled: sweepKernel(f),
-		policies: []sched.Policy{&sched.LRU{}, &sched.LRU{}}}
+	a := &fuzzArtifacts{ws: []*workload.Workload{w}, policies: []sched.Policy{&sched.LRU{}, &sched.LRU{}}}
 	for _, short := range []string{"sw", "hy"} {
 		w, err := workload.ByShort(short).Build(testScale)
+		if err != nil {
+			f.Fatal(err)
+		}
+		a.ws = append(a.ws, w)
+	}
+	c, compiledSched := sweepKernel(f), []vcomp.Invocation{{Unit: 1, N: 64}, {Unit: 0, N: 128}}
+	for range 2 {
+		w, err := workload.FromCompiled(c, compiledSched)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -237,7 +207,7 @@ func FuzzMemoKeyInjective(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 0}, uint8(0), uint16(0))
 	f.Add([]byte{2, 3, 0, 1, 2, 0, 0, 4, 0, 1, 1, 0, 3, 3, 0}, uint8(1), uint16(4))
 	f.Add([]byte{1, 2, 0, 2, 1, 2, 0, 15, 1, 0, 8, 2, 0}, uint8(2), uint16(9))
-	f.Add([]byte{3, 2, 0, 1, 1, 2, 5, 1, 0, 4, 3, 0}, uint8(1), uint16(3))
+	f.Add([]byte{2, 2, 3, 4, 3, 1, 2, 0, 5, 1, 0}, uint8(7), uint16(3))
 	f.Add([]byte{2, 1, 1, 2, 17, 1, 0, 12, 0, 0}, uint8(5), uint16(5))
 	f.Add([]byte{0, 0, 2, 18, 1, 1, 16, 1, 1, 0, 2, 0}, uint8(3), uint16(11))
 	ids := &idTable{}

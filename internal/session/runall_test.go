@@ -436,23 +436,6 @@ func TestBatchObserverBypass(t *testing.T) {
 	}
 }
 
-// TestProvenanceKeyGroupsBySupply: machine options must not split a
-// supply group (RunAll shares one compiled trace per group); workloads
-// and mode must.
-func TestProvenanceKeyGroupsBySupply(t *testing.T) {
-	w := testWorkload(t)
-	s := New()
-	a := Solo(w, WithMemLatency(10)).provenanceKey(&s.ids)
-	b := Solo(w, WithMemLatency(90), WithContexts(2)).provenanceKey(&s.ids)
-	if a != b {
-		t.Error("machine knobs split a shared-supply group")
-	}
-	q := Queue([]*workload.Workload{w}).provenanceKey(&s.ids)
-	if a == q {
-		t.Error("different modes grouped")
-	}
-}
-
 // sweepKernel compiles a small vector-plus-scalar kernel for the
 // compiled-sweep tests.
 func sweepKernel(t testing.TB) *vcomp.Compiled {
@@ -474,35 +457,41 @@ func sweepKernel(t testing.TB) *vcomp.Compiled {
 	return c
 }
 
-// TestRunAllSharesCompiledTrace: the compiled points of one RunAll call
-// that share a kernel and schedule synthesize its trace once, at any
-// gate width, and still report exactly what eight solo Runs report.
+// TestRunAllSharesCompiledTrace: the points of one RunAll call over a
+// compiled kernel's workload synthesize its trace once, at any gate
+// width, and still report exactly what eight solo Runs report.
 func TestRunAllSharesCompiledTrace(t *testing.T) {
-	var syntheses atomic.Int64
-	orig := compiledTrace
-	compiledTrace = func(c *vcomp.Compiled, sched []vcomp.Invocation) (*trace.Trace, error) {
-		syntheses.Add(1)
-		return orig(c, sched)
-	}
-	t.Cleanup(func() { compiledTrace = orig })
-
 	c := sweepKernel(t)
 	sched := []vcomp.Invocation{{Unit: 1, N: 256}, {Unit: 0, N: 1 << 11}, {Unit: 1, N: 256}}
-	specs := make([]RunSpec, 8)
-	for i := range specs {
-		specs[i] = Compiled(c, sched, WithMemLatency(30+10*i))
+	// sweep wraps the kernel in a fresh workload whose deferred trace
+	// counts its syntheses.
+	sweep := func(syntheses *atomic.Int64) []RunSpec {
+		w, err := workload.FromCompiled(c, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Trace = trace.Deferred(w.Trace.Prog, w.Trace.MaxVL, func() (*trace.Trace, error) {
+			syntheses.Add(1)
+			return c.Trace(sched)
+		})
+		specs := make([]RunSpec, 8)
+		for i := range specs {
+			specs[i] = Solo(w, WithMemLatency(30+10*i))
+		}
+		return specs
 	}
-	want := soloReports(t, specs)
+	var unused atomic.Int64
+	want := soloReports(t, sweep(&unused))
 	for _, jobs := range []int{1, 2} {
-		syntheses.Store(0)
-		got, err := New(WithJobs(jobs)).RunAll(context.Background(), specs...)
+		var syntheses atomic.Int64
+		got, err := New(WithJobs(jobs)).RunAll(context.Background(), sweep(&syntheses)...)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		if n := syntheses.Load(); n != 1 {
 			t.Errorf("jobs=%d: 8-point compiled sweep synthesized the trace %d times, want 1", jobs, n)
 		}
-		for i := range specs {
+		for i := range got {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Errorf("jobs=%d: point %d: RunAll report differs from solo Run", jobs, i)
 			}

@@ -1,7 +1,8 @@
 // Package session is the unified run engine behind the public API: one
 // composable entry point for every simulation methodology the paper
-// uses (solo reference runs, Section 4.1 grouped runs, Section 7 job
-// queues, user-compiled kernels).
+// uses (solo reference runs, Section 4.1 grouped runs and Section 7 job
+// queues), over any workload: a catalog build, an imported trace or a
+// user-compiled kernel.
 //
 // A Session owns a concurrency-safe, singleflight-memoized run cache —
 // the generalization of the experiment Env's per-table memo maps to any
@@ -59,8 +60,6 @@ import (
 	"mtvec/internal/runner"
 	"mtvec/internal/stats"
 	"mtvec/internal/store"
-	"mtvec/internal/trace"
-	"mtvec/internal/vcomp"
 )
 
 // Session executes RunSpecs: it memoizes results, bounds concurrency,
@@ -91,10 +90,10 @@ type Session struct {
 }
 
 // idTable assigns session-stable identities to run artifacts
-// (workloads, compiled kernels, policy instances). Retaining the
-// reference here is deliberate: the artifact's address can never be
-// recycled by the GC into a colliding key while a cached result still
-// depends on it. A key encoder holds mu across all of its lookups.
+// (workloads and policy instances). Retaining the reference here is
+// deliberate: the artifact's address can never be recycled by the GC
+// into a colliding key while a cached result still depends on it. A
+// key encoder holds mu across all of its lookups.
 type idTable struct {
 	mu sync.Mutex
 	m  map[any]uint64
@@ -210,8 +209,8 @@ func (s *Session) Active() int { return s.gate.Active() }
 
 // PersistKey returns the spec's store persist key — its process-stable
 // content identity — and whether it has one. Specs without stable
-// identities (ad-hoc workloads, compiled kernels, custom policy
-// instances) are not persistable and therefore not shardable by key.
+// identities (workloads outside the catalog, custom policy instances)
+// are not persistable and therefore not shardable by key.
 // The cluster coordinator hashes this key to route sweep points.
 func (s *Session) PersistKey(spec RunSpec) (string, bool) {
 	p, err := spec.prepare()
@@ -278,14 +277,13 @@ func (s *Session) Run(ctx context.Context, spec RunSpec) (*stats.Report, error) 
 // Waiters that join another caller's in-flight simulation report
 // SourceMemo (they did not run it).
 func (s *Session) RunTracked(ctx context.Context, spec RunSpec) (*stats.Report, Source, error) {
-	return s.runTracked(ctx, spec, nil)
+	return s.runTracked(ctx, spec, false)
 }
 
-// runTracked is RunTracked with the calling sweep's shared compiled
-// traces. traces is nil outside RunAllTracked, and non-nil marks a
-// sweep point, which resolves a store miss through claimDo instead of
-// the backend's Do.
-func (s *Session) runTracked(ctx context.Context, spec RunSpec, traces *traceShare) (*stats.Report, Source, error) {
+// runTracked is RunTracked for a single run or, with sweep set, for a
+// RunAllTracked point, which resolves a store miss through claimDo
+// instead of the backend's Do.
+func (s *Session) runTracked(ctx context.Context, spec RunSpec, sweep bool) (*stats.Report, Source, error) {
 	p, err := spec.prepare()
 	if err != nil {
 		return nil, SourceSim, err
@@ -302,7 +300,7 @@ func (s *Session) runTracked(ctx context.Context, spec RunSpec, traces *traceSha
 			if rep, ok := s.runs.Peek(key); ok {
 				return rep, SourceMemo, nil
 			}
-			return s.runMemo(ctx, spec, p, key, traces)
+			return s.runMemo(ctx, spec, p, key, sweep)
 		}
 	}
 	// Memo-less path (session-wide or observer-carrying spec): the store
@@ -324,7 +322,7 @@ func (s *Session) runTracked(ctx context.Context, spec RunSpec, traces *traceSha
 			return rep, s.storeHit(), nil
 		}
 	}
-	rep, err := s.simulate(ctx, spec, p, traces)
+	rep, err := s.simulate(ctx, spec, p)
 	if err == nil {
 		if persistable {
 			// Write-through is best-effort: a full disk degrades the
@@ -347,17 +345,17 @@ func (s *Session) runTracked(ctx context.Context, spec RunSpec, traces *traceSha
 // singleflight on its memo key, then the store, then a simulation. It
 // takes the plan by value, so only a miss moves the plan to the heap
 // for the compute closure.
-func (s *Session) runMemo(ctx context.Context, spec RunSpec, p plan, key string, traces *traceShare) (*stats.Report, Source, error) {
+func (s *Session) runMemo(ctx context.Context, spec RunSpec, p plan, key string, sweep bool) (*stats.Report, Source, error) {
 	st := s.backend()
 	src := SourceMemo // overwritten iff this caller computes
 	rep, err := s.runs.DoContext(ctx, key, func() (*stats.Report, error) {
 		if st != nil {
 			if key, ok := spec.persistKey(&p); ok {
-				compute := func() (*stats.Report, error) { return s.simulate(ctx, spec, p, traces) }
+				compute := func() (*stats.Report, error) { return s.simulate(ctx, spec, p) }
 				var rep *stats.Report
 				var tier store.Tier
 				var err error
-				if traces != nil {
+				if sweep {
 					rep, tier, err = claimDo(ctx, st, key, compute)
 				} else {
 					rep, tier, err = st.Do(ctx, key, compute)
@@ -371,7 +369,7 @@ func (s *Session) runMemo(ctx context.Context, spec RunSpec, p plan, key string,
 			}
 		}
 		src = SourceSim
-		return s.simulate(ctx, spec, p, traces)
+		return s.simulate(ctx, spec, p)
 	})
 	return rep, src, err
 }
@@ -380,11 +378,11 @@ func (s *Session) runMemo(ctx context.Context, spec RunSpec, p plan, key string,
 // own methods (store.TryLocker): look the key up, claim its lock
 // without waiting, compute and write through. A key whose lock another
 // process holds, or a backend that cannot lock, goes through Do, which
-// waits for the holder's record. Sweep points take this path, as batched
-// sweeps did, so a wrapped backend sees each step: repobench's traced
-// sweep times the lookup, lock and write separately. The lock stays
-// advisory: a holder that finishes between the lookup and the claim
-// costs a duplicate simulation, never a wrong record.
+// waits for the holder's record. Sweep points take this path, so a
+// wrapped backend sees each step: repobench's traced sweep times the
+// lookup, lock and write separately. The lock stays advisory: a holder
+// that finishes between the lookup and the claim costs a duplicate
+// simulation, never a wrong record.
 func claimDo(ctx context.Context, st store.Backend, key string, compute func() (*stats.Report, error)) (*stats.Report, store.Tier, error) {
 	tl, ok := st.(store.TryLocker)
 	if !ok {
@@ -473,15 +471,14 @@ type Result struct {
 // the call, and its error. Results are pinned to input order no matter
 // how the points are scheduled or cancelled. Every point resolves
 // exactly as RunTracked resolves it — memo singleflight, then the
-// store, then a simulation under the gate. The one thing the points of
-// a call share is the synthesized trace of a compiled kernel, built
-// once per kernel and schedule (see traceShare).
+// store, then a simulation under the gate. Points that replay one
+// workload share its trace, synthesized by the first of them to
+// simulate.
 func (s *Session) RunAllTracked(ctx context.Context, specs ...RunSpec) []Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]Result, len(specs))
-	traces := &traceShare{ids: &s.ids}
 	// The pool only orchestrates: simulations admit through the
 	// session's gate, so width beyond Jobs() keeps gate slots fed while
 	// some points read the store or park on shared singleflight entries.
@@ -489,60 +486,15 @@ func (s *Session) RunAllTracked(ctx context.Context, specs ...RunSpec) []Result 
 	_ = pool.Map(len(specs), func(i int) error {
 		start := time.Now()
 		r := &results[i]
-		r.Report, r.Source, r.Err = s.runTracked(ctx, specs[i], traces)
+		r.Report, r.Source, r.Err = s.runTracked(ctx, specs[i], true)
 		r.Elapsed = time.Since(start)
 		return nil
 	})
 	return results
 }
 
-// compiledTrace synthesizes a compiled kernel's trace. Tests swap it to
-// count syntheses.
-var compiledTrace = (*vcomp.Compiled).Trace
-
-// traceShare lets the compiled points of one RunAllTracked call share
-// one synthesized and predecoded trace per kernel and schedule (per
-// provenanceKey): such points replay identical instructions, so the
-// first to simulate builds the trace and the rest reuse it. The share
-// lives only as long as the call, so no trace outlives its sweep. A nil
-// *traceShare builds a fresh trace for every point.
-type traceShare struct {
-	ids *idTable
-
-	mu sync.Mutex
-	m  map[string]*sharedTrace
-}
-
-// sharedTrace is one lazily built trace of a traceShare.
-type sharedTrace struct {
-	once sync.Once
-	tr   *trace.Trace
-	err  error
-}
-
-// trace returns the compiled spec's trace, building it at most once per
-// share.
-func (t *traceShare) trace(spec RunSpec) (*trace.Trace, error) {
-	if t == nil {
-		return compiledTrace(spec.compiled, spec.schedule)
-	}
-	key := spec.provenanceKey(t.ids)
-	t.mu.Lock()
-	e := t.m[key]
-	if e == nil {
-		if t.m == nil {
-			t.m = make(map[string]*sharedTrace)
-		}
-		e = &sharedTrace{}
-		t.m[key] = e
-	}
-	t.mu.Unlock()
-	e.once.Do(func() { e.tr, e.err = compiledTrace(spec.compiled, spec.schedule) })
-	return e.tr, e.err
-}
-
 // simulate executes one machine run under the gate.
-func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan, traces *traceShare) (rep *stats.Report, err error) {
+func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan) (rep *stats.Report, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -568,7 +520,7 @@ func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan, traces *tr
 		if m, err = core.New(cfg); err != nil {
 			return
 		}
-		if err = attachThreads(m, spec, cfg, traces); err != nil {
+		if err = attachThreads(m, spec, cfg); err != nil {
 			return
 		}
 		s.sims.Add(1)
@@ -580,9 +532,8 @@ func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan, traces *tr
 }
 
 // attachThreads feeds the machine's contexts according to the spec's
-// mode: solo, Section 4.1 grouped, Section 7 job queue or compiled
-// kernel. Compiled specs take their trace from traces.
-func attachThreads(m *core.Machine, spec RunSpec, cfg core.Config, traces *traceShare) error {
+// mode: solo, Section 4.1 grouped or Section 7 job queue.
+func attachThreads(m *core.Machine, spec RunSpec, cfg core.Config) error {
 	switch spec.mode {
 	case ModeSolo:
 		w := spec.workloads[0]
@@ -613,12 +564,6 @@ func attachThreads(m *core.Machine, spec RunSpec, cfg core.Config, traces *trace
 			}
 		}
 		return nil
-	case ModeCompiled:
-		tr, err := traces.trace(spec)
-		if err != nil {
-			return err
-		}
-		return m.SetThreadStream(0, spec.compiled.Prog.Name, tr.Stream())
 	}
 	return errors.New("session: spec has no mode")
 }

@@ -46,6 +46,16 @@ func keyOf(t *testing.T, spec RunSpec) string {
 
 func TestMemoKeyCanonical(t *testing.T) {
 	w := testWorkload(t)
+	// Two wrappings of one compiled kernel under one schedule are two
+	// workloads, so they must not share a memo entry.
+	c := sweepKernel(t)
+	var wraps [2]*workload.Workload
+	for i := range wraps {
+		var err error
+		if wraps[i], err = workload.FromCompiled(c, []vcomp.Invocation{{Unit: 0, N: 300}}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Identical specs produce identical keys, independently of how the
 	// options are spelled.
@@ -69,6 +79,8 @@ func TestMemoKeyCanonical(t *testing.T) {
 		"stop":     keyOf(t, Solo(w, WithMaxCycles(100))),
 		"insts":    keyOf(t, Solo(w, WithMaxThread0Insts(10))),
 		"queue":    keyOf(t, Queue([]*workload.Workload{w})),
+		"wrap 1":   keyOf(t, Solo(wraps[0])),
+		"wrap 2":   keyOf(t, Solo(wraps[1])),
 		"vlen":     keyOf(t, Solo(w, WithVLen(64))),
 		"bankport": keyOf(t, Solo(w, WithBankPorts(1, 1))),
 		"regfile":  keyOf(t, Solo(w, WithRegFile(arch.RegFile{VRegs: 8, VLen: 128, VRegsPerBank: 1, BankReadPorts: 2, BankWritePorts: 1}))),
@@ -85,15 +97,12 @@ func TestMemoKeyCanonical(t *testing.T) {
 		seen[key] = name
 	}
 
-	// The lists carry their lengths: each list-bearing key decodes back
-	// to its spec's workloads or schedule, so no spec with other lists
+	// The workload list carries its length: each list-bearing key
+	// decodes back to its spec's workloads, so no spec with another list
 	// can share it.
-	c := sweepKernel(t)
 	for name, spec := range map[string]RunSpec{
 		"queue": Queue([]*workload.Workload{w, w, w}, WithContexts(2)),
-		"group": Group(w, []*workload.Workload{w}),
-		"compiled": Compiled(c, []vcomp.Invocation{{Unit: 1, N: 3}, {Unit: 0, N: 300}, {Unit: 1, N: 1}},
-			WithPolicy("lru")),
+		"group": Group(w, []*workload.Workload{w}, WithPolicy("lru")),
 	} {
 		p, err := spec.prepare()
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 	"mtvec/internal/core"
 	"mtvec/internal/memsys"
 	"mtvec/internal/sched"
-	"mtvec/internal/vcomp"
 	"mtvec/internal/workload"
 )
 
@@ -28,9 +27,6 @@ const (
 	ModeGroup
 	// ModeQueue drains a fixed job list with every context (Section 7).
 	ModeQueue
-	// ModeCompiled runs a user-compiled kernel under an invocation
-	// schedule on thread 0.
-	ModeCompiled
 )
 
 // String names the mode.
@@ -42,21 +38,17 @@ func (m Mode) String() string {
 		return "group"
 	case ModeQueue:
 		return "queue"
-	case ModeCompiled:
-		return "compiled"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
 // RunSpec declares one simulation point: a mode, its workloads, and the
 // machine options that build the core.Config. Specs are values — build
-// one with Solo, Group, Queue or Compiled, derive variants with With —
-// and are validated when run (or eagerly via Validate).
+// one with Solo, Group or Queue, derive variants with With — and are
+// validated when run (or eagerly via Validate).
 type RunSpec struct {
 	mode      Mode
 	workloads []*workload.Workload
-	compiled  *vcomp.Compiled
-	schedule  []vcomp.Invocation
 	// opts is consumed into the plan before any key is computed; every
 	// option's effect lands in a field appendMachineBin and
 	// appendMachineKey already encode.
@@ -81,12 +73,6 @@ func Group(primary *workload.Workload, companions []*workload.Workload, opts ...
 // contexts, ending when every job is done.
 func Queue(ws []*workload.Workload, opts ...Option) RunSpec {
 	return RunSpec{mode: ModeQueue, workloads: append([]*workload.Workload(nil), ws...), opts: opts}
-}
-
-// Compiled declares a run of a user-compiled kernel under the given
-// invocation schedule (thread 0 only).
-func Compiled(c *vcomp.Compiled, schedule []vcomp.Invocation, opts ...Option) RunSpec {
-	return RunSpec{mode: ModeCompiled, compiled: c, schedule: append([]vcomp.Invocation(nil), schedule...), opts: opts}
 }
 
 // With returns a copy of the spec with more options appended; later
@@ -496,12 +482,8 @@ func (s RunSpec) prepare() (plan, error) {
 				b.errf("session: queue mode: workload %d is nil", i)
 			}
 		}
-	case ModeCompiled:
-		if s.compiled == nil {
-			b.errf("session: compiled mode needs a compiled kernel")
-		}
 	default:
-		b.errf("session: spec has no mode; build it with Solo, Group, Queue or Compiled")
+		b.errf("session: spec has no mode; build it with Solo, Group or Queue")
 	}
 
 	// Normalize before validating and keying: a defaulted shape and its
@@ -538,19 +520,21 @@ const memoKeyCap = 192
 // and the machine tail (appendMachineBin). The key never leaves the
 // process, so it needs only to be injective, not readable or stable
 // across builds: integers are varints, which no varint is a prefix of;
-// the workload and schedule lists and the policy name carry their
-// lengths; and a presence byte leads each optional field. Workloads,
-// compiled kernels and custom policy instances are identified by the
-// session's identity table, which retains the artifact, so a recycled
-// allocation can never collide with a cached key: two specs share a
-// simulation only when they share the built artifacts — exactly the
-// invariant the experiment Env maintains. The table's lock is taken
-// once per key.
+// the workload list and the policy name carry their lengths; and a
+// kind byte leads the policy. Workloads and custom policy instances are
+// identified by the session's identity table, which retains the
+// artifact, so a recycled allocation can never collide with a cached
+// key: two specs share a simulation only when they share the built
+// artifacts — exactly the invariant the experiment Env maintains. The
+// table's lock is taken once per key.
 func (s RunSpec) memoKey(p *plan, ids *idTable) string {
 	var buf [memoKeyCap]byte
 	b := binary.AppendUvarint(buf[:0], uint64(s.mode))
 	ids.mu.Lock()
-	b = s.appendSupply(b, ids)
+	b = binary.AppendUvarint(b, uint64(len(s.workloads)))
+	for _, w := range s.workloads {
+		b = binary.AppendUvarint(b, ids.id(w))
+	}
 	switch {
 	case p.policyName != "":
 		b = append(b, 1)
@@ -565,28 +549,6 @@ func (s RunSpec) memoKey(p *plan, ids *idTable) string {
 	ids.mu.Unlock()
 	b = appendMachineBin(b, p)
 	return string(b)
-}
-
-// appendSupply encodes the spec's instruction supply for the binary
-// keys: the length-prefixed workload identities, then the compiled
-// kernel (absent, or present with its identity and its length-prefixed
-// schedule). The caller holds ids.mu.
-func (s RunSpec) appendSupply(b []byte, ids *idTable) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s.workloads)))
-	for _, w := range s.workloads {
-		b = binary.AppendUvarint(b, ids.id(w))
-	}
-	if s.compiled == nil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	b = binary.AppendUvarint(b, ids.id(s.compiled))
-	b = binary.AppendUvarint(b, uint64(len(s.schedule)))
-	for _, inv := range s.schedule {
-		b = binary.AppendVarint(b, int64(inv.Unit))
-		b = binary.AppendVarint(b, inv.N)
-	}
-	return b
 }
 
 // appendMachineBin is appendMachineKey's binary twin for the memo key:
@@ -637,29 +599,16 @@ func appendMachineBin(b []byte, p *plan) []byte {
 	return binary.AppendVarint(b, p.stop.MaxCycles)
 }
 
-// provenanceKey encodes the spec's instruction supply — mode, workload
-// identities, compiled kernel and schedule — and nothing of the machine
-// shape. Points that share it replay the same dynamic streams, so the
-// compiled points of one RunAll call share one synthesized trace per
-// key (see traceShare). The key orders nothing and caches no result.
-func (s RunSpec) provenanceKey(ids *idTable) string {
-	var buf [64]byte
-	b := binary.AppendUvarint(buf[:0], uint64(s.mode))
-	ids.mu.Lock()
-	b = s.appendSupply(b, ids)
-	ids.mu.Unlock()
-	return string(b)
-}
-
 // persistKey canonically encodes the spec for the on-disk result store,
 // where keys must be stable across processes: run artifacts are
 // identified by build provenance (catalog program, scale, compiler
 // options) instead of in-memory identity. ok is false when some
-// artifact has no such stable identity — user-compiled kernels, custom
-// policy instances, or hand-assembled workloads — in which case the run
-// is memoized in memory only, never persisted.
+// artifact has no such stable identity — custom policy instances, or
+// workloads outside the catalog (user-compiled kernels, imported traces,
+// hand-assembled workloads) — in which case the run is memoized in
+// memory only, never persisted.
 func (s RunSpec) persistKey(p *plan) (string, bool) {
-	if s.compiled != nil || p.policyInst != nil {
+	if p.policyInst != nil {
 		return "", false
 	}
 	b := make([]byte, 0, 320)

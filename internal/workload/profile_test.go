@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mtvec/internal/arch"
+	"mtvec/internal/kernel"
 	"mtvec/internal/prog"
 	"mtvec/internal/vcomp"
 )
@@ -115,5 +116,58 @@ func TestLookupDoesNotCopy(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("lookups allocate %.1f times per run", n)
+	}
+}
+
+// TestFromCompiled: a wrapped user kernel takes the program's name, has
+// no persist identity, keeps its own copy of the schedule, and its
+// closed-form profile equals draining its deferred trace; a nil kernel
+// and an invalid invocation are rejected at construction.
+func TestFromCompiled(t *testing.T) {
+	x := &kernel.Array{Name: "x", Base: 0x10000, Stride: 8}
+	y := &kernel.Array{Name: "y", Base: 0x20000, Stride: 8}
+	c, err := vcomp.Compile(&kernel.Kernel{Name: "daxpy-setup", Units: []kernel.Unit{
+		&kernel.VectorLoop{Name: "daxpy", Body: []kernel.Stmt{{
+			Dst: y,
+			E: &kernel.Bin{Op: kernel.Add,
+				L: &kernel.Bin{Op: kernel.Mul, L: &kernel.ScalarArg{Name: "a"}, R: &kernel.Ref{Arr: x}},
+				R: &kernel.Ref{Arr: y}},
+		}}},
+		&kernel.ScalarLoop{Name: "setup", Loads: 2, Stores: 1, IntOps: 3, FPOps: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := []vcomp.Invocation{{Unit: 1, N: 300}, {Unit: 0, N: 1000}, {Unit: 0, N: 0}, {Unit: 1, N: 7}}
+	w, err := FromCompiled(c, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched[1].N = 5 // the workload keeps the schedule it was given
+	if w.Spec.Short != c.Prog.Name || w.Spec.Name != c.Prog.Name {
+		t.Errorf("named %q/%q, want %q", w.Spec.Name, w.Spec.Short, c.Prog.Name)
+	}
+	if id, ok := w.PersistID(); ok {
+		t.Errorf("compiled workload has persist identity %q", id)
+	}
+	n, drained, err := prog.NewStreamVL(w.Trace.Prog, w.Trace.Source(), w.Trace.MaxVL).Drain()
+	if err != nil || drained != w.Stats || n != w.Stats.Insts() {
+		t.Errorf("drain %+v, %v\nprofile %+v", drained, err, w.Stats)
+	}
+	if w.Stats.VectorOps < 1000 {
+		t.Errorf("profile counts %d vector operations for a 1000-element loop", w.Stats.VectorOps)
+	}
+
+	for name, bad := range map[string][]vcomp.Invocation{
+		"unit out of range":   {{Unit: 2, N: 1}},
+		"negative unit":       {{Unit: -1, N: 1}},
+		"negative trip count": {{Unit: 0, N: -1}},
+	} {
+		if _, err := FromCompiled(c, bad); err == nil {
+			t.Errorf("%s: FromCompiled accepted %+v", name, bad)
+		}
+	}
+	if _, err := FromCompiled(nil, sched); err == nil {
+		t.Error("FromCompiled accepted a nil kernel")
 	}
 }

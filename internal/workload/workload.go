@@ -33,12 +33,14 @@
 // New kernels therefore MUST be added to one of the two registries (and
 // keep their recipes deterministic — same Spec + Scale + Options must
 // always produce the identical trace) to be store-persistable; an
-// unregistered Spec (a user kernel, or a trace imported with FromTrace)
-// still works everywhere but is memoized per-process only.
+// unregistered Spec (a user kernel wrapped with FromCompiled, or a
+// trace imported with FromTrace) still works everywhere but is memoized
+// per-process only.
 package workload
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"mtvec/internal/arch"
@@ -113,9 +115,9 @@ type Workload struct {
 }
 
 // Fingerprint returns the fingerprint of the workload's dynamic profile
-// (prog.Stats.Fingerprint), the content part of its persist key. Build
-// and FromTrace compute it once; a hand-assembled Workload hashes its
-// Stats on every call. A build's fields must not change after it.
+// (prog.Stats.Fingerprint), the content part of its persist key. Build,
+// FromCompiled and FromTrace compute it once; a hand-assembled Workload
+// hashes its Stats on every call. A build's fields must not change after it.
 func (w *Workload) Fingerprint() uint64 {
 	if w.fp != 0 {
 		return w.fp
@@ -186,6 +188,28 @@ func (s *Spec) BuildOpts(scale float64, opts vcomp.Options) (*Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", s.Name, err)
 	}
+	return fromSchedule(s, scale, opts, c, sched)
+}
+
+// FromCompiled wraps a user-compiled kernel under an invocation
+// schedule as a runnable Workload, the way a build wraps a catalog
+// kernel: the schedule is copied and profiled in closed form, and the
+// trace is synthesized on its first replay. The workload runs in every
+// mode under the program's name, and like FromTrace's it is memoized
+// per process but never persisted: its Spec is not registered. A nil
+// kernel or an invalid invocation is rejected here, not at run time.
+func FromCompiled(c *vcomp.Compiled, schedule []vcomp.Invocation) (*Workload, error) {
+	if c == nil || c.Prog == nil {
+		return nil, fmt.Errorf("workload: FromCompiled: nil compiled kernel")
+	}
+	spec := &Spec{Name: c.Prog.Name, Short: c.Prog.Name, Suite: "User"}
+	return fromSchedule(spec, 1, vcomp.Options{}, c, slices.Clone(schedule))
+}
+
+// fromSchedule profiles the compiled schedule in closed form
+// (vcomp.Compiled.Profile) and defers the trace's synthesis to its
+// first replay. The caller must not change sched afterwards.
+func fromSchedule(s *Spec, scale float64, opts vcomp.Options, c *vcomp.Compiled, sched []vcomp.Invocation) (*Workload, error) {
 	st, err := c.Profile(sched)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", s.Name, err)

@@ -27,8 +27,10 @@
 // execution-profile events from inside a run.
 //
 // Define your own kernels with the kernel IR (Array, VectorLoop, ...),
-// compile them with CompileKernel, and run them with CompiledRun; or
-// regenerate the paper's evaluation with Experiments and NewEnv.
+// compile them with CompileKernel, wrap one under an invocation
+// schedule with CompiledWorkload, and run it like any workload — Solo,
+// Group or Queue; or regenerate the paper's evaluation with Experiments
+// and NewEnv.
 //
 // RunExperiments executes the whole evaluation concurrently: shared
 // simulation points are simulated exactly once (Env is a Session-backed
@@ -237,6 +239,14 @@ func PolicyNames() []string { return sched.Names() }
 
 // CompileKernel lowers a kernel to a compiled program.
 func CompileKernel(k *Kernel) (*Compiled, error) { return vcomp.Compile(k) }
+
+// CompiledWorkload wraps a compiled kernel under an invocation schedule
+// as a runnable Workload: profiled from the schedule, synthesized on its
+// first replay, named after the kernel, memoized per-process but never
+// store-persisted. A nil kernel or an invalid invocation is an error.
+func CompiledWorkload(c *Compiled, schedule []Invocation) (*Workload, error) {
+	return workload.FromCompiled(c, schedule)
+}
 
 // NewEnv creates an experiment environment at the given scale.
 func NewEnv(scale float64) *Env { return experiments.NewEnv(scale) }

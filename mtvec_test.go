@@ -77,7 +77,11 @@ func TestRunQueue(t *testing.T) {
 func TestCustomKernelEndToEnd(t *testing.T) {
 	// A user-defined daxpy compiled and simulated via the public API.
 	c := compileDaxpy(t)
-	rep, err := mtvec.NewSession().Run(context.Background(), mtvec.CompiledRun(c, []mtvec.Invocation{{Unit: 0, N: 4096}}))
+	w, err := mtvec.CompiledWorkload(c, []mtvec.Invocation{{Unit: 0, N: 4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mtvec.NewSession().Run(context.Background(), mtvec.Solo(w))
 	if err != nil {
 		t.Fatal(err)
 	}

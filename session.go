@@ -26,7 +26,7 @@ type Session = session.Session
 type SessionOption = session.SessionOption
 
 // RunSpec declares one simulation point: mode, workloads, and machine
-// options. Build one with Solo, Group, Queue or Compiled.
+// options. Build one with Solo, Group or Queue.
 type RunSpec = session.RunSpec
 
 // RunMode is a RunSpec's methodology.
@@ -34,10 +34,9 @@ type RunMode = session.Mode
 
 // Run modes.
 const (
-	ModeSolo     = session.ModeSolo
-	ModeGroup    = session.ModeGroup
-	ModeQueue    = session.ModeQueue
-	ModeCompiled = session.ModeCompiled
+	ModeSolo  = session.ModeSolo
+	ModeGroup = session.ModeGroup
+	ModeQueue = session.ModeQueue
 )
 
 // RunOption configures a RunSpec's machine or stop rule.
@@ -133,12 +132,6 @@ func Group(primary *Workload, companions []*Workload, opts ...RunOption) RunSpec
 // Queue declares a Section 7 job-queue run: ws in order, drained by all
 // contexts.
 func Queue(ws []*Workload, opts ...RunOption) RunSpec { return session.Queue(ws, opts...) }
-
-// CompiledRun declares a run of a user-compiled kernel under the given
-// invocation schedule (thread 0 only).
-func CompiledRun(c *Compiled, schedule []Invocation, opts ...RunOption) RunSpec {
-	return session.Compiled(c, schedule, opts...)
-}
 
 // Machine options. Options apply in order (later wins) and validate
 // eagerly: every invalid option or combination surfaces as one joined

@@ -103,10 +103,15 @@ func TestSessionMatchesDirectMachine(t *testing.T) {
 		mtvec.Queue(ws, mtvec.WithConfig(qcfg), mtvec.WithSpans()),
 		mtvec.Queue(ws, mtvec.WithContexts(2), mtvec.WithSpans()))
 
-	// Compiled.
+	// A compiled kernel is a workload: alone, and as two queued
+	// instances on two contexts.
 	c := compileDaxpy(t)
 	sched := []mtvec.Invocation{{Unit: 0, N: 4096}}
 	tr, err := c.Trace(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daxpy, err := mtvec.CompiledWorkload(c, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +119,19 @@ func TestSessionMatchesDirectMachine(t *testing.T) {
 		return m.SetThreadStream(0, c.Prog.Name, tr.Stream())
 	})
 	check("compiled", want,
-		mtvec.CompiledRun(c, sched, mtvec.WithConfig(cfg)),
-		mtvec.CompiledRun(c, sched))
+		mtvec.Solo(daxpy, mtvec.WithConfig(cfg)),
+		mtvec.Solo(daxpy))
+	want = directRun(t, gcfg, mtvec.Stop{}, func(m *mtvec.Machine) error {
+		for i := 0; i < 2; i++ {
+			if err := m.SetThreadStream(i, c.Prog.Name, tr.Stream()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	check("compiled queue", want,
+		mtvec.Queue([]*mtvec.Workload{daxpy, daxpy}, mtvec.WithConfig(gcfg)),
+		mtvec.Queue([]*mtvec.Workload{daxpy, daxpy}, mtvec.WithContexts(2)))
 }
 
 func compileDaxpy(t *testing.T) *mtvec.Compiled {
@@ -212,7 +228,6 @@ func TestRunSpecValidation(t *testing.T) {
 		{"group context mismatch", mtvec.Group(w, nil, mtvec.WithContexts(3)), "contexts"},
 		{"group nil companion", mtvec.Group(w, []*mtvec.Workload{nil}), "companion"},
 		{"empty queue", mtvec.Queue(nil), "at least one"},
-		{"nil compiled", mtvec.CompiledRun(nil, nil), "compiled"},
 		{"no mode", mtvec.RunSpec{}, "no mode"},
 	}
 	ses := mtvec.NewSession()
