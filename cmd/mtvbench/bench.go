@@ -1,30 +1,25 @@
 package main
 
 // Benchmark-artifact mode: mtvbench doubles as a reproducible perf
-// harness. -bench-json measures every experiment regeneration plus the
-// raw engine throughput and emits a machine-readable BENCH_<ref>.json;
-// -bench-compare diffs two such files and enforces a geomean ns/op
-// regression gate. scripts/bench.sh and the CI bench job drive both.
+// harness. -bench-json measures every case of the registry in
+// internal/benchcase and emits a machine-readable BENCH_<ref>.json;
+// -bench-compare diffs two sides, each one or more such files, and
+// enforces geomean ns/op and B/op regression gates. scripts/bench.sh and
+// the CI bench job drive both.
 
 import (
-	"bytes"
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
+	"strings"
 	"time"
 
 	"mtvec"
-	"mtvec/internal/prog"
-	"mtvec/internal/store"
+	"mtvec/internal/benchcase"
 )
 
 // benchSchema versions the BENCH_*.json format.
@@ -81,368 +76,11 @@ type BenchSample struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// benchCase is one measurable unit: fn runs a single iteration and
-// returns the simulated cycles it covered (0 if not an engine case), or
-// for a perInst case the dynamic instructions it expanded.
-type benchCase struct {
-	name    string
-	fn      func() (int64, error)
-	perInst bool
-}
-
-// benchCases builds the suite: one case per registered experiment (fresh
-// environment per iteration, mirroring the repository's testing.B suite)
-// plus the raw engine throughput cases. jobs is the session gate width
-// the sweep cases run under: 1 measures work per core, >1 additionally
-// measures points running side by side. The caller runs cleanup once
-// done with the cases; it removes the store cases' temp directory.
-func benchCases(scale float64, jobs int) (cases []benchCase, cleanup func(), err error) {
-	for _, e := range mtvec.Experiments() {
-		exp := e
-		cases = append(cases, benchCase{
-			name: exp.ID,
-			fn: func() (int64, error) {
-				env := mtvec.NewEnv(scale)
-				res, err := exp.Run(env)
-				if err != nil {
-					return 0, err
-				}
-				if len(res.Tables) == 0 {
-					return 0, fmt.Errorf("%s: empty result", exp.ID)
-				}
-				return 0, nil
-			},
-		})
-	}
-
-	var suite []*mtvec.Workload
-	for _, spec := range mtvec.QueueOrder() {
-		w, err := spec.Build(scale)
-		if err != nil {
-			return nil, nil, err
-		}
-		suite = append(suite, w)
-	}
-	// The queue cases simulate on every call: a memo-less session never
-	// answers a repeat from its cache.
-	ses := mtvec.NewSession(mtvec.WithoutMemo())
-	engine := func(contexts int, stepped bool) func() (int64, error) {
-		return func() (int64, error) {
-			cfg := mtvec.DefaultConfig()
-			cfg.Contexts = contexts
-			cfg.DisableFastForward = stepped
-			rep, err := ses.Run(context.Background(), mtvec.Queue(suite, mtvec.WithConfig(cfg)))
-			if err != nil {
-				return 0, err
-			}
-			return rep.Cycles, nil
-		}
-	}
-	// engine/reference-stepped is engine/reference cycle by cycle, with
-	// the all-blocked clock skip off: it prices fast-forward, and the
-	// lone-context loop's per-cycle cost on its own.
-	cases = append(cases,
-		benchCase{name: "engine/reference", fn: engine(1, false)},
-		benchCase{name: "engine/reference-stepped", fn: engine(1, true)},
-		benchCase{name: "engine/4threads", fn: engine(4, false)},
-	)
-
-	// Solo points on a 4-context machine under every policy: the traffic
-	// a cold sweep serves, where the decode unit never has a choice of
-	// thread (docs/PERF.md, "A lone thread is not scheduled").
-	cases = append(cases, benchCase{
-		name: "engine/solo-policies",
-		fn: func() (int64, error) {
-			var cycles int64
-			for _, name := range mtvec.PolicyNames() {
-				cfg := mtvec.DefaultConfig()
-				cfg.Contexts = 4
-				cfg.Policy = mtvec.PolicyByName(name)
-				for _, w := range suite {
-					m, err := mtvec.NewMachine(cfg)
-					if err != nil {
-						return 0, err
-					}
-					if err := m.SetThreadStream(0, w.Spec.Short, w.Stream()); err != nil {
-						return 0, err
-					}
-					rep, err := m.Run(mtvec.Stop{})
-					if err != nil {
-						return 0, err
-					}
-					cycles += rep.Cycles
-				}
-			}
-			return cycles, nil
-		},
-	})
-
-	// The predecode cache (docs/PERF.md, "Predecoded replay"): the ten
-	// Table 3 traces expanded by prog.DecodeAllVL at the exact capacity
-	// Trace.Decoded allocates. B/op is the cache's size, so the bytes
-	// gate guards the predecoded entry's layout.
-	decodeHints := make([]int64, len(suite))
-	for i, w := range suite {
-		decodeHints[i] = int64(len(w.Trace.Decoded()))
-	}
-	cases = append(cases, benchCase{
-		name:    "prog/predecode",
-		perInst: true,
-		fn: func() (int64, error) {
-			var insts int64
-			for i, w := range suite {
-				dec, err := prog.DecodeAllVL(w.Trace.Prog, w.Trace.Source(), decodeHints[i], w.Trace.MaxVL)
-				if err != nil {
-					return 0, err
-				}
-				insts += int64(len(dec))
-			}
-			return insts, nil
-		},
-	})
-
-	// The vectorizable benchmark suite (docs/BENCHMARKS.md): all seven
-	// kernels drained through a 4-context job queue, and the mtvrvv text
-	// frontend importing one exported kernel per iteration.
-	var bench []*mtvec.Workload
-	for _, spec := range mtvec.BenchWorkloads() {
-		w, err := spec.Build(scale)
-		if err != nil {
-			return nil, nil, err
-		}
-		bench = append(bench, w)
-	}
-	cases = append(cases, benchCase{
-		name: "benchsuite/queue4",
-		fn: func() (int64, error) {
-			cfg := mtvec.DefaultConfig()
-			cfg.Contexts = 4
-			rep, err := ses.Run(context.Background(), mtvec.Queue(bench, mtvec.WithConfig(cfg)))
-			if err != nil {
-				return 0, err
-			}
-			return rep.Cycles, nil
-		},
-	})
-	var rvv bytes.Buffer
-	if err := mtvec.ExportRVVTrace(&rvv, bench[0].Trace); err != nil {
-		return nil, nil, err
-	}
-	rvvText := rvv.Bytes()
-	cases = append(cases, benchCase{
-		name: "trace/import-rvv",
-		fn: func() (int64, error) {
-			if _, err := mtvec.ImportRVVTrace(bytes.NewReader(rvvText)); err != nil {
-				return 0, err
-			}
-			return 0, nil
-		},
-	})
-
-	// Per-run API overhead, mirroring the testing.B suite: the direct
-	// machine path, a memo-less Session, and the memoized cache hit.
-	solo, err := mtvec.WorkloadByShort("tf").Build(scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	cases = append(cases, benchCase{
-		name: "machine/direct",
-		fn: func() (int64, error) {
-			m, err := mtvec.NewMachine(mtvec.DefaultConfig())
-			if err != nil {
-				return 0, err
-			}
-			if err := m.SetThreadStream(0, solo.Spec.Short, solo.Stream()); err != nil {
-				return 0, err
-			}
-			rep, err := m.Run(mtvec.Stop{})
-			if err != nil {
-				return 0, err
-			}
-			return rep.Cycles, nil
-		},
-	})
-	plain := mtvec.NewSession(mtvec.WithoutMemo())
-	memo := mtvec.NewSession()
-	ctx := context.Background()
-	sessionCase := func(name string, ses *mtvec.Session, simulates bool) benchCase {
-		return benchCase{
-			name: name,
-			fn: func() (int64, error) {
-				rep, err := ses.Run(ctx, mtvec.Solo(solo))
-				if err != nil {
-					return 0, err
-				}
-				if !simulates {
-					return 0, nil // cache hit: no cycles simulated
-				}
-				return rep.Cycles, nil
-			},
-		}
-	}
-	cases = append(cases,
-		sessionCase("session/run", plain, true),
-		sessionCase("session/memoized", memo, false),
-	)
-
-	// Sweeps: the same memo-missed eight-point latency sweep over one
-	// compiled kernel, under the -bench-jobs gate width. Each sweep wraps
-	// the kernel in a fresh workload, whose points share one synthesized
-	// and predecoded trace (docs/PERF.md, "Sweeps run point by point").
-	sweepKernel, err := compileSweepKernel()
-	if err != nil {
-		return nil, nil, err
-	}
-	sweepSched := []mtvec.Invocation{
-		{Unit: 1, N: 1 << 14},
-		{Unit: 0, N: 1 << 14},
-		{Unit: 1, N: 1 << 14},
-	}
-	runSweep := func(specs []mtvec.RunSpec) (int64, error) {
-		ses := mtvec.NewSession(mtvec.WithJobs(jobs))
-		reps, err := ses.RunAll(ctx, specs...)
-		if err != nil {
-			return 0, err
-		}
-		var cycles int64
-		for _, rep := range reps {
-			cycles += rep.Cycles
-		}
-		return cycles, nil
-	}
-	cases = append(cases, benchCase{
-		name: "sweep/perpoint",
-		fn: func() (int64, error) {
-			w, err := mtvec.CompiledWorkload(sweepKernel, sweepSched)
-			if err != nil {
-				return 0, err
-			}
-			specs := make([]mtvec.RunSpec, 8)
-			for k := range specs {
-				specs[k] = mtvec.Solo(w, mtvec.WithMemLatency(30+10*k))
-			}
-			return runSweep(specs)
-		},
-	})
-
-	// Long-vector sweep: the gemm and spmv bench-suite supplies are
-	// simulation-dominated (high cycles per instruction) — the opposite
-	// corner from the scalar-heavy daxpy-setup sweep above. Two supplies
-	// of four latency points each.
-	var gemmW, spmvW *mtvec.Workload
-	for i, spec := range mtvec.BenchWorkloads() {
-		switch spec.Short {
-		case "gm":
-			gemmW = bench[i]
-		case "sp":
-			spmvW = bench[i]
-		}
-	}
-	if gemmW == nil || spmvW == nil {
-		return nil, nil, fmt.Errorf("bench suite is missing the gemm or spmv workload")
-	}
-	cases = append(cases, benchCase{
-		name: "sweep/longvec-perpoint",
-		fn: func() (int64, error) {
-			var specs []mtvec.RunSpec
-			for _, w := range []*mtvec.Workload{gemmW, spmvW} {
-				for k := 0; k < 4; k++ {
-					specs = append(specs, mtvec.Solo(w, mtvec.WithMemLatency(30+30*k)))
-				}
-			}
-			return runSweep(specs)
-		},
-	})
-
-	// Store records (docs/PERF.md, "Store records"). store/record runs a
-	// real record, the solo point above under its persist key, through
-	// EncodeRecord and DecodeRecord. store/claim is a cold sweep point's
-	// store traffic for a fresh key on a temp directory: Get's miss,
-	// TryLock, Put and the release. It then deletes the record, so every
-	// iteration meets a directory of the same size.
-	recKey, ok := plain.PersistKey(mtvec.Solo(solo))
-	if !ok {
-		return nil, nil, fmt.Errorf("the solo point has no persist key")
-	}
-	recRep, err := plain.Run(ctx, mtvec.Solo(solo))
-	if err != nil {
-		return nil, nil, err
-	}
-	claimDir, err := os.MkdirTemp("", "mtvbench-store-")
-	if err != nil {
-		return nil, nil, err
-	}
-	claimStore, err := store.Open(claimDir)
-	if err != nil {
-		os.RemoveAll(claimDir)
-		return nil, nil, err
-	}
-	claimSeq := 0
-	cases = append(cases,
-		benchCase{
-			name: "store/record",
-			fn: func() (int64, error) {
-				data, err := store.EncodeRecord(recKey, recRep)
-				if err != nil {
-					return 0, err
-				}
-				_, err = store.DecodeRecord(data, recKey)
-				return 0, err
-			},
-		},
-		benchCase{
-			name: "store/claim",
-			fn: func() (int64, error) {
-				claimSeq++
-				key := recKey + "|claim=" + strconv.Itoa(claimSeq)
-				if _, tier := claimStore.Get(key); tier.Hit() {
-					return 0, fmt.Errorf("fresh key %d hit", claimSeq)
-				}
-				release := claimStore.TryLock(key)
-				if release == nil {
-					return 0, fmt.Errorf("fresh key %d is locked", claimSeq)
-				}
-				err := claimStore.Put(key, recRep)
-				release()
-				if err != nil {
-					return 0, err
-				}
-				// The record's path is the store's documented layout,
-				// <dir>/v1/<hh>/<sha256 of the key>.json.
-				sum := sha256.Sum256([]byte(key))
-				name := hex.EncodeToString(sum[:])
-				return 0, os.Remove(filepath.Join(claimDir, "v1", name[:2], name+".json"))
-			},
-		},
-	)
-	return cases, func() { os.RemoveAll(claimDir) }, nil
-}
-
-// compileSweepKernel builds the daxpy-plus-setup kernel the sweep case
-// runs, mirroring the repository's BenchmarkCompiledSweep.
-func compileSweepKernel() (*mtvec.Compiled, error) {
-	x := &mtvec.Array{Name: "x", Base: 0x10000, Stride: 8}
-	y := &mtvec.Array{Name: "y", Base: 0x20000, Stride: 8}
-	kern := &mtvec.Kernel{Name: "daxpy-setup"}
-	kern.Units = append(kern.Units,
-		&mtvec.VectorLoop{
-			Name: "daxpy",
-			Body: []mtvec.Stmt{{
-				Dst: y,
-				E: &mtvec.Bin{Op: mtvec.Add,
-					L: &mtvec.Bin{Op: mtvec.Mul, L: &mtvec.ScalarArg{Name: "a"}, R: &mtvec.Ref{Arr: x}},
-					R: &mtvec.Ref{Arr: y}},
-			}},
-		},
-		&mtvec.ScalarLoop{Name: "setup", Loads: 2, Stores: 1, IntOps: 3, FPOps: 1},
-	)
-	return mtvec.CompileKernel(kern)
-}
-
-// measure runs one case for at least benchtime and returns its stats.
-func measure(c benchCase, benchtime time.Duration) (BenchResult, error) {
-	if _, err := c.fn(); err != nil { // warm-up + error check
-		return BenchResult{}, fmt.Errorf("%s: %w", c.name, err)
+// measure runs a prepared case for at least benchtime and returns its
+// stats.
+func measure(c benchcase.Case, fn benchcase.Func, benchtime time.Duration) (BenchResult, error) {
+	if _, err := fn(); err != nil { // warm-up + error check
+		return BenchResult{}, fmt.Errorf("%s: %w", c.Name, err)
 	}
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
@@ -450,9 +88,9 @@ func measure(c benchCase, benchtime time.Duration) (BenchResult, error) {
 	var iters, work int64
 	start := time.Now()
 	for iters == 0 || time.Since(start) < benchtime {
-		n, err := c.fn()
+		n, err := fn()
 		if err != nil {
-			return BenchResult{}, fmt.Errorf("%s: %w", c.name, err)
+			return BenchResult{}, fmt.Errorf("%s: %w", c.Name, err)
 		}
 		work += n
 		iters++
@@ -460,16 +98,16 @@ func measure(c benchCase, benchtime time.Duration) (BenchResult, error) {
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms1)
 	res := BenchResult{
-		Name:        c.name,
+		Name:        c.Name,
 		Iters:       iters,
 		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
 		BytesPerOp:  int64(ms1.TotalAlloc-ms0.TotalAlloc) / iters,
 		AllocsPerOp: int64(ms1.Mallocs-ms0.Mallocs) / iters,
 	}
 	switch {
-	case work > 0 && c.perInst:
+	case work > 0 && c.Unit == benchcase.Insts:
 		res.NsPerInst = float64(elapsed.Nanoseconds()) / float64(work)
-	case work > 0:
+	case work > 0 && c.Unit == benchcase.Cycles:
 		res.McyclesPerS = float64(work) / elapsed.Seconds() / 1e6
 	}
 	return res, nil
@@ -484,10 +122,7 @@ func runBenchJSON(w io.Writer, ref string, benchtime time.Duration, count, jobs 
 	if jobs < 1 {
 		jobs = runtime.NumCPU()
 	}
-	cases, cleanup, err := benchCases(scale, jobs)
-	if err != nil {
-		return err
-	}
+	cases, cleanup := benchcase.New(scale, jobs)
 	defer cleanup()
 	return recordBench(w, cases, BenchFile{
 		Schema:      benchSchema,
@@ -502,18 +137,28 @@ func runBenchJSON(w io.Writer, ref string, benchtime time.Duration, count, jobs 
 	}, benchtime, progress)
 }
 
-// recordBench measures each case file.Count times (at least once) and
-// writes the artifact: file's header completed with the machine's CPU
-// count and GOMAXPROCS, then per case its best sample and every sample.
-func recordBench(w io.Writer, cases []benchCase, file BenchFile, benchtime time.Duration, progress io.Writer) error {
+// recordBench prepares every case, so a fixture that fails to build
+// stops the run before anything is measured, then measures each
+// file.Count times (at least once) and writes the artifact: file's
+// header completed with the machine's CPU count and GOMAXPROCS, then per
+// case its best sample and every sample.
+func recordBench(w io.Writer, cases []benchcase.Case, file BenchFile, benchtime time.Duration, progress io.Writer) error {
 	file.Count = max(file.Count, 1)
 	file.NumCPU = runtime.NumCPU()
 	file.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	for _, c := range cases {
+	fns := make([]benchcase.Func, len(cases))
+	for i, c := range cases {
+		fn, err := c.Prepare()
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.Name, err)
+		}
+		fns[i] = fn
+	}
+	for i, c := range cases {
 		best := BenchResult{}
 		var samples []BenchSample
 		for s := 0; s < file.Count; s++ {
-			r, err := measure(c, benchtime)
+			r, err := measure(c, fns[i], benchtime)
 			if err != nil {
 				return err
 			}
@@ -524,7 +169,7 @@ func recordBench(w io.Writer, cases []benchCase, file BenchFile, benchtime time.
 		}
 		best.Samples = samples
 		if progress != nil {
-			fmt.Fprintf(progress, "%-18s %12.0f ns/op  %8d allocs/op\n", c.name, best.NsPerOp, best.AllocsPerOp)
+			fmt.Fprintf(progress, "%-18s %12.0f ns/op  %8d allocs/op\n", c.Name, best.NsPerOp, best.AllocsPerOp)
 		}
 		file.Benchmarks = append(file.Benchmarks, best)
 	}
@@ -541,6 +186,11 @@ type CompareFile struct {
 	NewRef       string  `json:"new_ref"`
 	GeomeanRatio float64 `json:"geomean_ratio"` // new/old ns per op; <1 is faster
 	MaxRegress   float64 `json:"max_regress"`
+
+	// The artifacts each side pooled, in the order given, which is the
+	// order scripts/bench.sh ran them in.
+	BaselineInputs []string `json:"baseline_inputs,omitempty"`
+	NewInputs      []string `json:"new_inputs,omitempty"`
 
 	// The allocation gate, alongside the time gate: geomean new/old
 	// B/op over the benchmarks where both artifacts recorded a positive
@@ -596,18 +246,50 @@ func usableNs(ns float64) bool {
 	return ns > 0 && !math.IsInf(ns, 0) && !math.IsNaN(ns)
 }
 
-// compareBench diffs two bench files over the intersection of their
-// benchmarks and returns the comparison plus an error when the geomean
-// ns/op regression exceeds maxRegress. Benchmarks present in only one
-// artifact, or carrying unusable ns/op values, are excluded from the
-// geomean and reported by name in Dropped — a mismatched set narrows
-// the comparison, visibly, instead of skewing or crashing it.
-func compareBench(oldPath, newPath string, maxRegress, maxRegressBytes float64) (*CompareFile, error) {
-	oldF, err := loadBenchFile(oldPath)
+// loadSide reads a comma-separated list of artifacts and pools them
+// into one: each benchmark keeps its fastest result across the list.
+// Artifacts measured at another scale, benchtime or gate width are not
+// samples of one measurement, so a list that mixes them is refused.
+func loadSide(list string) (*BenchFile, error) {
+	var pooled *BenchFile
+	at := map[string]int{}
+	for _, path := range strings.Split(list, ",") {
+		f, err := loadBenchFile(path)
+		if err != nil {
+			return nil, err
+		}
+		if pooled == nil {
+			pooled = &BenchFile{Ref: f.Ref, Scale: f.Scale, BenchtimeMS: f.BenchtimeMS, Jobs: f.Jobs}
+		} else if f.Scale != pooled.Scale || f.BenchtimeMS != pooled.BenchtimeMS || f.Jobs != pooled.Jobs {
+			return nil, fmt.Errorf("%s (scale %g, benchtime %dms, jobs %d) cannot pool with %s (scale %g, benchtime %dms, jobs %d)",
+				path, f.Scale, f.BenchtimeMS, f.Jobs, list, pooled.Scale, pooled.BenchtimeMS, pooled.Jobs)
+		}
+		for _, b := range f.Benchmarks {
+			i, seen := at[b.Name]
+			switch {
+			case !seen:
+				at[b.Name] = len(pooled.Benchmarks)
+				pooled.Benchmarks = append(pooled.Benchmarks, b)
+			case b.NsPerOp < pooled.Benchmarks[i].NsPerOp:
+				pooled.Benchmarks[i] = b
+			}
+		}
+	}
+	return pooled, nil
+}
+
+// compareBench diffs two sides, each a comma-separated list of bench
+// files pooled by loadSide, over the intersection of their benchmarks
+// and returns the comparison. Benchmarks present on only one side, or
+// carrying unusable ns/op values, are excluded from the geomean and
+// reported by name in Dropped — a mismatched set narrows the
+// comparison, visibly, instead of skewing or crashing it.
+func compareBench(oldList, newList string, maxRegress, maxRegressBytes float64) (*CompareFile, error) {
+	oldF, err := loadSide(oldList)
 	if err != nil {
 		return nil, err
 	}
-	newF, err := loadBenchFile(newPath)
+	newF, err := loadSide(newList)
 	if err != nil {
 		return nil, err
 	}
@@ -619,6 +301,8 @@ func compareBench(oldPath, newPath string, maxRegress, maxRegressBytes float64) 
 		Schema:          benchSchema,
 		BaselineRef:     oldF.Ref,
 		NewRef:          newF.Ref,
+		BaselineInputs:  strings.Split(oldList, ","),
+		NewInputs:       strings.Split(newList, ","),
 		MaxRegress:      maxRegress,
 		MaxRegressBytes: maxRegressBytes,
 	}
@@ -630,7 +314,7 @@ func compareBench(oldPath, newPath string, maxRegress, maxRegressBytes float64) 
 		ob, ok := oldBy[nb.Name]
 		switch {
 		case !ok:
-			cmp.Dropped = append(cmp.Dropped, nb.Name+" (missing from "+oldPath+")")
+			cmp.Dropped = append(cmp.Dropped, nb.Name+" (missing from "+oldList+")")
 			continue
 		case !usableNs(ob.NsPerOp) || !usableNs(nb.NsPerOp):
 			cmp.Dropped = append(cmp.Dropped, fmt.Sprintf("%s (unusable ns/op: old %v, new %v)", nb.Name, ob.NsPerOp, nb.NsPerOp))
@@ -652,12 +336,12 @@ func compareBench(oldPath, newPath string, maxRegress, maxRegressBytes float64) 
 	}
 	for _, ob := range oldF.Benchmarks {
 		if !newNames[ob.Name] {
-			cmp.Dropped = append(cmp.Dropped, ob.Name+" (missing from "+newPath+")")
+			cmp.Dropped = append(cmp.Dropped, ob.Name+" (missing from "+newList+")")
 		}
 	}
 	sort.Strings(cmp.Dropped)
 	if len(cmp.Benchmarks) == 0 {
-		return nil, fmt.Errorf("no common comparable benchmarks between %s and %s (%d dropped)", oldPath, newPath, len(cmp.Dropped))
+		return nil, fmt.Errorf("no common comparable benchmarks between %s and %s (%d dropped)", oldList, newList, len(cmp.Dropped))
 	}
 	sort.Slice(cmp.Benchmarks, func(i, j int) bool { return cmp.Benchmarks[i].Name < cmp.Benchmarks[j].Name })
 	cmp.GeomeanRatio = math.Exp(logSum / float64(len(cmp.Benchmarks)))
@@ -668,9 +352,9 @@ func compareBench(oldPath, newPath string, maxRegress, maxRegressBytes float64) 
 }
 
 // runBenchCompare prints the comparison table and applies the ns/op and
-// B/op gates.
-func runBenchCompare(w io.Writer, oldPath, newPath, outPath string, maxRegress, maxRegressBytes float64) error {
-	cmp, err := compareBench(oldPath, newPath, maxRegress, maxRegressBytes)
+// B/op gates. oldList and newList are comma-separated artifact lists.
+func runBenchCompare(w io.Writer, oldList, newList, outPath string, maxRegress, maxRegressBytes float64) error {
+	cmp, err := compareBench(oldList, newList, maxRegress, maxRegressBytes)
 	if err != nil {
 		return err
 	}
@@ -697,11 +381,11 @@ func runBenchCompare(w io.Writer, oldPath, newPath, outPath string, maxRegress, 
 	}
 	if cmp.GeomeanRatio > 1+maxRegress {
 		return fmt.Errorf("benchmark regression: geomean ns/op ratio %.3f exceeds gate %.3f (baseline %s)",
-			cmp.GeomeanRatio, 1+maxRegress, oldPath)
+			cmp.GeomeanRatio, 1+maxRegress, oldList)
 	}
 	if cmp.GeomeanBytesRatio > 1+maxRegressBytes {
 		return fmt.Errorf("allocation regression: geomean B/op ratio %.3f exceeds gate %.3f (baseline %s)",
-			cmp.GeomeanBytesRatio, 1+maxRegressBytes, oldPath)
+			cmp.GeomeanBytesRatio, 1+maxRegressBytes, oldList)
 	}
 	return nil
 }

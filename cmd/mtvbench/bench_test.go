@@ -10,9 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
-	"mtvec/internal/prog"
+	"mtvec/internal/benchcase"
 )
 
 // writeBenchFile writes a synthetic artifact for compare tests.
@@ -188,6 +187,42 @@ func TestBenchCompareBytesGate(t *testing.T) {
 	}
 }
 
+// TestBenchComparePoolsSides: a comma-separated list pools its
+// artifacts, each case comparing its fastest result on either side; the
+// inputs are recorded in order; and a list whose headers disagree on
+// scale, benchtime or jobs is refused.
+func TestBenchComparePoolsSides(t *testing.T) {
+	dir := t.TempDir()
+	res := func(ns float64, bytes int64) []BenchResult {
+		return []BenchResult{{Name: "a", Iters: 1, NsPerOp: ns, BytesPerOp: bytes}}
+	}
+	old1 := writeBenchResults(t, dir, "old1.json", "base", res(110, 90))
+	old2 := writeBenchResults(t, dir, "old2.json", "base", res(100, 100))
+	new1 := writeBenchResults(t, dir, "new1.json", "pr", res(80, 200))
+	new2 := writeBenchResults(t, dir, "new2.json", "pr", res(90, 50))
+	cmp, err := compareBench(old1+","+old2, new1+","+new2, 0.10, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := cmp.Benchmarks; len(b) != 1 || b[0].OldNs != 100 || b[0].NewNs != 80 || b[0].OldBytes != 100 || b[0].NewBytes != 200 {
+		t.Errorf("pooled %+v, want the fastest result per side (100 ns at 100 B, 80 ns at 200 B)", b)
+	}
+	if strings.Join(cmp.BaselineInputs, ",") != old1+","+old2 || strings.Join(cmp.NewInputs, ",") != new1+","+new2 || cmp.BaselineRef != "base" {
+		t.Errorf("inputs %v / %v, ref %q", cmp.BaselineInputs, cmp.NewInputs, cmp.BaselineRef)
+	}
+	for _, h := range []BenchFile{{Scale: 1e-4}, {Scale: 3e-5, BenchtimeMS: 10}, {Scale: 3e-5, Jobs: 4}} {
+		h.Schema, h.Benchmarks = benchSchema, res(100, 100)
+		data, _ := json.Marshal(h)
+		odd := filepath.Join(dir, "odd.json")
+		if err := os.WriteFile(odd, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := compareBench(old1+","+odd, new1, 0.1, 0.1); err == nil || !strings.Contains(err.Error(), "cannot pool") {
+			t.Errorf("header %+v pooled with the baseline: %v", h, err)
+		}
+	}
+}
+
 func TestBenchCompareErrors(t *testing.T) {
 	dir := t.TempDir()
 	oldP := writeBenchFile(t, dir, "old.json", "old", map[string]float64{"a": 100})
@@ -211,21 +246,36 @@ func TestBenchJSONSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures wall time")
 	}
-	cases, cleanup, err := benchCases(1e-5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cases, cleanup := benchcase.New(1e-5, 1)
 	defer cleanup()
 	if len(cases) < 20 {
 		t.Fatalf("only %d bench cases", len(cases))
 	}
 	// Measure just one cheap case end to end.
-	res, err := measure(cases[0], 5*time.Millisecond)
+	fn, err := cases[0].Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := measure(cases[0], fn, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Iters < 1 || res.NsPerOp <= 0 {
 		t.Errorf("bad measurement %+v", res)
+	}
+	// A case that counts instructions reports ns/inst, not Mcycles/s.
+	for _, c := range cases {
+		if c.Unit != benchcase.Insts {
+			continue
+		}
+		fn, err := c.Prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := measure(c, fn, 5*time.Millisecond)
+		if err != nil || r.NsPerInst <= 0 || r.McyclesPerS != 0 {
+			t.Errorf("%s reports %v ns/inst and %v Mcycles/s: %v", c.Name, r.NsPerInst, r.McyclesPerS, err)
+		}
 	}
 
 	var buf bytes.Buffer
@@ -240,7 +290,7 @@ func TestBenchJSONSmoke(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Scale != 1e-5 || len(back.Benchmarks) != 1 || back.Benchmarks[0].Name != cases[0].name {
+	if back.Scale != 1e-5 || len(back.Benchmarks) != 1 || back.Benchmarks[0].Name != cases[0].Name {
 		t.Errorf("round trip = %+v", back)
 	}
 }
@@ -251,7 +301,11 @@ func TestBenchJSONSmoke(t *testing.T) {
 // which predate those fields, in either direction.
 func TestBenchArtifactSamplesAndCompat(t *testing.T) {
 	dir := t.TempDir()
-	cases := []benchCase{{name: "engine/reference", fn: func() (int64, error) { return 1000, nil }}}
+	cases := []benchcase.Case{{
+		Name:    "engine/reference",
+		Unit:    benchcase.Cycles,
+		Prepare: func() (benchcase.Func, error) { return func() (int64, error) { return 1000, nil }, nil },
+	}}
 	var buf bytes.Buffer
 	if err := recordBench(&buf, cases, BenchFile{Schema: benchSchema, Ref: "new", Count: 3}, time.Millisecond, nil); err != nil {
 		t.Fatal(err)
@@ -267,6 +321,9 @@ func TestBenchArtifactSamplesAndCompat(t *testing.T) {
 		t.Fatalf("benchmarks %+v, want one case with 3 samples", f.Benchmarks)
 	}
 	best := f.Benchmarks[0]
+	if best.McyclesPerS <= 0 {
+		t.Errorf("cycle case reports %v Mcycles/s", best.McyclesPerS)
+	}
 	for _, s := range best.Samples {
 		if s.Iters < 1 || s.NsPerOp <= 0 || s.NsPerOp < best.NsPerOp {
 			t.Errorf("sample %+v inconsistent with best %v ns/op", s, best.NsPerOp)
@@ -307,61 +364,4 @@ func TestBenchArtifactSamplesAndCompat(t *testing.T) {
 	if read < 3 {
 		t.Errorf("read %d committed bench artifacts, want at least 3", read)
 	}
-}
-
-// TestStoreBenchCases runs the store cases a few times each: the record
-// round-trips, and every claim meets a fresh key and deletes its record.
-func TestStoreBenchCases(t *testing.T) {
-	cases, cleanup, err := benchCases(1e-5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	found := 0
-	for _, c := range cases {
-		if !strings.HasPrefix(c.name, "store/") {
-			continue
-		}
-		found++
-		for i := 0; i < 3; i++ {
-			if _, err := c.fn(); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-		}
-	}
-	if found != 2 {
-		t.Fatalf("found %d store cases, want 2", found)
-	}
-}
-
-// TestPredecodeBenchCase: prog/predecode expands the ten Table 3
-// traces, reports ns per instruction rather than simulated cycles, and
-// allocates at least the predecoded entries it returns.
-func TestPredecodeBenchCase(t *testing.T) {
-	cases, cleanup, err := benchCases(1e-5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	for _, c := range cases {
-		if c.name != "prog/predecode" {
-			continue
-		}
-		insts, err := c.fn()
-		if err != nil || insts <= 0 {
-			t.Fatalf("predecoded %d instructions: %v", insts, err)
-		}
-		res, err := measure(c, 5*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.NsPerInst <= 0 || res.McyclesPerS != 0 {
-			t.Errorf("prog/predecode reports %v ns/inst and %v Mcycles/s, want ns/inst only", res.NsPerInst, res.McyclesPerS)
-		}
-		if entries := insts * int64(unsafe.Sizeof(prog.DecodedInst{})); res.BytesPerOp < entries {
-			t.Errorf("prog/predecode allocates %d B/op, less than its %d bytes of entries", res.BytesPerOp, entries)
-		}
-		return
-	}
-	t.Fatal("no prog/predecode bench case")
 }

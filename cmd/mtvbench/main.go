@@ -18,6 +18,7 @@
 //
 //	mtvbench -bench-json -o BENCH_PR.json          # measure, record
 //	mtvbench -bench-compare BENCH_baseline.json BENCH_PR.json
+//	mtvbench -bench-compare base1.json,base2.json pr1.json,pr2.json   # pool samples per side
 package main
 
 import (
@@ -58,7 +59,7 @@ func main() {
 		benchTime       = flag.Duration("benchtime", 300*time.Millisecond, "minimum measuring time per benchmark (-bench-json)")
 		benchCount      = flag.Int("bench-count", 3, "samples per benchmark, fastest wins (-bench-json)")
 		benchJobs       = flag.Int("bench-jobs", runtime.NumCPU(), "session gate width for the sweep benchmark cases (-bench-json)")
-		benchCompare    = flag.Bool("bench-compare", false, "compare two BENCH JSON files: mtvbench -bench-compare OLD NEW")
+		benchCompare    = flag.Bool("bench-compare", false, "compare two sides of BENCH JSON files: mtvbench -bench-compare OLD[,OLD...] NEW[,NEW...]")
 		maxRegress      = flag.Float64("max-regress", 0.10, "fail -bench-compare when geomean ns/op regresses more than this fraction")
 		maxRegressBytes = flag.Float64("max-regress-bytes", 0.10, "fail -bench-compare when geomean B/op regresses more than this fraction")
 		cpuprofile      = flag.String("cpuprofile", "", "write a CPU profile of the -bench-json run to this file")
@@ -132,7 +133,7 @@ func main() {
 	}
 	if *benchCompare {
 		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "mtvbench: -bench-compare needs exactly two files: OLD NEW")
+			fmt.Fprintln(os.Stderr, "mtvbench: -bench-compare needs exactly two arguments: OLD[,OLD...] NEW[,NEW...]")
 			os.Exit(2)
 		}
 		if err := runBenchCompare(os.Stdout, flag.Arg(0), flag.Arg(1), *benchOut, *maxRegress, *maxRegressBytes); err != nil {

@@ -61,7 +61,7 @@ func RunSuiteContext(ctx context.Context, env *Env, exps []Experiment, jobs int)
 	// parked on shared singleflight entries coexist with running ones.
 	pool := runner.New(4 * env.Jobs())
 
-	var points []runner.Task
+	var points []func() error
 	for _, exp := range exps {
 		if exp.Points != nil {
 			points = append(points, exp.Points(env)...)
@@ -70,7 +70,7 @@ func RunSuiteContext(ctx context.Context, env *Env, exps []Experiment, jobs int)
 	// Prefetch errors are deliberately dropped here: the Env memoizes
 	// them, so the owning experiment's Run re-reports the identical error
 	// with its experiment ID attached.
-	_ = pool.Run(points)
+	_ = pool.Map(len(points), func(i int) error { return points[i]() })
 
 	results := make([]*Result, len(exps))
 	err := pool.Map(len(exps), func(i int) error {

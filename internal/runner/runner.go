@@ -30,17 +30,11 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 )
-
-// Task is one independent unit of work.
-type Task = func() error
 
 // Pool executes independent tasks on a bounded set of workers.
 type Pool struct {
 	jobs int
-	busy atomic.Int64 // cumulative task nanoseconds
 }
 
 // New creates a pool running at most jobs tasks concurrently; jobs <= 0
@@ -55,10 +49,6 @@ func New(jobs int) *Pool {
 // Jobs returns the pool's concurrency bound.
 func (p *Pool) Jobs() int { return p.jobs }
 
-// Busy returns the cumulative wall time spent inside tasks across all
-// workers — the serial-equivalent cost of the work the pool has run.
-func (p *Pool) Busy() time.Duration { return time.Duration(p.busy.Load()) }
-
 // Map runs fn(0) .. fn(n-1) on up to Jobs() workers. Every index runs
 // even if an earlier one fails; the errors are joined in index order, so
 // the returned error does not depend on scheduling.
@@ -67,14 +57,9 @@ func (p *Pool) Map(n int, fn func(i int) error) error {
 		return nil
 	}
 	errs := make([]error, n)
-	run := func(i int) {
-		start := time.Now()
-		errs[i] = fn(i)
-		p.busy.Add(int64(time.Since(start)))
-	}
 	if p.jobs == 1 || n == 1 {
 		for i := 0; i < n; i++ {
-			run(i)
+			errs[i] = fn(i)
 		}
 		return errors.Join(errs...)
 	}
@@ -89,7 +74,7 @@ func (p *Pool) Map(n int, fn func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				run(i)
+				errs[i] = fn(i)
 			}
 		}()
 	}
@@ -99,9 +84,4 @@ func (p *Pool) Map(n int, fn func(i int) error) error {
 	close(idx)
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// Run executes the tasks with Map semantics.
-func (p *Pool) Run(tasks []Task) error {
-	return p.Map(len(tasks), func(i int) error { return tasks[i]() })
 }

@@ -75,12 +75,6 @@ func TestNewDefaultsAndBusy(t *testing.T) {
 	if p.Jobs() != 4 {
 		t.Fatalf("Jobs() = %d", p.Jobs())
 	}
-	if err := p.Run([]Task{func() error { time.Sleep(time.Millisecond); return nil }}); err != nil {
-		t.Fatal(err)
-	}
-	if p.Busy() <= 0 {
-		t.Fatal("Busy() not accumulated")
-	}
 	if err := p.Map(0, nil); err != nil {
 		t.Fatal("empty Map should be a no-op")
 	}

@@ -306,11 +306,10 @@ func (c *callLog) TryLock(key string) func() {
 // for that process's record instead of simulating, while the sweep's
 // other points simulate and release their locks.
 func TestSweepClaimsStoreLocks(t *testing.T) {
-	dir, err := store.Open(t.TempDir())
+	dir, err := store.OpenOptions(t.TempDir(), store.Options{StealAge: time.Hour, LockPoll: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir.SetLockTuning(time.Hour, time.Millisecond)
 	st := &callLog{Dir: dir}
 	specs := latencySweep(t, 3)
 	want := soloReports(t, specs)

@@ -567,8 +567,3 @@ func attachThreads(m *core.Machine, spec RunSpec, cfg core.Config) error {
 	}
 	return errors.New("session: spec has no mode")
 }
-
-// IsContextErr reports whether err came from a cancelled or expired
-// context — the one error class the engine never memoizes, because it
-// would not fail identically on retry.
-func IsContextErr(err error) bool { return runner.IsContextErr(err) }

@@ -28,11 +28,10 @@ type backendFixture struct {
 func fixtures() []backendFixture {
 	return []backendFixture{
 		{"Dir", func(t *testing.T) (Backend, Tier, func(string)) {
-			d, err := Open(t.TempDir())
+			d, err := OpenOptions(t.TempDir(), Options{StealAge: time.Minute, LockPoll: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.SetLockTuning(time.Minute, time.Millisecond)
 			return d, TierLocal, func(key string) { mangle(t, d, key) }
 		}},
 	}

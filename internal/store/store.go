@@ -145,7 +145,12 @@ func OpenOptions(dir string, o Options) (*Dir, error) {
 		lockPoll:  25 * time.Millisecond,
 		held:      make(map[string]*heldLock),
 	}
-	d.SetLockTuning(o.StealAge, o.LockPoll)
+	if o.StealAge > 0 {
+		d.lockStale = o.StealAge
+	}
+	if o.LockPoll > 0 {
+		d.lockPoll = o.LockPoll
+	}
 	return d, nil
 }
 
@@ -403,7 +408,7 @@ func (s *Dir) Do(ctx context.Context, key string, compute func() (*stats.Report,
 	}
 	unlock, err := s.lock(ctx, key)
 	if err != nil {
-		if IsContextErr(err) {
+		if runner.IsContextErr(err) {
 			return nil, TierMiss, err
 		}
 		// Lock bookkeeping failed — a full or read-only store volume.
@@ -650,21 +655,4 @@ func (s *Dir) TryLock(key string) (release func()) {
 		stealLock(path)
 	}
 	return nil
-}
-
-// IsContextErr mirrors the engine's cancellation predicate for callers
-// that hold only a store.
-func IsContextErr(err error) bool { return runner.IsContextErr(err) }
-
-// SetLockTuning overrides the cross-process lock's staleness bound and
-// poll interval (zero keeps the current value). Equivalent to opening
-// with Options; kept as a method so tests and long-lived processes can
-// retune a live store.
-func (s *Dir) SetLockTuning(stale, poll time.Duration) {
-	if stale > 0 {
-		s.lockStale = stale
-	}
-	if poll > 0 {
-		s.lockPoll = poll
-	}
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"mtvec/internal/runner"
 	"mtvec/internal/stats"
 )
 
@@ -186,11 +187,10 @@ func TestDoComputesOnceAcrossStores(t *testing.T) {
 	dir := t.TempDir()
 	var stores []*Dir
 	for i := 0; i < 2; i++ {
-		s, err := Open(dir)
+		s, err := OpenOptions(dir, Options{StealAge: time.Minute, LockPoll: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetLockTuning(time.Minute, time.Millisecond)
 		stores = append(stores, s)
 	}
 	var computes atomic.Int64
@@ -238,11 +238,10 @@ func TestDoComputesOnceAcrossStores(t *testing.T) {
 }
 
 func TestDoFailedComputeNotPersisted(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenOptions(t.TempDir(), Options{StealAge: time.Minute, LockPoll: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetLockTuning(time.Minute, time.Millisecond)
 	boom := errors.New("boom")
 	if _, _, err := s.Do(context.Background(), "k", func() (*stats.Report, error) {
 		return nil, boom
@@ -270,11 +269,10 @@ func TestDoFailedComputeNotPersisted(t *testing.T) {
 }
 
 func TestDoCancelledWhileWaiting(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenOptions(t.TempDir(), Options{StealAge: time.Minute, LockPoll: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetLockTuning(time.Minute, 5*time.Millisecond)
 	// Hold the lock from a fake peer.
 	unlock, err := s.lock(context.Background(), "k")
 	if err != nil || unlock == nil {
@@ -287,17 +285,16 @@ func TestDoCancelledWhileWaiting(t *testing.T) {
 		t.Error("compute ran despite held lock")
 		return sampleReport(), nil
 	})
-	if !IsContextErr(err) {
+	if !runner.IsContextErr(err) {
 		t.Fatalf("err = %v, want context error", err)
 	}
 }
 
 func TestStaleLockStolen(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenOptions(t.TempDir(), Options{StealAge: 50 * time.Millisecond, LockPoll: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetLockTuning(50*time.Millisecond, 5*time.Millisecond)
 	// Plant a lock and age it: a holder that never returns.
 	lockPath := s.path("k") + ".lock"
 	os.MkdirAll(filepath.Dir(lockPath), 0o755)
@@ -348,11 +345,10 @@ func TestTryLock(t *testing.T) {
 }
 
 func TestTryLockStealsStale(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := OpenOptions(t.TempDir(), Options{StealAge: 50 * time.Millisecond, LockPoll: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetLockTuning(50*time.Millisecond, 5*time.Millisecond)
 	lockPath := s.path("k") + ".lock"
 	os.MkdirAll(filepath.Dir(lockPath), 0o755)
 	if err := os.WriteFile(lockPath, []byte("dead\n"), 0o644); err != nil {
@@ -650,11 +646,10 @@ func TestDirsRaceOnSharedKeys(t *testing.T) {
 	dir := t.TempDir()
 	var dirs [2]*Dir
 	for i := range dirs {
-		d, err := Open(dir)
+		d, err := OpenOptions(dir, Options{StealAge: time.Minute, LockPoll: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.SetLockTuning(time.Minute, time.Millisecond)
 		dirs[i] = d
 	}
 	const nkeys, workers = 16, 8

@@ -4,7 +4,8 @@
 #   scripts/bench.sh                  # measure -> BENCH_PR.json, gate vs BENCH_baseline.json
 #   scripts/bench.sh -o OUT.json      # measure into OUT.json only (no gate)
 #   scripts/bench.sh --refresh        # re-record BENCH_baseline.json on this machine
-#   scripts/bench.sh --gate-ref REF   # measure REF on THIS machine and gate against it
+#   scripts/bench.sh --gate-ref REF   # measure REF and this tree on THIS machine in COUNT
+#                                     # alternating rounds and gate on the pooled samples
 #                                     # (what CI uses: same-hardware comparison, so the
 #                                     # gate never trips on runner-vs-laptop differences)
 #   scripts/bench.sh --cpuprofile cpu.pprof --memprofile mem.pprof
@@ -13,7 +14,8 @@
 #
 # Environment knobs (all optional):
 #   BENCHTIME    minimum measuring time per benchmark   (default 300ms)
-#   COUNT        samples per benchmark, fastest wins    (default 3)
+#   COUNT        samples per benchmark, fastest wins    (default 3;
+#                with --gate-ref, rounds per side of one sample each)
 #   BENCH_JOBS   session gate width for the sweep cases (default: all cores)
 #   MAX_REGRESS  geomean ns/op regression gate fraction (default 0.10)
 #   MAX_REGRESS_BYTES  geomean B/op regression gate fraction (default 0.10)
@@ -51,35 +53,64 @@ if [[ $BENCH_JOBS -gt 0 ]]; then
   JOBS_FLAGS=(-bench-jobs "$BENCH_JOBS")
 fi
 
-echo "measuring benchmark suite (benchtime=$BENCHTIME count=$COUNT) -> $OUT" >&2
-go run ./cmd/mtvbench -bench-json -benchtime "$BENCHTIME" -bench-count "$COUNT" \
-  -bench-ref "$REF" -o "$OUT" "${JOBS_FLAGS[@]}" \
-  ${PROFILE_FLAGS[@]+"${PROFILE_FLAGS[@]}"}
-
-[[ $GATE -eq 1 ]] || exit 0
-
 if [[ -n $GATE_REF ]]; then
-  # Same-machine gate: build and measure the base ref right here, so the
-  # comparison never mixes hardware. Falls back to the checked-in
-  # baseline if the base ref predates the harness.
-  WT=$(mktemp -d)/base
-  trap 'git worktree remove --force "$WT" >/dev/null 2>&1 || true' EXIT
+  # Same-machine gate: build the base ref's mtvbench and this tree's once,
+  # then take COUNT rounds of one sample per case on each side, the side
+  # that goes first alternating by round (base, PR; PR, base; ...). Host
+  # drift over the run then lands on both sides instead of in the ratio.
+  # -bench-compare pools each side's rounds and gates on each case's
+  # fastest sample. Falls back to the checked-in baseline if the base ref
+  # predates the harness.
+  TMP=$(mktemp -d)
+  WT=$TMP/base
+  trap 'git worktree remove --force "$WT" >/dev/null 2>&1 || true; rm -rf "$TMP"' EXIT
   git worktree add --detach "$WT" "$GATE_REF" >&2
   if [[ -f "$WT/cmd/mtvbench/bench.go" ]]; then
     BASE_JOBS_FLAGS=()
     if [[ $BENCH_JOBS -gt 0 ]] && grep -q 'bench-jobs' "$WT/cmd/mtvbench/main.go"; then
       BASE_JOBS_FLAGS=(-bench-jobs "$BENCH_JOBS")
     fi
-    (cd "$WT" && go run ./cmd/mtvbench -bench-json -benchtime "$BENCHTIME" \
-      -bench-count "$COUNT" -bench-ref "$GATE_REF" -o BENCH_base.json \
-      ${BASE_JOBS_FLAGS[@]+"${BASE_JOBS_FLAGS[@]}"})
-    go run ./cmd/mtvbench -bench-compare -max-regress "$MAX_REGRESS" \
+    ROOT=$PWD
+    (cd "$WT" && go build -o "$TMP/mtvbench-base" ./cmd/mtvbench)
+    go build -o "$TMP/mtvbench-pr" ./cmd/mtvbench
+    run_base() {
+      echo "round $1: base $GATE_REF -> BENCH_base.$1.json" >&2
+      (cd "$WT" && "$TMP/mtvbench-base" -bench-json -benchtime "$BENCHTIME" -bench-count 1 \
+        -bench-ref "$GATE_REF" -o "$ROOT/BENCH_base.$1.json" \
+        ${BASE_JOBS_FLAGS[@]+"${BASE_JOBS_FLAGS[@]}"})
+    }
+    run_pr() {
+      echo "round $1: PR -> ${OUT%.json}.$1.json" >&2
+      "$TMP/mtvbench-pr" -bench-json -benchtime "$BENCHTIME" -bench-count 1 \
+        -bench-ref "$REF" -o "${OUT%.json}.$1.json" "${JOBS_FLAGS[@]}"
+    }
+    BASE_LIST=
+    PR_LIST=
+    for ((i = 1; i <= COUNT; i++)); do
+      if ((i % 2)); then run_base "$i"; run_pr "$i"; else run_pr "$i"; run_base "$i"; fi
+      BASE_LIST+=${BASE_LIST:+,}BENCH_base.$i.json
+      PR_LIST+=${PR_LIST:+,}${OUT%.json}.$i.json
+    done
+    if [[ ${#PROFILE_FLAGS[@]} -gt 0 ]]; then
+      # Profile a separate PR pass, so no gated sample pays for profiling.
+      echo "profiling one PR pass" >&2
+      "$TMP/mtvbench-pr" -bench-json -benchtime "$BENCHTIME" -bench-count 1 -q \
+        -o /dev/null "${JOBS_FLAGS[@]}" "${PROFILE_FLAGS[@]}"
+    fi
+    "$TMP/mtvbench-pr" -bench-compare -max-regress "$MAX_REGRESS" \
       -max-regress-bytes "$MAX_REGRESS_BYTES" \
-      -o BENCH_compare.json "$WT/BENCH_base.json" "$OUT"
+      -o BENCH_compare.json "$BASE_LIST" "$PR_LIST"
     exit 0
   fi
   echo "base ref $GATE_REF predates the bench harness; using $BASELINE" >&2
 fi
+
+echo "measuring benchmark suite (benchtime=$BENCHTIME count=$COUNT) -> $OUT" >&2
+go run ./cmd/mtvbench -bench-json -benchtime "$BENCHTIME" -bench-count "$COUNT" \
+  -bench-ref "$REF" -o "$OUT" "${JOBS_FLAGS[@]}" \
+  ${PROFILE_FLAGS[@]+"${PROFILE_FLAGS[@]}"}
+
+[[ $GATE -eq 1 ]] || exit 0
 
 if [[ ! -f $BASELINE ]]; then
   echo "no $BASELINE checked in; skipping the regression gate" >&2

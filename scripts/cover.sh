@@ -20,6 +20,7 @@ declare -A FLOOR=(
   [mtvec]=50
   [mtvec/cmd/mtvlint]=70
   [mtvec/internal/arch]=90
+  [mtvec/internal/benchcase]=80
   [mtvec/internal/cluster]=78
   [mtvec/internal/core]=93
   [mtvec/internal/lint]=85

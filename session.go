@@ -2,6 +2,7 @@ package mtvec
 
 import (
 	"mtvec/internal/core"
+	"mtvec/internal/runner"
 	"mtvec/internal/session"
 	"mtvec/internal/store"
 )
@@ -220,4 +221,4 @@ func WithMaxThread0Insts(n int64) RunOption { return session.WithMaxThread0Insts
 // context — the one error class Session.Run never memoizes. Useful for
 // distinguishing "the run was aborted" from "the spec or simulation
 // failed".
-func IsContextErr(err error) bool { return session.IsContextErr(err) }
+func IsContextErr(err error) bool { return runner.IsContextErr(err) }
