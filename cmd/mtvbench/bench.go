@@ -201,10 +201,12 @@ type CompareFile struct {
 	MaxRegressBytes   float64 `json:"max_regress_bytes"`
 
 	// Dropped lists benchmarks excluded from the geomean, with the
-	// reason: present in only one artifact, or a non-positive/non-finite
-	// ns/op that would poison the ratio. The gate compares the
+	// reason: missing from the new side, or a non-positive/non-finite
+	// ns/op that would poison the ratio. New lists the benchmarks only
+	// the new side has, also outside the geomean. The gate compares the
 	// intersection only, but never silently.
 	Dropped []string `json:"dropped,omitempty"`
+	New     []string `json:"new,omitempty"`
 
 	Benchmarks []CompareResult `json:"benchmarks"`
 }
@@ -282,8 +284,9 @@ func loadSide(list string) (*BenchFile, error) {
 // files pooled by loadSide, over the intersection of their benchmarks
 // and returns the comparison. Benchmarks present on only one side, or
 // carrying unusable ns/op values, are excluded from the geomean and
-// reported by name in Dropped — a mismatched set narrows the
-// comparison, visibly, instead of skewing or crashing it.
+// reported by name, in New if only the new side has them and in
+// Dropped otherwise — a mismatched set narrows the comparison, visibly,
+// instead of skewing or crashing it.
 func compareBench(oldList, newList string, maxRegress, maxRegressBytes float64) (*CompareFile, error) {
 	oldF, err := loadSide(oldList)
 	if err != nil {
@@ -314,7 +317,7 @@ func compareBench(oldList, newList string, maxRegress, maxRegressBytes float64) 
 		ob, ok := oldBy[nb.Name]
 		switch {
 		case !ok:
-			cmp.Dropped = append(cmp.Dropped, nb.Name+" (missing from "+oldList+")")
+			cmp.New = append(cmp.New, nb.Name)
 			continue
 		case !usableNs(ob.NsPerOp) || !usableNs(nb.NsPerOp):
 			cmp.Dropped = append(cmp.Dropped, fmt.Sprintf("%s (unusable ns/op: old %v, new %v)", nb.Name, ob.NsPerOp, nb.NsPerOp))
@@ -340,6 +343,7 @@ func compareBench(oldList, newList string, maxRegress, maxRegressBytes float64) 
 		}
 	}
 	sort.Strings(cmp.Dropped)
+	sort.Strings(cmp.New)
 	if len(cmp.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no common comparable benchmarks between %s and %s (%d dropped)", oldList, newList, len(cmp.Dropped))
 	}
@@ -364,6 +368,9 @@ func runBenchCompare(w io.Writer, oldList, newList, outPath string, maxRegress, 
 	}
 	for _, d := range cmp.Dropped {
 		fmt.Fprintf(w, "dropped: %s\n", d)
+	}
+	for _, n := range cmp.New {
+		fmt.Fprintf(w, "new: %s\n", n)
 	}
 	fmt.Fprintf(w, "\ngeomean over %d benchmark(s): %.3fx speedup (ratio %.3f, gate: ratio <= %.3f)\n",
 		len(cmp.Benchmarks), 1/cmp.GeomeanRatio, cmp.GeomeanRatio, 1+maxRegress)

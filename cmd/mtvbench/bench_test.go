@@ -75,7 +75,8 @@ func TestBenchCompareGate(t *testing.T) {
 
 // TestBenchCompareIntersection: mismatched benchmark sets and
 // unusable ns/op entries must be excluded from the geomean and listed
-// by name, not skew (or NaN-poison) the ratio.
+// by name, not skew (or NaN-poison) the ratio; a case only the new side
+// has is listed as new, not as dropped.
 func TestBenchCompareIntersection(t *testing.T) {
 	dir := t.TempDir()
 	oldP := writeBenchFile(t, dir, "old.json", "old", map[string]float64{
@@ -95,7 +96,7 @@ func TestBenchCompareIntersection(t *testing.T) {
 	if math.IsNaN(cmp.GeomeanRatio) {
 		t.Fatal("geomean poisoned by unusable entry")
 	}
-	wantDropped := []string{"added", "gone", "zero", "neg"}
+	wantDropped := []string{"gone", "zero"}
 	if len(cmp.Dropped) != len(wantDropped) {
 		t.Fatalf("dropped %v, want %d entries", cmp.Dropped, len(wantDropped))
 	}
@@ -105,13 +106,16 @@ func TestBenchCompareIntersection(t *testing.T) {
 			t.Errorf("dropped list missing %q: %v", name, cmp.Dropped)
 		}
 	}
+	if strings.Contains(joined, "added") || strings.Join(cmp.New, ",") != "added,neg" {
+		t.Errorf("new-only cases: dropped %v, new %v; want added and neg in new only", cmp.Dropped, cmp.New)
+	}
 	// The rendered table reports them too, and the gate still applies.
 	var buf bytes.Buffer
 	if err := runBenchCompare(&buf, oldP, newP, "", 0.10, 0.10); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "dropped: gone (missing from") {
-		t.Errorf("dropped names not rendered:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "dropped: gone (missing from") || !strings.Contains(buf.String(), "new: added\n") {
+		t.Errorf("dropped or new names not rendered:\n%s", buf.String())
 	}
 
 	// Unusable values in every common benchmark must fail loudly, not

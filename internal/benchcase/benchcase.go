@@ -85,7 +85,7 @@ func New(scale float64, jobs int) (cases []Case, cleanup func()) {
 	for _, e := range mtvec.Experiments() {
 		exp := e
 		cases = append(cases, Case{Name: exp.ID, Prepare: ready(func() (int64, error) {
-			res, err := exp.Run(mtvec.NewEnv(scale))
+			res, err := exp.Run(ctx, mtvec.NewEnv(scale))
 			if err != nil {
 				return 0, err
 			}

@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -473,12 +474,11 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 // request actually cost (0 on a fully cached regeneration; approximate
 // under concurrent requests, which share the Env's counters).
 //
-// Unlike the point endpoints, regeneration runs under the Env's own
-// context, not the request's: its simulation points land in the shared
-// memo/store tiers where any later request is served from them, so
-// finishing after a client disconnect is deliberate (cache warming).
-// Swapping the shared Env's context per request would also let one
-// client's disconnect cancel another's runs.
+// Unlike the point endpoints, regeneration runs under
+// context.Background(), not the request's context: its simulation
+// points land in the shared memo/store tiers where any later request is
+// served from them, so finishing after a client disconnect is
+// deliberate (cache warming).
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	exp := mtvec.ExperimentByID(id)
@@ -499,7 +499,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	sims0, hits0 := s.env.Simulations(), s.env.StoreHits()
 	start := time.Now()
-	res, err := exp.Run(s.env)
+	res, err := exp.Run(context.Background(), s.env)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return

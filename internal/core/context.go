@@ -155,9 +155,6 @@ const numRegClasses = int(isa.ClassImm) + 1
 // size; rows are sized by isa.NumA.
 var _ [isa.NumA]struct{} = [isa.NumS]struct{}{}
 
-// jobSource supplies a context's successive program runs.
-type jobSource func() (*prog.Stream, string, bool)
-
 // init resets a context to idle: no register has an in-flight writer
 // (wLast = -1 marks the writer inactive from cycle 0 on) and no dispatch
 // probe is memoized.
@@ -192,7 +189,7 @@ type hwContext struct {
 	// replays, a stream-owned buffer otherwise — valid while headValid
 	// and never written by the machine.
 	stream    *prog.Stream
-	next      jobSource
+	next      JobSource
 	head      *prog.DecodedInst
 	headValid bool
 	exhausted bool

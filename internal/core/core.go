@@ -322,7 +322,7 @@ func (m *Machine) SetThread(id int, src JobSource) error {
 	if id < 0 || id >= len(m.ctxs) {
 		return fmt.Errorf("core: thread %d out of range", id)
 	}
-	m.ctxs[id].next = jobSource(src)
+	m.ctxs[id].next = src
 	return nil
 }
 

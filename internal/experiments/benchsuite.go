@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mtvec/internal/report"
@@ -39,18 +40,18 @@ func extBenchsuiteSpecs() []QueueSpec {
 
 // benchPoints prefetches the suite's solo characterization runs and
 // queue sweep.
-func benchPoints(e *Env) []func() error {
+func benchPoints(ctx context.Context, e *Env) []func() error {
 	ps := []func() error{func() error {
-		_, err := e.BenchSuite(QueueSpec{}.RegFile)
+		_, err := e.suite(ctx, suiteKey{bench: true})
 		return err
 	}}
 	for _, s := range workload.BenchOrder() {
 		short := s.Short
-		ps = append(ps, func() error { _, err := e.RefReport(short, 50); return err })
+		ps = append(ps, func() error { _, err := e.RefReport(ctx, short, 50); return err })
 	}
 	for _, s := range extBenchsuiteSpecs() {
 		s := s
-		ps = append(ps, func() error { _, err := e.BenchQueueRun(s); return err })
+		ps = append(ps, func() error { _, err := e.BenchQueueRun(ctx, s); return err })
 	}
 	return ps
 }
@@ -62,7 +63,7 @@ func extBenchsuiteExp() Experiment {
 		Points:     benchPoints,
 		Title:      "Extension: real vectorizable benchmark suite (axpy/dot/gemm/spmv/stencils/blackscholes)",
 		PaperShape: "the paper's effects measured on kernels with genuine dataflow: latency tolerance should survive, but memory-bound kernels saturate the single port sooner than the calibrated suite",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			ct := report.NewTable("Suite characterization (each kernel solo on the reference machine, latency 50)",
 				"kernel", "vectorized", "avg VL", "cycles", "VOPC", "mem occ")
 			for _, s := range workload.BenchOrder() {
@@ -70,7 +71,7 @@ func extBenchsuiteExp() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				rep, err := e.RefReport(s.Short, 50)
+				rep, err := e.RefReport(ctx, s.Short, 50)
 				if err != nil {
 					return nil, err
 				}
@@ -83,24 +84,24 @@ func extBenchsuiteExp() Experiment {
 			var tol1, tol4 float64 // latency 1 -> 100 slowdown at 1 and 4 contexts
 			for _, lat := range benchLats {
 				var base int64
-				for _, ctx := range benchCtxs {
-					rep, err := e.BenchQueueRun(QueueSpec{Contexts: ctx, Latency: lat})
+				for _, nctx := range benchCtxs {
+					rep, err := e.BenchQueueRun(ctx, QueueSpec{Contexts: nctx, Latency: lat})
 					if err != nil {
 						return nil, err
 					}
-					if ctx == 1 {
+					if nctx == 1 {
 						base = rep.Cycles
 					}
-					lt.AddRow(report.I(int64(lat)), report.I(int64(ctx)), report.I(rep.Cycles),
+					lt.AddRow(report.I(int64(lat)), report.I(int64(nctx)), report.I(rep.Cycles),
 						report.F(float64(base)/float64(rep.Cycles), 3), report.Pct(rep.MemOccupation()))
 					switch {
-					case lat == 1 && ctx == 1:
+					case lat == 1 && nctx == 1:
 						tol1 = float64(rep.Cycles)
-					case lat == 1 && ctx == 4:
+					case lat == 1 && nctx == 4:
 						tol4 = float64(rep.Cycles)
-					case lat == 100 && ctx == 1:
+					case lat == 100 && nctx == 1:
 						tol1 = float64(rep.Cycles) / tol1
-					case lat == 100 && ctx == 4:
+					case lat == 100 && nctx == 4:
 						tol4 = float64(rep.Cycles) / tol4
 					}
 				}
@@ -109,12 +110,12 @@ func extBenchsuiteExp() Experiment {
 			pt := report.NewTable("Suite job queue: thread-switch policies at latency 50",
 				"policy", "contexts", "cycles", "mem occ", "lost decode")
 			for _, pol := range sched.Names() {
-				for _, ctx := range []int{2, 4} {
-					rep, err := e.BenchQueueRun(QueueSpec{Contexts: ctx, Latency: 50, Policy: pol})
+				for _, nctx := range []int{2, 4} {
+					rep, err := e.BenchQueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50, Policy: pol})
 					if err != nil {
 						return nil, err
 					}
-					pt.AddRow(pol, report.I(int64(ctx)), report.I(rep.Cycles),
+					pt.AddRow(pol, report.I(int64(nctx)), report.I(rep.Cycles),
 						report.Pct(rep.MemOccupation()), report.I(rep.LostDecode))
 				}
 			}

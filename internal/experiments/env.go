@@ -11,20 +11,22 @@
 // simulation memoization, singleflight sharing and global -jobs bound
 // all come from an embedded session.Session, with Env adding only the
 // paper-specific vocabulary (workload builds by short tag, reference
-// runs, queue sweeps, the Table 2 grouping enumeration). A simulation
-// point requested by several experiments at once is simulated exactly
-// once and the result shared. RunSuite fans the suite out over a worker
-// pool — first the experiments' declared sweep points
-// (Experiment.Points), then the experiments themselves — and collects
-// results in registry order. Because each simulation is a pure function
-// of its (workload, config) key, the rendered output is byte-identical
-// for any worker count, including 1.
+// runs, queue sweeps over suites built per compiler option, the Table 2
+// grouping enumeration). A simulation point requested by several
+// experiments at once is simulated exactly once and the result shared.
+// The Env holds no context: each call that may simulate takes the
+// context governing it, so concurrent suites on one Env cancel only
+// their own runs. RunSuite fans the suite out over a worker pool —
+// first the experiments' declared sweep points (Experiment.Points),
+// then the experiments themselves — and collects results in registry
+// order. Because each simulation is a pure function of its (workload,
+// config) key, the rendered output is byte-identical for any worker
+// count, including 1.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"mtvec/internal/arch"
@@ -40,6 +42,8 @@ import (
 // Env caches workloads and simulation results for one reproduction scale.
 // All methods are safe for concurrent use; each distinct simulation runs
 // exactly once per Env regardless of how many goroutines request it.
+// Cancelling the context a method takes aborts that call's runs with
+// ctx.Err() without poisoning the memo caches.
 type Env struct {
 	Scale float64
 
@@ -47,53 +51,21 @@ type Env struct {
 	// simulation and workload build admits through it.
 	ses *session.Session
 
-	// ctx (atomically boxed) governs cancellation of the Env's runs;
-	// see SetContext.
-	ctx atomic.Pointer[ctxBox]
-
 	workloads runner.Cache[string, *workload.Workload]
-	naive     runner.Cache[struct{}, []*workload.Workload]
+	suites    runner.Cache[suiteKey, []*workload.Workload]
 	grouped   runner.Cache[struct{}, []GroupedRun]
-	// archSuites caches the queue-order suite per compiler-visible
-	// register-file organization (arch.RegFile.BuildKey), for the
-	// register-file organization study.
-	archSuites runner.Cache[arch.RegFile, []*workload.Workload]
-	// benchArch is archSuites for the real benchmark suite (BenchOrder);
-	// the zero-key entry is the default-organization build.
-	benchArch runner.Cache[arch.RegFile, []*workload.Workload]
 }
-
-// ctxBox wraps a context for atomic storage (contexts have varying
-// concrete types).
-type ctxBox struct{ c context.Context }
 
 // NewEnv creates an environment at the given workload scale. Internal
 // sweeps (GroupedRuns) parallelize over runtime.NumCPU() workers; use
 // SetJobs to change that.
 func NewEnv(scale float64) *Env {
-	e := &Env{Scale: scale, ses: session.New()}
-	e.ctx.Store(&ctxBox{context.Background()})
-	return e
+	return &Env{Scale: scale, ses: session.New()}
 }
 
 // Session exposes the run engine the Env specializes, for callers that
 // want to mix bespoke RunSpecs with the paper's memoized sweeps.
 func (e *Env) Session() *session.Session { return e.ses }
-
-// SetContext installs the context governing subsequent runs: cancelling
-// it aborts in-flight simulations with ctx.Err() without poisoning the
-// memo caches. The swap is atomic (safe against concurrent Env use),
-// but runs already in flight keep the context they started with, and
-// concurrent suites on one Env share whichever context was stored last.
-func (e *Env) SetContext(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.ctx.Store(&ctxBox{ctx})
-}
-
-// runCtx returns the context governing new runs.
-func (e *Env) runCtx() context.Context { return e.ctx.Load().c }
 
 // SetStore attaches a persistent result backend to the Env's session:
 // simulation points some earlier process already ran are served from
@@ -123,15 +95,13 @@ func (e *Env) Simulations() int64 { return e.ses.Simulations() }
 // workload builds — the serial-equivalent cost of the Env's work.
 func (e *Env) BusyTime() time.Duration { return e.ses.Busy() }
 
-// W builds (once) and returns the workload with the given short tag.
+// W builds (once) and returns the workload with the given short tag. A
+// build is short and memoized, so it is not cancellable.
 func (e *Env) W(short string) (*workload.Workload, error) {
-	return e.workloads.DoContext(e.runCtx(), short, func() (w *workload.Workload, err error) {
+	return e.workloads.Do(short, func() (w *workload.Workload, err error) {
 		spec := workload.ByShort(short)
 		if spec == nil {
 			return nil, fmt.Errorf("experiments: unknown workload %q", short)
-		}
-		if err := e.runCtx().Err(); err != nil {
-			return nil, err
 		}
 		e.ses.Do(func() { w, err = spec.Build(e.Scale) })
 		return w, err
@@ -139,12 +109,12 @@ func (e *Env) W(short string) (*workload.Workload, error) {
 }
 
 // RefReport runs (once) the program alone on the reference architecture.
-func (e *Env) RefReport(short string, latency int) (*stats.Report, error) {
+func (e *Env) RefReport(ctx context.Context, short string, latency int) (*stats.Report, error) {
 	w, err := e.W(short)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := e.ses.Run(e.runCtx(), session.Solo(w, session.WithMemLatency(latency)))
+	rep, err := e.ses.Run(ctx, session.Solo(w, session.WithMemLatency(latency)))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: reference run of %s: %w", short, err)
 	}
@@ -152,8 +122,8 @@ func (e *Env) RefReport(short string, latency int) (*stats.Report, error) {
 }
 
 // RefCycles is the reference execution time C_i of Section 4.1.
-func (e *Env) RefCycles(short string, latency int) (int64, error) {
-	r, err := e.RefReport(short, latency)
+func (e *Env) RefCycles(ctx context.Context, short string, latency int) (int64, error) {
+	r, err := e.RefReport(ctx, short, latency)
 	if err != nil {
 		return 0, err
 	}
@@ -162,7 +132,7 @@ func (e *Env) RefCycles(short string, latency int) (int64, error) {
 
 // RefPartialCycles is F_i of Section 4.1: reference cycles to reach the
 // given dynamic-instruction index.
-func (e *Env) RefPartialCycles(short string, latency int, insts int64) (int64, error) {
+func (e *Env) RefPartialCycles(ctx context.Context, short string, latency int, insts int64) (int64, error) {
 	if insts <= 0 {
 		return 0, nil
 	}
@@ -170,7 +140,7 @@ func (e *Env) RefPartialCycles(short string, latency int, insts int64) (int64, e
 	if err != nil {
 		return 0, err
 	}
-	rep, err := e.ses.Run(e.runCtx(), session.Solo(w,
+	rep, err := e.ses.Run(ctx, session.Solo(w,
 		session.WithMemLatency(latency), session.WithMaxThread0Insts(insts)))
 	if err != nil {
 		return 0, fmt.Errorf("experiments: partial reference run of %s: %w", short, err)
@@ -249,121 +219,84 @@ func (s QueueSpec) options() []session.Option {
 	return opts
 }
 
-// suite returns the queue-order workloads, built once.
-func (e *Env) suite() ([]*workload.Workload, error) {
-	specs := workload.QueueOrder()
-	ws := make([]*workload.Workload, 0, len(specs))
-	for _, spec := range specs {
-		w, err := e.W(spec.Short)
+// suiteKey names one suite build: the catalog order (the Section 7
+// queue order, or the real benchmark suite in workload.BenchOrder) and
+// the compiler options it is built with.
+type suiteKey struct {
+	bench bool
+	opts  vcomp.Options
+}
+
+// suite builds (once) the workloads key names, in parallel. The
+// register file is normalized to its compiler-visible BuildKey, with the
+// reference organization as zero, so every spelling of one compilation
+// shares an entry. The default options build through W, sharing its
+// memoized workloads. The pool only orchestrates: each build admits
+// through the session's gate.
+func (e *Env) suite(ctx context.Context, key suiteKey) ([]*workload.Workload, error) {
+	key.opts.RegFile = key.opts.RegFile.BuildKey()
+	if key.opts.RegFile == arch.DefaultRegFile().BuildKey() {
+		key.opts.RegFile = arch.RegFile{}
+	}
+	return e.suites.DoContext(ctx, key, func() ([]*workload.Workload, error) {
+		specs := workload.QueueOrder()
+		if key.bench {
+			specs = workload.BenchOrder()
+		}
+		out := make([]*workload.Workload, len(specs))
+		err := runner.New(4*e.Jobs()).Map(len(specs), func(i int) (err error) {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if key.opts == (vcomp.Options{}) {
+				out[i], err = e.W(specs[i].Short)
+			} else {
+				e.ses.Do(func() { out[i], err = specs[i].BuildOpts(e.Scale, key.opts) })
+			}
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		ws = append(ws, w)
-	}
-	return ws, nil
+		return out, nil
+	})
 }
 
-// QueueRun executes (once) the ten-program job queue under the spec.
-func (e *Env) QueueRun(s QueueSpec) (*stats.Report, error) {
-	ws, err := e.suiteFor(s.RegFile)
+// queueRun executes (once) the job queue of the suite key names under
+// s: every workload in catalog order, threads pulling the next job as
+// they finish.
+func (e *Env) queueRun(ctx context.Context, key suiteKey, s QueueSpec) (*stats.Report, error) {
+	ws, err := e.suite(ctx, key)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := e.ses.Run(e.runCtx(), session.Queue(ws, s.options()...))
+	rep, err := e.ses.Run(ctx, session.Queue(ws, s.options()...))
 	if err != nil {
-		return nil, fmt.Errorf("experiments: queue run (%d ctx, lat %d): %w", s.Contexts, s.Latency, err)
+		return nil, fmt.Errorf("experiments: queue run (bench %t, no hoist %t, %d ctx, lat %d): %w",
+			key.bench, key.opts.NoHoist, s.Contexts, s.Latency, err)
 	}
 	return rep, nil
 }
 
-// suiteFor returns the queue-order workloads compiled for the given
-// register-file organization, building each distinct compiler-visible
-// organization once. The zero (and reference) organization shares the
-// default suite.
-func (e *Env) suiteFor(rf arch.RegFile) ([]*workload.Workload, error) {
-	key := rf.BuildKey()
-	if rf.IsZero() || key == arch.DefaultRegFile().BuildKey() {
-		return e.suite()
-	}
-	return e.archSuites.DoContext(e.runCtx(), key, func() ([]*workload.Workload, error) {
-		return e.buildSuite(workload.QueueOrder(), vcomp.Options{RegFile: key})
-	})
-}
-
-// buildSuite builds specs in parallel, compiled with opts. The pool only
-// orchestrates: each build admits through the session's gate. The zero
-// options build through W, sharing its memoized workloads.
-func (e *Env) buildSuite(specs []*workload.Spec, opts vcomp.Options) ([]*workload.Workload, error) {
-	out := make([]*workload.Workload, len(specs))
-	err := runner.New(4*e.Jobs()).Map(len(specs), func(i int) (err error) {
-		if err := e.runCtx().Err(); err != nil {
-			return err
-		}
-		if opts == (vcomp.Options{}) {
-			out[i], err = e.W(specs[i].Short)
-		} else {
-			e.ses.Do(func() { out[i], err = specs[i].BuildOpts(e.Scale, opts) })
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BenchSuite builds (once) the real vectorizable benchmark suite
-// (workload.BenchOrder) compiled for the given register-file
-// organization; the zero organization is the reference build. The
-// kernels resolve through the same registry as the Table 3 programs, so
-// they run through the identical session machinery (memoization and
-// store persistence).
-func (e *Env) BenchSuite(rf arch.RegFile) ([]*workload.Workload, error) {
-	key := arch.RegFile{}
-	if !rf.IsZero() && rf.BuildKey() != arch.DefaultRegFile().BuildKey() {
-		key = rf.BuildKey()
-	}
-	return e.benchArch.DoContext(e.runCtx(), key, func() ([]*workload.Workload, error) {
-		return e.buildSuite(workload.BenchOrder(), vcomp.Options{RegFile: key})
-	})
+// QueueRun executes (once) the ten-program job queue under the spec,
+// with the suite compiled for s.RegFile.
+func (e *Env) QueueRun(ctx context.Context, s QueueSpec) (*stats.Report, error) {
+	return e.queueRun(ctx, suiteKey{opts: vcomp.Options{RegFile: s.RegFile}}, s)
 }
 
 // BenchQueueRun executes (once) the benchmark-suite job queue under the
-// spec: all kernels in catalog order, threads pulling the next job as
-// they finish — the Section 7 methodology applied to the real suite.
-func (e *Env) BenchQueueRun(s QueueSpec) (*stats.Report, error) {
-	ws, err := e.BenchSuite(s.RegFile)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := e.ses.Run(e.runCtx(), session.Queue(ws, s.options()...))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: bench queue run (%d ctx, lat %d): %w", s.Contexts, s.Latency, err)
-	}
-	return rep, nil
+// spec — the Section 7 methodology applied to the real vectorizable
+// kernels, which resolve through the same registry as the Table 3
+// programs and run through the identical session machinery.
+func (e *Env) BenchQueueRun(ctx context.Context, s QueueSpec) (*stats.Report, error) {
+	return e.queueRun(ctx, suiteKey{bench: true, opts: vcomp.Options{RegFile: s.RegFile}}, s)
 }
 
-// NaiveSuite builds (once) the queue-order workloads with the compiler's
-// load hoisting disabled — the ext-compiler counterfactual.
-func (e *Env) NaiveSuite() ([]*workload.Workload, error) {
-	return e.naive.DoContext(e.runCtx(), struct{}{}, func() ([]*workload.Workload, error) {
-		return e.buildSuite(workload.QueueOrder(), vcomp.Options{NoHoist: true})
-	})
-}
-
-// NaiveQueueRun executes (once) the job queue built by the naive
-// (no-hoist) compiler on the reference-style machine.
-func (e *Env) NaiveQueueRun(contexts, latency int) (*stats.Report, error) {
-	ws, err := e.NaiveSuite()
-	if err != nil {
-		return nil, err
-	}
-	rep, err := e.ses.Run(e.runCtx(), session.Queue(ws,
-		session.WithContexts(contexts), session.WithMemLatency(latency)))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: naive queue run (%d ctx, lat %d): %w", contexts, latency, err)
-	}
-	return rep, nil
+// NaiveQueueRun executes (once) the ten-program job queue built by the
+// naive compiler, with load hoisting disabled — the ext-compiler
+// counterfactual.
+func (e *Env) NaiveQueueRun(ctx context.Context, s QueueSpec) (*stats.Report, error) {
+	return e.queueRun(ctx, suiteKey{opts: vcomp.Options{NoHoist: true, RegFile: s.RegFile}}, s)
 }
 
 // SuiteDemand merges the ten programs' demand statistics (for the IDEAL
@@ -399,8 +332,8 @@ type GroupedRun struct {
 // 50-cycle memory latency. The groupings are simulated concurrently on
 // the Env's worker budget; the returned slice is always in the same
 // deterministic enumeration order.
-func (e *Env) GroupedRuns() ([]GroupedRun, error) {
-	return e.grouped.DoContext(e.runCtx(), struct{}{}, func() ([]GroupedRun, error) {
+func (e *Env) GroupedRuns(ctx context.Context) ([]GroupedRun, error) {
+	return e.grouped.DoContext(ctx, struct{}{}, func() ([]GroupedRun, error) {
 		const latency = 50
 		g := workload.DefaultGroupings()
 		var runs []GroupedRun
@@ -435,13 +368,13 @@ func (e *Env) GroupedRuns() ([]GroupedRun, error) {
 		pool := runner.New(4 * e.Jobs())
 		shorts := workload.Specs()
 		if err := pool.Map(len(shorts), func(i int) error {
-			_, err := e.RefReport(shorts[i].Short, latency)
+			_, err := e.RefReport(ctx, shorts[i].Short, latency)
 			return err
 		}); err != nil {
 			return nil, err
 		}
 		if err := pool.Map(len(runs), func(i int) error {
-			return e.runGrouped(&runs[i], latency)
+			return e.runGrouped(ctx, &runs[i], latency)
 		}); err != nil {
 			return nil, err
 		}
@@ -449,7 +382,7 @@ func (e *Env) GroupedRuns() ([]GroupedRun, error) {
 	})
 }
 
-func (e *Env) runGrouped(r *GroupedRun, latency int) error {
+func (e *Env) runGrouped(ctx context.Context, r *GroupedRun, latency int) error {
 	r.Contexts = 1 + len(r.Companions)
 	pw, err := e.W(r.Primary)
 	if err != nil {
@@ -461,7 +394,7 @@ func (e *Env) runGrouped(r *GroupedRun, latency int) error {
 			return err
 		}
 	}
-	rep, err := e.ses.Run(e.runCtx(), session.Group(pw, cws, session.WithMemLatency(latency)))
+	rep, err := e.ses.Run(ctx, session.Group(pw, cws, session.WithMemLatency(latency)))
 	if err != nil {
 		return fmt.Errorf("grouped run %s+%v: %w", r.Primary, r.Companions, err)
 	}
@@ -469,20 +402,20 @@ func (e *Env) runGrouped(r *GroupedRun, latency int) error {
 
 	// Section 4.1 speedup: reference work for exactly what the
 	// multithreaded machine completed.
-	refWork, err := e.RefCycles(r.Primary, latency)
+	refWork, err := e.RefCycles(ctx, r.Primary, latency)
 	if err != nil {
 		return err
 	}
 	for i, comp := range r.Companions {
 		th := rep.Threads[i+1]
-		full, err := e.RefCycles(comp, latency)
+		full, err := e.RefCycles(ctx, comp, latency)
 		if err != nil {
 			return err
 		}
 		// Completions counts finished runs; the current unfinished run
 		// contributes its partial reference time.
 		refWork += th.Completions * full
-		partial, err := e.RefPartialCycles(comp, latency, th.PartialInsts)
+		partial, err := e.RefPartialCycles(ctx, comp, latency, th.PartialInsts)
 		if err != nil {
 			return err
 		}
@@ -494,7 +427,7 @@ func (e *Env) runGrouped(r *GroupedRun, latency int) error {
 	var busy, cycles, arith int64
 	members := append([]string{r.Primary}, r.Companions...)
 	for _, mname := range members {
-		rr, err := e.RefReport(mname, latency)
+		rr, err := e.RefReport(ctx, mname, latency)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mtvec/internal/report"
@@ -22,13 +23,15 @@ type Experiment struct {
 	// PaperShape states what the paper reports, for EXPERIMENTS.md
 	// comparison.
 	PaperShape string
-	Run        func(*Env) (*Result, error)
+	// Run regenerates the artifact from env; ctx governs its runs.
+	Run func(context.Context, *Env) (*Result, error)
 	// Points enumerates the experiment's independent simulation points
-	// as prefetch tasks. RunSuite fans them out over the worker pool to
-	// warm the Env caches before Run aggregates them serially; nil means
-	// the experiment has no parallelizable sweep. Each task must be
-	// memoized by the Env, so running it twice costs one simulation.
-	Points func(*Env) []func() error
+	// as prefetch tasks, which run under ctx. RunSuite fans them out
+	// over the worker pool to warm the Env caches before Run aggregates
+	// them serially; nil means the experiment has no parallelizable
+	// sweep. Each task must be memoized by the Env, so running it twice
+	// costs one simulation.
+	Points func(context.Context, *Env) []func() error
 }
 
 // All returns every experiment in paper order, followed by the

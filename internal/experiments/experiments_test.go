@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func runExp(t *testing.T, id string) *Result {
 	if exp == nil {
 		t.Fatalf("experiment %q not registered", id)
 	}
-	res, err := exp.Run(testEnv)
+	res, err := exp.Run(context.Background(), testEnv)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -363,11 +364,12 @@ func TestExtBenchsuite(t *testing.T) {
 
 	// The suite runs through the same memoized session paths as the
 	// Table 3 programs.
-	q1, err := testEnv.BenchQueueRun(QueueSpec{Contexts: 2, Latency: 50})
+	ctx := context.Background()
+	q1, err := testEnv.BenchQueueRun(ctx, QueueSpec{Contexts: 2, Latency: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := testEnv.BenchQueueRun(QueueSpec{Contexts: 2, Latency: 50})
+	q2, err := testEnv.BenchQueueRun(ctx, QueueSpec{Contexts: 2, Latency: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,29 +380,30 @@ func TestExtBenchsuite(t *testing.T) {
 
 func TestEnvMemoization(t *testing.T) {
 	e := NewEnv(1e-4)
-	r1, err := e.RefReport("tf", 50)
+	ctx := context.Background()
+	r1, err := e.RefReport(ctx, "tf", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.RefReport("tf", 50)
+	r2, err := e.RefReport(ctx, "tf", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
 		t.Fatal("reference reports not memoized")
 	}
-	q1, err := e.QueueRun(QueueSpec{Contexts: 2, Latency: 50})
+	q1, err := e.QueueRun(ctx, QueueSpec{Contexts: 2, Latency: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := e.QueueRun(QueueSpec{Contexts: 2, Latency: 50})
+	q2, err := e.QueueRun(ctx, QueueSpec{Contexts: 2, Latency: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q1 != q2 {
 		t.Fatal("queue runs not memoized")
 	}
-	if _, err := e.QueueRun(QueueSpec{Contexts: 2, Latency: 50, Policy: "nope"}); err == nil {
+	if _, err := e.QueueRun(ctx, QueueSpec{Contexts: 2, Latency: 50, Policy: "nope"}); err == nil {
 		t.Fatal("bad policy accepted")
 	}
 	if _, err := e.W("zz"); err == nil {
@@ -411,7 +414,8 @@ func TestEnvMemoization(t *testing.T) {
 func TestSpeedupAccountingAgainstPaperFormula(t *testing.T) {
 	// Directly validate the Section 4.1 bookkeeping on one grouped run:
 	// recompute the speedup from its components.
-	runs, err := testEnv.GroupedRuns()
+	ctx := context.Background()
+	runs, err := testEnv.GroupedRuns(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,16 +423,16 @@ func TestSpeedupAccountingAgainstPaperFormula(t *testing.T) {
 	if r.Contexts != 2 {
 		t.Fatalf("first grouping has %d contexts", r.Contexts)
 	}
-	c0, err := testEnv.RefCycles(r.Primary, 50)
+	c0, err := testEnv.RefCycles(ctx, r.Primary, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	comp := r.Rep.Threads[1]
-	full, err := testEnv.RefCycles(r.Companions[0], 50)
+	full, err := testEnv.RefCycles(ctx, r.Companions[0], 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, err := testEnv.RefPartialCycles(r.Companions[0], 50, comp.PartialInsts)
+	partial, err := testEnv.RefPartialCycles(ctx, r.Companions[0], 50, comp.PartialInsts)
 	if err != nil {
 		t.Fatal(err)
 	}

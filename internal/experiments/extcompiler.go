@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"mtvec/internal/report"
 )
 
@@ -16,21 +18,21 @@ func extCompilerExp() Experiment {
 		Points:     extCompilerPoints,
 		Title:      "Extension: compiler load scheduling (hoisting on/off)",
 		PaperShape: "the machine depends on compiler scheduling because loads do not chain; a naive compiler should hurt the reference machine most",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("Ten-program queue at latency 50",
 				"compiler", "contexts", "cycles", "mem occ", "vs scheduled")
-			for _, ctx := range []int{1, 2, 3} {
-				sched, err := e.QueueRun(QueueSpec{Contexts: ctx, Latency: 50})
+			for _, nctx := range []int{1, 2, 3} {
+				sched, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50})
 				if err != nil {
 					return nil, err
 				}
-				naiveRep, err := e.NaiveQueueRun(ctx, 50)
+				naiveRep, err := e.NaiveQueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50})
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow("scheduled", report.I(int64(ctx)), report.I(sched.Cycles),
+				t.AddRow("scheduled", report.I(int64(nctx)), report.I(sched.Cycles),
 					report.Pct(sched.MemOccupation()), "1.0000")
-				t.AddRow("naive", report.I(int64(ctx)), report.I(naiveRep.Cycles),
+				t.AddRow("naive", report.I(int64(nctx)), report.I(naiveRep.Cycles),
 					report.Pct(naiveRep.MemOccupation()),
 					report.F(float64(naiveRep.Cycles)/float64(sched.Cycles), 4))
 			}
@@ -48,13 +50,13 @@ func extCompilerExp() Experiment {
 
 // extCompilerPoints enumerates the scheduled and naive queue runs at
 // contexts 1-3.
-func extCompilerPoints(e *Env) []func() error {
+func extCompilerPoints(ctx context.Context, e *Env) []func() error {
 	var ps []func() error
-	for _, ctx := range []int{1, 2, 3} {
-		ctx := ctx
+	for _, nctx := range []int{1, 2, 3} {
+		s := QueueSpec{Contexts: nctx, Latency: 50}
 		ps = append(ps,
-			func() error { _, err := e.QueueRun(QueueSpec{Contexts: ctx, Latency: 50}); return err },
-			func() error { _, err := e.NaiveQueueRun(ctx, 50); return err })
+			func() error { _, err := e.QueueRun(ctx, s); return err },
+			func() error { _, err := e.NaiveQueueRun(ctx, s); return err })
 	}
 	return ps
 }

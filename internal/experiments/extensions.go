@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mtvec/internal/report"
@@ -68,19 +69,19 @@ func extIssueSpecs() []QueueSpec {
 func extPoliciesExp() Experiment {
 	return Experiment{
 		ID:         "ext-policies",
-		Points:     func(e *Env) []func() error { return queuePoints(e, extPoliciesSpecs()) },
+		Points:     func(ctx context.Context, e *Env) []func() error { return queuePoints(ctx, e, extPoliciesSpecs()) },
 		Title:      "Extension: thread-switch policy study",
 		PaperShape: "paper argues run-until-block preserves chaining; fine-grain interleave should lose",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("Ten-program queue at latency 50",
 				"policy", "contexts", "cycles", "mem occ", "VOPC", "lost decode")
 			for _, pol := range sched.Names() {
-				for _, ctx := range []int{2, 4} {
-					rep, err := e.QueueRun(QueueSpec{Contexts: ctx, Latency: 50, Policy: pol})
+				for _, nctx := range []int{2, 4} {
+					rep, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50, Policy: pol})
 					if err != nil {
 						return nil, err
 					}
-					t.AddRow(pol, report.I(int64(ctx)), report.I(rep.Cycles),
+					t.AddRow(pol, report.I(int64(nctx)), report.I(rep.Cycles),
 						report.Pct(rep.MemOccupation()), report.F(rep.VOPC(), 2),
 						report.I(rep.LostDecode))
 				}
@@ -94,31 +95,31 @@ func extPoliciesExp() Experiment {
 func extPortsExp() Experiment {
 	return Experiment{
 		ID:         "ext-ports",
-		Points:     func(e *Env) []func() error { return queuePoints(e, extPortsSpecs()) },
+		Points:     func(ctx context.Context, e *Env) []func() error { return queuePoints(ctx, e, extPortsSpecs()) },
 		Title:      "Extension: Cray-like 2-load/1-store memory ports",
 		PaperShape: "paper predicts multi-port machines need simultaneous multi-thread issue to saturate",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("Ten-program queue at latency 50",
 				"memory", "contexts", "issue width", "cycles", "occ/port")
-			for _, ctx := range []int{1, 2, 4} {
-				rep, err := e.QueueRun(QueueSpec{Contexts: ctx, Latency: 50})
+			for _, nctx := range []int{1, 2, 4} {
+				rep, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50})
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow("1 port", report.I(int64(ctx)), "1", report.I(rep.Cycles), report.Pct(rep.MemOccupation()))
+				t.AddRow("1 port", report.I(int64(nctx)), "1", report.I(rep.Cycles), report.Pct(rep.MemOccupation()))
 			}
-			for _, ctx := range []int{2, 4} {
+			for _, nctx := range []int{2, 4} {
 				for _, iw := range []int{1, 2} {
-					if iw > ctx {
+					if iw > nctx {
 						continue
 					}
-					rep, err := e.QueueRun(QueueSpec{
-						Contexts: ctx, Latency: 50, LoadPorts: 2, StorePorts: 1, IssueWidth: iw,
+					rep, err := e.QueueRun(ctx, QueueSpec{
+						Contexts: nctx, Latency: 50, LoadPorts: 2, StorePorts: 1, IssueWidth: iw,
 					})
 					if err != nil {
 						return nil, err
 					}
-					t.AddRow("2L+1S ports", report.I(int64(ctx)), report.I(int64(iw)),
+					t.AddRow("2L+1S ports", report.I(int64(nctx)), report.I(int64(iw)),
 						report.I(rep.Cycles), report.Pct(rep.MemOccupation()))
 				}
 			}
@@ -138,23 +139,23 @@ func extPortsExp() Experiment {
 func extBanksExp() Experiment {
 	return Experiment{
 		ID:         "ext-banks",
-		Points:     func(e *Env) []func() error { return queuePoints(e, extBanksSpecs()) },
+		Points:     func(ctx context.Context, e *Env) []func() error { return queuePoints(ctx, e, extBanksSpecs()) },
 		Title:      "Extension: banked memory with conflict stalls",
 		PaperShape: "the paper assumes a conflict-free memory; banking should cost little at unit stride",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("Ten-program queue at latency 50",
 				"memory model", "contexts", "cycles", "vs flat")
-			for _, ctx := range []int{1, 2} {
-				flat, err := e.QueueRun(QueueSpec{Contexts: ctx, Latency: 50})
+			for _, nctx := range []int{1, 2} {
+				flat, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50})
 				if err != nil {
 					return nil, err
 				}
-				banked, err := e.QueueRun(QueueSpec{Contexts: ctx, Latency: 50, Banks: 64, BankBusy: 8})
+				banked, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50, Banks: 64, BankBusy: 8})
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow("flat", report.I(int64(ctx)), report.I(flat.Cycles), "1.0000")
-				t.AddRow("64 banks, busy 8", report.I(int64(ctx)), report.I(banked.Cycles),
+				t.AddRow("flat", report.I(int64(nctx)), report.I(flat.Cycles), "1.0000")
+				t.AddRow("64 banks, busy 8", report.I(int64(nctx)), report.I(banked.Cycles),
 					report.F(float64(banked.Cycles)/float64(flat.Cycles), 4))
 			}
 			return &Result{
@@ -172,16 +173,16 @@ func extBanksExp() Experiment {
 func extIssueExp() Experiment {
 	return Experiment{
 		ID:         "ext-issue",
-		Points:     func(e *Env) []func() error { return queuePoints(e, extIssueSpecs()) },
+		Points:     func(ctx context.Context, e *Env) []func() error { return queuePoints(ctx, e, extIssueSpecs()) },
 		Title:      "Extension: simultaneous issue from several threads",
 		PaperShape: "paper expects little gain on a single-port machine (decode is rarely the bottleneck)",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("Ten-program queue at latency 50",
 				"contexts", "issue width", "cycles", "speed vs width 1", "mem occ")
-			for _, ctx := range []int{2, 3, 4} {
+			for _, nctx := range []int{2, 3, 4} {
 				var base int64
 				for _, iw := range []int{1, 2} {
-					rep, err := e.QueueRun(QueueSpec{Contexts: ctx, Latency: 50, IssueWidth: iw})
+					rep, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50, IssueWidth: iw})
 					if err != nil {
 						return nil, err
 					}
@@ -191,7 +192,7 @@ func extIssueExp() Experiment {
 					} else {
 						rel = report.F(float64(base)/float64(rep.Cycles), 3)
 					}
-					t.AddRow(report.I(int64(ctx)), report.I(int64(iw)), report.I(rep.Cycles),
+					t.AddRow(report.I(int64(nctx)), report.I(int64(iw)), report.I(rep.Cycles),
 						rel, report.Pct(rep.MemOccupation()))
 				}
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mtvec/internal/report"
@@ -18,12 +19,14 @@ var fig11Latencies = []int{1, 10, 30, 50, 70, 90, 100}
 
 // fig4Points enumerates the 40 solo reference runs shared by Figures 4
 // and 5.
-func fig4Points(e *Env) []func() error { return refPoints(e, fig4Latencies) }
+func fig4Points(ctx context.Context, e *Env) []func() error {
+	return refPoints(ctx, e, fig4Latencies)
+}
 
 // groupedPoints exposes the Table 2 grouped-run set (Figures 6-8) as a
 // single task; GroupedRuns fans its ~250 simulations out internally.
-func groupedPoints(e *Env) []func() error {
-	return []func() error{func() error { _, err := e.GroupedRuns(); return err }}
+func groupedPoints(ctx context.Context, e *Env) []func() error {
+	return []func() error{func() error { _, err := e.GroupedRuns(ctx); return err }}
 }
 
 // fig10QueueSpecs are the multithreaded queue runs of Figures 10 and 12.
@@ -38,30 +41,30 @@ func fig10QueueSpecs() []QueueSpec {
 }
 
 // fig10Points covers the baseline reference runs and the queue sweep.
-func fig10Points(e *Env) []func() error {
-	return append(refPoints(e, fig10Latencies), queuePoints(e, fig10QueueSpecs())...)
+func fig10Points(ctx context.Context, e *Env) []func() error {
+	return append(refPoints(ctx, e, fig10Latencies), queuePoints(ctx, e, fig10QueueSpecs())...)
 }
 
 // fig11Points enumerates both crossbar variants of the queue sweep.
-func fig11Points(e *Env) []func() error {
+func fig11Points(ctx context.Context, e *Env) []func() error {
 	var specs []QueueSpec
 	for _, lat := range fig11Latencies {
-		for _, ctx := range []int{2, 3, 4} {
+		for _, nctx := range []int{2, 3, 4} {
 			for _, xbar := range []int{2, 3} {
-				specs = append(specs, QueueSpec{Contexts: ctx, Latency: lat, Xbar: xbar})
+				specs = append(specs, QueueSpec{Contexts: nctx, Latency: lat, Xbar: xbar})
 			}
 		}
 	}
-	return queuePoints(e, specs)
+	return queuePoints(ctx, e, specs)
 }
 
 // fig12Points adds the dual-scalar runs to the shared Figure 10 sweep.
-func fig12Points(e *Env) []func() error {
+func fig12Points(ctx context.Context, e *Env) []func() error {
 	specs := fig10QueueSpecs()
 	for _, lat := range fig10Latencies {
 		specs = append(specs, QueueSpec{Contexts: 2, Latency: lat, DualScalar: true})
 	}
-	return queuePoints(e, specs)
+	return queuePoints(ctx, e, specs)
 }
 
 // fig4Exp reproduces the reference machine's 8-state breakdown.
@@ -71,7 +74,7 @@ func fig4Exp() Experiment {
 		Points:     fig4Points,
 		Title:      "Figure 4: functional-unit usage on the reference architecture",
 		PaperShape: "peak states rare and shrinking with latency; <,,> grows with latency; DYFESM/TRFD/FLO52 most latency-sensitive",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			cols := []string{"program", "latency", "cycles"}
 			for s := 0; s < stats.NumStates; s++ {
 				cols = append(cols, stats.StateName(stats.State(s)))
@@ -79,7 +82,7 @@ func fig4Exp() Experiment {
 			t := report.NewTable("Execution-time breakdown into the 8 machine states (% of cycles)", cols...)
 			for _, short := range shortNames() {
 				for _, lat := range fig4Latencies {
-					rep, err := e.RefReport(short, lat)
+					rep, err := e.RefReport(ctx, short, lat)
 					if err != nil {
 						return nil, err
 					}
@@ -102,7 +105,7 @@ func fig5Exp() Experiment {
 		Points:     fig4Points,
 		Title:      "Figure 5: percentage of cycles with the memory port idle",
 		PaperShape: "30-65% idle at latency 70 across the ten programs",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			cols := []string{"program"}
 			for _, lat := range fig4Latencies {
 				cols = append(cols, fmt.Sprintf("lat %d", lat))
@@ -117,7 +120,7 @@ func fig5Exp() Experiment {
 				row := []string{short}
 				ys := make([]float64, 0, len(fig4Latencies))
 				for _, lat := range fig4Latencies {
-					rep, err := e.RefReport(short, lat)
+					rep, err := e.RefReport(ctx, short, lat)
 					if err != nil {
 						return nil, err
 					}
@@ -179,8 +182,8 @@ func fig6Exp() Experiment {
 		Points:     groupedPoints,
 		Title:      "Figure 6: multithreaded speedup at memory latency 50",
 		PaperShape: "2 threads: 1.2-1.4; 3 threads: ~1.3 up to 1.51; 4 threads: small further gain; dyfesm/trfd highest",
-		Run: func(e *Env) (*Result, error) {
-			runs, err := e.GroupedRuns()
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
+			runs, err := e.GroupedRuns(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -189,8 +192,8 @@ func fig6Exp() Experiment {
 				"program", "2 threads", "3 threads", "4 threads")
 			for _, short := range shortNames() {
 				row := []string{short}
-				for _, ctx := range []int{2, 3, 4} {
-					a := agg[short][ctx]
+				for _, nctx := range []int{2, 3, 4} {
+					a := agg[short][nctx]
 					row = append(row, fmt.Sprintf("%.2f (%.2f..%.2f)",
 						a.speedupSum/float64(a.n), a.speedupMin, a.speedupMax))
 				}
@@ -208,8 +211,8 @@ func fig7Exp() Experiment {
 		Points:     groupedPoints,
 		Title:      "Figure 7: memory-port occupation, multithreaded vs sequential reference",
 		PaperShape: "~80-86% at 2 threads, ~90% at 3, 90-95% at 4; reference runs well below; less-vectorized programs lower",
-		Run: func(e *Env) (*Result, error) {
-			runs, err := e.GroupedRuns()
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
+			runs, err := e.GroupedRuns(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -218,8 +221,8 @@ func fig7Exp() Experiment {
 				"program", "2 thr mth", "2 thr ref", "3 thr mth", "3 thr ref", "4 thr mth", "4 thr ref")
 			for _, short := range shortNames() {
 				row := []string{short}
-				for _, ctx := range []int{2, 3, 4} {
-					a := agg[short][ctx]
+				for _, nctx := range []int{2, 3, 4} {
+					a := agg[short][nctx]
 					row = append(row,
 						report.Pct(a.occSum/float64(a.n)),
 						report.Pct(a.refOccSum/float64(a.n)))
@@ -238,8 +241,8 @@ func fig8Exp() Experiment {
 		Points:     groupedPoints,
 		Title:      "Figure 8: vector arithmetic operations per cycle (VOPC)",
 		PaperShape: "reference 0.5-0.85; top-6 programs reach ~1 at 2 threads, >1 at 3; trfd/dyfesm stay low",
-		Run: func(e *Env) (*Result, error) {
-			runs, err := e.GroupedRuns()
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
+			runs, err := e.GroupedRuns(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -248,8 +251,8 @@ func fig8Exp() Experiment {
 				"program", "2 thr mth", "2 thr ref", "3 thr mth", "3 thr ref", "4 thr mth", "4 thr ref")
 			for _, short := range shortNames() {
 				row := []string{short}
-				for _, ctx := range []int{2, 3, 4} {
-					a := agg[short][ctx]
+				for _, nctx := range []int{2, 3, 4} {
+					a := agg[short][nctx]
 					row = append(row,
 						report.F(a.vopcSum/float64(a.n), 2),
 						report.F(a.refVopcSum/float64(a.n), 2))
@@ -267,8 +270,8 @@ func fig9Exp() Experiment {
 		ID:         "fig9",
 		Title:      "Figure 9: execution profile of the 10 programs on a 2-context machine (latency 50)",
 		PaperShape: "threads pull jobs in order TF SW SU TI TO A7 HY NA SR SD; a short tail runs alone at the end",
-		Run: func(e *Env) (*Result, error) {
-			rep, err := e.QueueRun(QueueSpec{Contexts: 2, Latency: 50, RecordSpans: true})
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
+			rep, err := e.QueueRun(ctx, QueueSpec{Contexts: 2, Latency: 50, RecordSpans: true})
 			if err != nil {
 				return nil, err
 			}
@@ -294,7 +297,7 @@ func fig10Exp() Experiment {
 		Points:     fig10Points,
 		Title:      "Figure 10: total execution time vs memory latency",
 		PaperShape: "baseline ~linear in latency; 2-context curve nearly flat (~6.8% from 1 to 100); speedup 1.15 at latency 1, 1.45 at 100",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			demand, err := e.SuiteDemand()
 			if err != nil {
 				return nil, err
@@ -316,7 +319,7 @@ func fig10Exp() Experiment {
 			for _, lat := range fig10Latencies {
 				var base int64
 				for _, short := range shortNames() {
-					c, err := e.RefCycles(short, lat)
+					c, err := e.RefCycles(ctx, short, lat)
 					if err != nil {
 						return nil, err
 					}
@@ -326,12 +329,12 @@ func fig10Exp() Experiment {
 				row := []string{report.I(int64(lat)), report.I(base)}
 				xs = append(xs, float64(lat))
 				series[0].Ys = append(series[0].Ys, float64(base))
-				for i, ctx := range []int{2, 3, 4} {
-					rep, err := e.QueueRun(QueueSpec{Contexts: ctx, Latency: lat})
+				for i, nctx := range []int{2, 3, 4} {
+					rep, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: lat})
 					if err != nil {
 						return nil, err
 					}
-					mth[[2]int{ctx, lat}] = rep.Cycles
+					mth[[2]int{nctx, lat}] = rep.Cycles
 					row = append(row, report.I(rep.Cycles))
 					series[1+i].Ys = append(series[1+i].Ys, float64(rep.Cycles))
 				}
@@ -366,7 +369,7 @@ func fig11Exp() Experiment {
 		Points:     fig11Points,
 		Title:      "Figure 11: slowdown from 3-cycle register-file crossbars",
 		PaperShape: "slowdown below ~1.009 everywhere; chaining, vector length and multithreading absorb the extra cycle",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("T(crossbar=3) / T(crossbar=2) on the ten-program queue",
 				"latency", "2 threads", "3 threads", "4 threads")
 			series := make([]report.Series, 3)
@@ -375,12 +378,12 @@ func fig11Exp() Experiment {
 			for _, lat := range fig11Latencies {
 				row := []string{report.I(int64(lat))}
 				xs = append(xs, float64(lat))
-				for i, ctx := range []int{2, 3, 4} {
-					base, err := e.QueueRun(QueueSpec{Contexts: ctx, Latency: lat, Xbar: 2})
+				for i, nctx := range []int{2, 3, 4} {
+					base, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: lat, Xbar: 2})
 					if err != nil {
 						return nil, err
 					}
-					slow3, err := e.QueueRun(QueueSpec{Contexts: ctx, Latency: lat, Xbar: 3})
+					slow3, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: lat, Xbar: 3})
 					if err != nil {
 						return nil, err
 					}
@@ -389,7 +392,7 @@ func fig11Exp() Experiment {
 						maxSlow = ratio
 					}
 					row = append(row, report.F(ratio, 4))
-					series[i].Name = fmt.Sprintf("%d threads", ctx)
+					series[i].Name = fmt.Sprintf("%d threads", nctx)
 					series[i].Ys = append(series[i].Ys, ratio)
 				}
 				t.AddRow(row...)
@@ -415,7 +418,7 @@ func fig12Exp() Experiment {
 		Points:     fig12Points,
 		Title:      "Figure 12: dual scalar units (Fujitsu VP2000 style) vs multithreaded decode",
 		PaperShape: "Fujitsu-style ~3% ahead of 2-thread mth at latency 1, converging by latency 100; 3 and 4 threads beat both",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			demand, err := e.SuiteDemand()
 			if err != nil {
 				return nil, err
@@ -430,7 +433,7 @@ func fig12Exp() Experiment {
 			var xs []float64
 			var advLow, advHigh float64
 			for li, lat := range fig10Latencies {
-				fuj, err := e.QueueRun(QueueSpec{Contexts: 2, Latency: lat, DualScalar: true})
+				fuj, err := e.QueueRun(ctx, QueueSpec{Contexts: 2, Latency: lat, DualScalar: true})
 				if err != nil {
 					return nil, err
 				}
@@ -438,12 +441,12 @@ func fig12Exp() Experiment {
 				xs = append(xs, float64(lat))
 				series[0].Ys = append(series[0].Ys, float64(fuj.Cycles))
 				var mth2 int64
-				for i, ctx := range []int{2, 3, 4} {
-					rep, err := e.QueueRun(QueueSpec{Contexts: ctx, Latency: lat})
+				for i, nctx := range []int{2, 3, 4} {
+					rep, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: lat})
 					if err != nil {
 						return nil, err
 					}
-					if ctx == 2 {
+					if nctx == 2 {
 						mth2 = rep.Cycles
 					}
 					row = append(row, report.I(rep.Cycles))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mtvec/internal/arch"
@@ -75,32 +76,32 @@ func extRegfileSpecs() []QueueSpec {
 func extRegfileExp() Experiment {
 	return Experiment{
 		ID:         "ext-regfile",
-		Points:     func(e *Env) []func() error { return queuePoints(e, extRegfileSpecs()) },
+		Points:     func(ctx context.Context, e *Env) []func() error { return queuePoints(ctx, e, extRegfileSpecs()) },
 		Title:      "Extension: register-file organization study (vreg length x bank ports x contexts)",
 		PaperShape: "Section 8 prices the register file; shorter registers add strip overhead, fewer ports add conflicts, splitting trades capacity for contexts",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			ref := make(map[int]int64) // reference cycles per context count
-			for _, ctx := range regfileCtxs {
-				rep, err := e.QueueRun(vlenSpec(128, ctx))
+			for _, nctx := range regfileCtxs {
+				rep, err := e.QueueRun(ctx, vlenSpec(128, nctx))
 				if err != nil {
 					return nil, err
 				}
-				ref[ctx] = rep.Cycles
+				ref[nctx] = rep.Cycles
 			}
-			rel := func(cycles int64, ctx int) string {
-				return report.F(float64(cycles)/float64(ref[ctx]), 4)
+			rel := func(cycles int64, nctx int) string {
+				return report.F(float64(cycles)/float64(ref[nctx]), 4)
 			}
 
 			vt := report.NewTable("Vector register length (8 regs, 2R/1W banks, queue at latency 50)",
 				"elements/reg", "contexts", "cycles", "vs 128-elem", "mem occ", "VOPC")
 			for _, vlen := range regfileVLens {
-				for _, ctx := range regfileCtxs {
-					rep, err := e.QueueRun(vlenSpec(vlen, ctx))
+				for _, nctx := range regfileCtxs {
+					rep, err := e.QueueRun(ctx, vlenSpec(vlen, nctx))
 					if err != nil {
 						return nil, err
 					}
-					vt.AddRow(report.I(int64(vlen)), report.I(int64(ctx)), report.I(rep.Cycles),
-						rel(rep.Cycles, ctx), report.Pct(rep.MemOccupation()), report.F(rep.VOPC(), 2))
+					vt.AddRow(report.I(int64(vlen)), report.I(int64(nctx)), report.I(rep.Cycles),
+						rel(rep.Cycles, nctx), report.Pct(rep.MemOccupation()), report.F(rep.VOPC(), 2))
 				}
 			}
 
@@ -108,26 +109,26 @@ func extRegfileExp() Experiment {
 				"organization", "contexts", "cycles", "vs ref", "lost decode")
 			worstGeom := 1.0
 			for _, g := range regfileGeoms {
-				for _, ctx := range regfileCtxs {
-					rep, err := e.QueueRun(geomSpec(g.perBank, g.rp, g.wp, ctx))
+				for _, nctx := range regfileCtxs {
+					rep, err := e.QueueRun(ctx, geomSpec(g.perBank, g.rp, g.wp, nctx))
 					if err != nil {
 						return nil, err
 					}
-					if r := float64(rep.Cycles) / float64(ref[ctx]); r > worstGeom {
+					if r := float64(rep.Cycles) / float64(ref[nctx]); r > worstGeom {
 						worstGeom = r
 					}
-					gt.AddRow(g.label, report.I(int64(ctx)), report.I(rep.Cycles),
-						rel(rep.Cycles, ctx), report.I(rep.LostDecode))
+					gt.AddRow(g.label, report.I(int64(nctx)), report.I(rep.Cycles),
+						rel(rep.Cycles, nctx), report.I(rep.LostDecode))
 				}
 			}
 
 			pt := report.NewTable("Per-context register splitting (2 contexts, queue at latency 50)",
 				"register file", "regs/context", "cycles", "vs replicated")
-			repl, err := e.QueueRun(vlenSpec(128, 2))
+			repl, err := e.QueueRun(ctx, vlenSpec(128, 2))
 			if err != nil {
 				return nil, err
 			}
-			split, err := e.QueueRun(partitionSpec())
+			split, err := e.QueueRun(ctx, partitionSpec())
 			if err != nil {
 				return nil, err
 			}

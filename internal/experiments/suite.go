@@ -43,16 +43,15 @@ func RunSuite(env *Env, exps []Experiment, jobs int) ([]*Result, *SuiteStats, er
 
 // RunSuiteContext is RunSuite under a context: cancellation or deadline
 // expiry aborts in-flight simulations, the joined error includes
-// ctx.Err() for every affected experiment, and no partial results are
-// returned. The Env's memo caches are not poisoned, and the Env's own
-// context is restored on return — so after a cancelled suite, direct
-// Env calls (or a later RunSuite) resume where the cancelled one
-// stopped instead of replaying the stale cancellation.
+// ctx.Err() for every affected experiment (also one that finished
+// without reading ctx, such as a table built from workloads alone), and
+// no partial results are returned. The context governs only this
+// suite's runs and the Env's memo caches are not poisoned, so after a
+// cancelled suite, direct Env calls (or a later RunSuite) resume where
+// the cancelled one stopped, and a concurrent suite on the same Env
+// runs on.
 func RunSuiteContext(ctx context.Context, env *Env, exps []Experiment, jobs int) ([]*Result, *SuiteStats, error) {
 	start := time.Now()
-	prev := env.runCtx()
-	env.SetContext(ctx)
-	defer env.SetContext(prev)
 	env.SetJobs(jobs)
 	sims0, busy0 := env.Simulations(), env.BusyTime()
 	// The pool only orchestrates; actual simulations admit through the
@@ -64,7 +63,7 @@ func RunSuiteContext(ctx context.Context, env *Env, exps []Experiment, jobs int)
 	var points []func() error
 	for _, exp := range exps {
 		if exp.Points != nil {
-			points = append(points, exp.Points(env)...)
+			points = append(points, exp.Points(ctx, env)...)
 		}
 	}
 	// Prefetch errors are deliberately dropped here: the Env memoizes
@@ -74,7 +73,10 @@ func RunSuiteContext(ctx context.Context, env *Env, exps []Experiment, jobs int)
 
 	results := make([]*Result, len(exps))
 	err := pool.Map(len(exps), func(i int) error {
-		res, err := exps[i].Run(env)
+		res, err := exps[i].Run(ctx, env)
+		if err == nil {
+			err = ctx.Err()
+		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", exps[i].ID, err)
 		}
@@ -98,29 +100,29 @@ func RunSuiteContext(ctx context.Context, env *Env, exps []Experiment, jobs int)
 
 // refPoints enumerates solo reference runs of the ten programs at each
 // latency.
-func refPoints(e *Env, lats []int) []func() error {
+func refPoints(ctx context.Context, e *Env, lats []int) []func() error {
 	var ps []func() error
 	for _, short := range shortNames() {
 		for _, lat := range lats {
 			short, lat := short, lat
-			ps = append(ps, func() error { _, err := e.RefReport(short, lat); return err })
+			ps = append(ps, func() error { _, err := e.RefReport(ctx, short, lat); return err })
 		}
 	}
 	return ps
 }
 
 // queuePoints enumerates job-queue runs for each spec.
-func queuePoints(e *Env, specs []QueueSpec) []func() error {
+func queuePoints(ctx context.Context, e *Env, specs []QueueSpec) []func() error {
 	ps := make([]func() error, len(specs))
 	for i, s := range specs {
 		s := s
-		ps[i] = func() error { _, err := e.QueueRun(s); return err }
+		ps[i] = func() error { _, err := e.QueueRun(ctx, s); return err }
 	}
 	return ps
 }
 
 // workloadPoints enumerates the ten workload builds.
-func workloadPoints(e *Env) []func() error {
+func workloadPoints(_ context.Context, e *Env) []func() error {
 	var ps []func() error
 	for _, short := range shortNames() {
 		short := short

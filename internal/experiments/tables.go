@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -15,7 +16,7 @@ func table1Exp() Experiment {
 		ID:         "table1",
 		Title:      "Table 1: latency parameters",
 		PaperShape: "scalar int/fp and vector unit latencies; 2-cycle crossbars; 1-cycle vector startup",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(_ context.Context, e *Env) (*Result, error) {
 			lt := isa.DefaultLatencies()
 			t := report.NewTable("Functional-unit latencies (cycles)",
 				"class", "scalar int", "scalar fp", "vector")
@@ -46,7 +47,7 @@ func table2Exp() Experiment {
 		ID:         "table2",
 		Title:      "Table 2: randomly selected companion programs",
 		PaperShape: "5 two-thread, 10 three-thread, 10 four-thread simulations per program",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(_ context.Context, e *Env) (*Result, error) {
 			g := workload.DefaultGroupings()
 			t := report.NewTable("Companion programs per thread count", "2 threads", "3 threads", "4 threads")
 			rows := len(g.Col2)
@@ -83,7 +84,7 @@ func table3Exp() Experiment {
 		Points:     workloadPoints,
 		Title:      "Table 3: basic operation counts",
 		PaperShape: "per-program scalar/vector instructions (M), vector operations (M), %vectorized, average VL",
-		Run: func(e *Env) (*Result, error) {
+		Run: func(_ context.Context, e *Env) (*Result, error) {
 			t := report.NewTable(
 				fmt.Sprintf("Dynamic profiles at scale %g (counts rescaled to paper millions)", e.Scale),
 				"program", "suite",

@@ -370,15 +370,6 @@ type DynInst struct {
 	SetVal int64  // value installed by SetVL / SetVS
 }
 
-// Ops returns the number of operations the instruction performs under the
-// paper's Table 3 accounting: VL for vector instructions, 1 otherwise.
-func (d *DynInst) Ops() int64 {
-	if d.Op.IsVector() {
-		return int64(d.VL)
-	}
-	return 1
-}
-
 func (d *DynInst) String() string {
 	s := d.Inst.String()
 	if d.Op.IsVector() {

@@ -129,20 +129,13 @@ func TestInstString(t *testing.T) {
 	}
 }
 
-func TestDynInstStringAndOps(t *testing.T) {
+func TestDynInstString(t *testing.T) {
 	d := DynInst{
 		Inst: Inst{Op: OpVLoad, Dst: V(2), Src1: A(0)},
 		VL:   64, Stride: 8, Addr: 0x1000,
 	}
-	if d.Ops() != 64 {
-		t.Errorf("Ops() = %d, want 64", d.Ops())
-	}
 	if s := d.String(); !strings.Contains(s, "vl=64") || !strings.Contains(s, "0x1000") {
 		t.Errorf("String() = %q missing dynamic fields", s)
-	}
-	sc := DynInst{Inst: Inst{Op: OpSAdd, Dst: S(0), Src1: S(1), Src2: S(2)}}
-	if sc.Ops() != 1 {
-		t.Errorf("scalar Ops() = %d, want 1", sc.Ops())
 	}
 	sv := DynInst{Inst: Inst{Op: OpSetVL, Src1: A(1)}, SetVal: 99}
 	if s := sv.String(); !strings.Contains(s, "=99") {
@@ -194,7 +187,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestVSourcesAndScalarSources(t *testing.T) {
+func TestVSources(t *testing.T) {
 	var vs [2]uint8
 	in := Inst{Op: OpVAdd, Dst: V(0), Src1: V(3), Src2: V(5)}
 	if n := in.VSources(&vs); n != 2 || vs[0] != 3 || vs[1] != 5 {
@@ -203,9 +196,5 @@ func TestVSourcesAndScalarSources(t *testing.T) {
 	in2 := Inst{Op: OpVAddS, Dst: V(0), Src1: V(3), Src2: S(2)}
 	if n := in2.VSources(&vs); n != 1 || vs[0] != 3 {
 		t.Errorf("VSources(vadds) = %d %v", n, vs)
-	}
-	var ss [2]Operand
-	if n := in2.ScalarSources(&ss); n != 1 || ss[0] != S(2) {
-		t.Errorf("ScalarSources(vadds) = %d %v", n, ss)
 	}
 }

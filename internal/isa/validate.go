@@ -156,17 +156,3 @@ func (in Inst) VSources(srcs *[2]uint8) int {
 	}
 	return n
 }
-
-// ScalarSources returns the A/S-register sources of the instruction.
-func (in Inst) ScalarSources(srcs *[2]Operand) int {
-	n := 0
-	if in.Src1.Class == ClassA || in.Src1.Class == ClassS {
-		srcs[n] = in.Src1
-		n++
-	}
-	if in.Src2.Class == ClassA || in.Src2.Class == ClassS {
-		srcs[n] = in.Src2
-		n++
-	}
-	return n
-}

@@ -268,15 +268,6 @@ func (s *System) BusyCycles() int64 { return s.busy }
 // Requests returns the total memory requests sent over the address bus.
 func (s *System) Requests() int64 { return s.requests }
 
-// Occupation is the paper's memory-port occupation metric: requests sent
-// over the address bus divided by total cycles, per port.
-func (s *System) Occupation(total Cycle) float64 {
-	if total <= 0 {
-		return 0
-	}
-	return float64(s.busy) / float64(total) / float64(len(s.portFree))
-}
-
 // Traffic summarizes the element counts moved.
 type Traffic struct {
 	LoadElems    int64

@@ -220,14 +220,13 @@ func TestScalarTiming(t *testing.T) {
 	}
 }
 
+// TestOccupation: a 50-element load busies the one port for 50 cycles,
+// the numerator of the occupation metric (stats.Report.MemOccupation).
 func TestOccupation(t *testing.T) {
 	s := mustNew(t, Config{Latency: 1, GeneralPorts: 1})
 	s.ScheduleVector(0, 50, 8, true)
-	if got := s.Occupation(100); got != 0.5 {
-		t.Errorf("occupation = %f, want 0.5", got)
-	}
-	if s.Occupation(0) != 0 {
-		t.Error("zero-total occupation should be 0")
+	if got := s.BusyCycles(); got != 50 {
+		t.Errorf("busy cycles = %d, want 50", got)
 	}
 }
 

@@ -274,12 +274,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return f.get(nil, func() series { return &Counter{} }).(*Counter)
 }
 
-// Gauge returns the (label-less) gauge with this name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, kindGauge, nil, nil)
-	return f.get(nil, func() series { return &Gauge{} }).(*Gauge)
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at render
 // time — for instantaneous quantities the program already tracks (gate
 // occupancy, goroutine counts).

@@ -12,7 +12,7 @@ func TestCounterGaugeRender(t *testing.T) {
 	c := r.Counter("mtvec_runs_total", "Total runs.")
 	c.Inc()
 	c.Add(2)
-	g := r.Gauge("mtvec_gate_active", "Gate occupancy.")
+	g := r.GaugeVec("mtvec_gate_active", "Gate occupancy.").With()
 	g.Set(3)
 	g.Add(-1)
 	r.GaugeFunc("mtvec_gate_limit", "Gate limit.", func() float64 { return 8 })
@@ -71,12 +71,12 @@ func TestRenderOrderIndependentOfInsertion(t *testing.T) {
 		v.With("w1", "memo").Inc()
 		v.With("w1", "sim").Add(2)
 		v.With("w0", "sim").Add(3)
-		r.Gauge("mtvec_c", "C.").Set(7)
+		r.GaugeVec("mtvec_c", "C.").With().Set(7)
 		return r
 	}
 	backward := func() *Registry {
 		r := NewRegistry()
-		r.Gauge("mtvec_c", "C.").Set(7)
+		r.GaugeVec("mtvec_c", "C.").With().Set(7)
 		v := r.CounterVec("mtvec_b_total", "B.", "worker", "tier")
 		v.With("w0", "sim").Add(3)
 		v.With("w1", "sim").Add(2)
@@ -171,7 +171,7 @@ func TestInvalidNamesPanic(t *testing.T) {
 	mustPanic("bad label name", func() { r.CounterVec("ok_total", "", "le-gal") })
 	mustPanic("reserved label", func() { r.CounterVec("ok2_total", "", "__name") })
 	r.Counter("twice", "")
-	mustPanic("kind conflict", func() { r.Gauge("twice", "") })
+	mustPanic("kind conflict", func() { r.GaugeVec("twice", "") })
 	mustPanic("label conflict", func() { r.CounterVec("twice", "", "x") })
 	mustPanic("negative counter", func() { r.Counter("neg_total", "").Add(-1) })
 	mustPanic("unsorted buckets", func() { r.Histogram("h", "", []float64{2, 1}) })
@@ -182,7 +182,7 @@ func TestInvalidNamesPanic(t *testing.T) {
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("conc_total", "")
-	g := r.Gauge("conc_gauge", "")
+	g := r.GaugeVec("conc_gauge", "").With()
 	h := r.Histogram("conc_hist", "", []float64{0.5})
 	v := r.CounterVec("conc_vec_total", "", "i")
 	var wg sync.WaitGroup

@@ -156,15 +156,11 @@ func NewDecodedStream(p *Program, insts []DecodedInst, rep Replayer, maxVL int64
 	return s
 }
 
-// DecodeAll drains a fresh source-driven stream of p into a predecoded
-// instruction slice of length capacity hint n. It returns the slice and
-// the stream's terminal error, if any.
-func DecodeAll(p *Program, src TraceSource, n int64) ([]DecodedInst, error) {
-	return DecodeAllVL(p, src, n, 0)
-}
-
-// DecodeAllVL is DecodeAll at the given hardware vector length (see
-// NewStreamVL); maxVL <= 0 selects the reference isa.MaxVL.
+// DecodeAllVL drains a fresh source-driven stream of p, at the given
+// hardware vector length (see NewStreamVL; maxVL <= 0 selects the
+// reference isa.MaxVL), into a predecoded instruction slice of length
+// capacity hint n. It returns the slice and the stream's terminal
+// error, if any.
 func DecodeAllVL(p *Program, src TraceSource, n, maxVL int64) ([]DecodedInst, error) {
 	if n < 0 {
 		n = 0

@@ -105,7 +105,7 @@ func TestStreamMixesNextAndNextDec(t *testing.T) {
 	for ref.Next(&d) {
 		want = append(want, d)
 	}
-	dec, err := DecodeAll(p, rep.Source(), 0)
+	dec, err := DecodeAllVL(p, rep.Source(), 0, 0)
 	if err != nil || ref.Err() != nil {
 		t.Fatal(err, ref.Err())
 	}

@@ -227,61 +227,6 @@ func (r *replay) NextAddr() uint64 {
 
 func (r *replay) Err() error { return r.err }
 
-// Record captures up to maxInsts dynamic instructions (all of them if
-// maxInsts <= 0) of program p driven by src, returning the captured trace.
-// This is the instrumentation step of the Dixie flow: run once, keep the
-// four streams.
-func Record(p *prog.Program, src prog.TraceSource, maxInsts int64) (*Trace, error) {
-	t := &Trace{Prog: p}
-	rec := &recorder{src: src, t: t}
-	s := prog.NewStream(p, rec)
-	var d isa.DynInst
-	for s.Next(&d) {
-		if maxInsts > 0 && s.Count() >= maxInsts {
-			break
-		}
-	}
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// recorder forwards a TraceSource while appending every value drawn to
-// the trace under construction.
-type recorder struct {
-	src prog.TraceSource
-	t   *Trace
-}
-
-func (r *recorder) NextBB() (int, bool) {
-	b, ok := r.src.NextBB()
-	if ok {
-		r.t.BBs = append(r.t.BBs, int32(b))
-	}
-	return b, ok
-}
-
-func (r *recorder) NextVL() int64 {
-	v := r.src.NextVL()
-	r.t.VLs = append(r.t.VLs, v)
-	return v
-}
-
-func (r *recorder) NextStride() int64 {
-	v := r.src.NextStride()
-	r.t.Strides = append(r.t.Strides, v)
-	return v
-}
-
-func (r *recorder) NextAddr() uint64 {
-	v := r.src.NextAddr()
-	r.t.Addrs = append(r.t.Addrs, v)
-	return v
-}
-
-func (r *recorder) Err() error { return r.src.Err() }
-
 // --- binary format ---
 
 const (

@@ -174,74 +174,6 @@ func TestReplaySourceMatchesSlices(t *testing.T) {
 	}
 }
 
-func TestRecordThenReplayIdentity(t *testing.T) {
-	// Record from a SliceSource, replay the trace, and compare the two
-	// dynamic instruction streams instruction by instruction.
-	p := sampleProgram()
-	mkSrc := func() *prog.SliceSource {
-		return &prog.SliceSource{
-			BBs:     []int{0, 1, 1, 1},
-			VLs:     []int64{64},
-			Strides: []int64{8},
-			Addrs:   []uint64{1, 2, 3, 4, 5, 6},
-		}
-	}
-	tr, err := Record(p, mkSrc(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := prog.NewStream(p, mkSrc())
-	got := tr.Stream()
-	var dw, dg isa.DynInst
-	for {
-		okW := want.Next(&dw)
-		okG := got.Next(&dg)
-		if okW != okG {
-			t.Fatalf("stream lengths differ (want-ok=%v got-ok=%v)", okW, okG)
-		}
-		if !okW {
-			break
-		}
-		if dw != dg {
-			t.Fatalf("instruction differs:\n  direct: %v\n  replay: %v", &dw, &dg)
-		}
-	}
-	if want.Err() != nil || got.Err() != nil {
-		t.Fatal(want.Err(), got.Err())
-	}
-}
-
-func TestRecordHonorsMaxInsts(t *testing.T) {
-	p := sampleProgram()
-	src := &prog.SliceSource{
-		BBs:     []int{0, 1, 1, 1, 1, 1},
-		VLs:     []int64{64},
-		Strides: []int64{8},
-		Addrs:   []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-	}
-	tr, err := Record(p, src, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, _, err := tr.Stream().Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recording stops at the first block boundary at or after maxInsts.
-	if n < 5 || n > 7 {
-		t.Fatalf("recorded %d dynamic instructions, want ~5", n)
-	}
-}
-
-func TestRecordPropagatesSourceError(t *testing.T) {
-	p := sampleProgram()
-	src := &prog.SliceSource{BBs: []int{0, 1}, VLs: []int64{64}, Strides: []int64{8}}
-	if _, err := Record(p, src, 0); err == nil {
-		t.Fatal("source error not propagated")
-	}
-}
-
 // TestProfileMatchesReplay: Trace.Profile reports the Stats and error
 // of draining a source-driven replay, including replays that run
 // streams dry (the replay's error names the last dry draw), name a bad

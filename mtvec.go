@@ -39,6 +39,11 @@
 //	env := mtvec.NewEnv(mtvec.DefaultScale)
 //	results, stats, _ := mtvec.RunExperiments(env, mtvec.Experiments(), 0)
 //
+// The Env holds no context. One experiment runs under the context its
+// caller passes, which governs only that call's simulations:
+//
+//	res, _ := mtvec.ExperimentByID("fig10").Run(ctx, env)
+//
 // Every run goes through a Session; docs/API.md maps the removed
 // RunSolo, RunGroup, RunQueue and RunCompiled functions onto specs.
 package mtvec

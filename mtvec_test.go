@@ -111,7 +111,7 @@ func TestExperimentViaFacade(t *testing.T) {
 	if exp == nil {
 		t.Fatal("table3 missing")
 	}
-	res, err := exp.Run(env)
+	res, err := exp.Run(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
