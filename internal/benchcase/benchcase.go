@@ -189,6 +189,23 @@ func New(scale float64, jobs int) (cases []Case, cleanup func()) {
 		})},
 	)
 
+	// Supply builds (docs/PERF.md, "A warm point allocates only what it
+	// keeps"): all seventeen catalog specs compiled, scheduled and
+	// profiled at 1e-4 and at DefaultScale, whatever the bench scale,
+	// the work a fresh environment repeats on every warm pass. A
+	// Table 3 schedule is a bounded list of runs at any scale; the two
+	// scales keep what still grows with scale in view.
+	cases = append(cases, Case{Name: "workload/build", Prepare: ready(func() (int64, error) {
+		for _, scale := range []float64{1e-4, mtvec.DefaultScale} {
+			for _, specs := range [][]*mtvec.WorkloadSpec{mtvec.Workloads(), mtvec.BenchWorkloads()} {
+				if _, err := build(specs, scale); err != nil {
+					return 0, err
+				}
+			}
+		}
+		return 0, nil
+	})})
+
 	// Per-run API overhead on one solo point: the direct machine path, a
 	// memo-less Session, and the memoized cache hit, which simulates no
 	// cycles.

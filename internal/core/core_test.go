@@ -24,7 +24,7 @@ func mkProgram(name string, insts ...isa.Inst) *prog.Program {
 // streamOf builds a fresh stream executing the single block `reps` times.
 func streamOf(p *prog.Program, reps int, vls []int64, strides []int64, addrs []uint64) *prog.Stream {
 	bbs := make([]int, reps)
-	return prog.NewStream(p, &prog.SliceSource{BBs: bbs, VLs: vls, Strides: strides, Addrs: addrs})
+	return prog.NewStreamVL(p, &prog.SliceSource{BBs: bbs, VLs: vls, Strides: strides, Addrs: addrs}, 0)
 }
 
 // runSingle runs one single-shot program on a machine with config cfg.
@@ -322,7 +322,7 @@ func TestSetVLChangesVectorLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := prog.NewStream(p, &prog.SliceSource{BBs: []int{0}, VLs: []int64{32}})
+	s := prog.NewStreamVL(p, &prog.SliceSource{BBs: []int{0}, VLs: []int64{32}}, 0)
 	if err := m.SetThreadStream(0, "vlchg", s); err != nil {
 		t.Fatal(err)
 	}

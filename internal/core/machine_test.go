@@ -327,7 +327,7 @@ func TestPolicies(t *testing.T) {
 func TestStreamErrorSurfaces(t *testing.T) {
 	// An address-trace underrun must turn into a Run error.
 	p := mkProgram("bad", isa.Inst{Op: isa.OpVLoad, Dst: isa.V(0), Src1: isa.A(0)})
-	s := prog.NewStream(p, &prog.SliceSource{BBs: []int{0, 0}, Addrs: []uint64{1}})
+	s := prog.NewStreamVL(p, &prog.SliceSource{BBs: []int{0, 0}, Addrs: []uint64{1}}, 0)
 	m, _ := New(testConfig(1))
 	m.SetThreadStream(0, "bad", s)
 	if _, err := m.Run(Stop{}); err == nil {
@@ -377,12 +377,12 @@ func TestReportInvariantsQuick(t *testing.T) {
 			}
 			// Account demand with an identical replica stream.
 			rsrc := &prog.SliceSource{BBs: make([]int, 3), Addrs: src.Addrs}
-			_, st, err := prog.NewStream(p, rsrc).Drain()
+			_, st, err := prog.NewStreamVL(p, rsrc, 0).Drain()
 			if err != nil {
 				t.Fatal(err)
 			}
 			demand.Merge(&st)
-			m.SetThreadStream(c, "rand", prog.NewStream(p, src))
+			m.SetThreadStream(c, "rand", prog.NewStreamVL(p, src, 0))
 		}
 		rep, err := m.Run(Stop{})
 		if err != nil {

@@ -98,7 +98,7 @@ func TestBankConflictSlowsStridedLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := prog.NewStream(prog16, &prog.SliceSource{BBs: []int{0}, Strides: []int64{16 * 8}, Addrs: manyAddrs(1)})
+	s := prog.NewStreamVL(prog16, &prog.SliceSource{BBs: []int{0}, Strides: []int64{16 * 8}, Addrs: manyAddrs(1)}, 0)
 	if err := m.SetThreadStream(0, "bank", s); err != nil {
 		t.Fatal(err)
 	}

@@ -81,29 +81,41 @@ func (t *Tally) clamp(v int64) int64 {
 
 // Visit accounts n consecutive visits of block b in which every SetVL
 // installs v. n <= 0 accounts nothing.
-func (t *Tally) Visit(b int, n, v int64) {
+func (t *Tally) Visit(b int, n, v int64) { t.Repeat(b, n, v, 1) }
+
+// Repeat is Visit for a sequence of visits that repeats r times in a
+// row: calling it with one r for each step of the sequence accounts
+// the whole sequence r times, in O(steps). It is exact when every
+// repetition enters the sequence with the VL it finds in force, that
+// is when the sequence leaves the VL as it found it. A sequence whose
+// SetVLs install fixed values meets that from its second repetition
+// on, and one without SetVLs always does, so a caller accounts k
+// repetitions as one Repeat pass with r = 1 and one with r = k-1.
+// r <= 0 accounts nothing.
+func (t *Tally) Repeat(b int, n, v, r int64) {
 	vl := [1]int64{v}
-	t.visit(b, n, vl[:])
+	t.visit(b, n, r, vl[:])
 }
 
-// visit accounts n consecutive visits of block b in which the j-th
-// SetVL of each visit installs vls[j], or the last of vls once j runs
-// past it. vls may be empty only if the block has no SetVL.
-func (t *Tally) visit(b int, n int64, vls []int64) {
-	if n <= 0 {
+// visit accounts r repetitions of n consecutive visits of block b in
+// which the j-th SetVL of each visit installs vls[j], or the last of
+// vls once j runs past it. vls may be empty only if the block has no
+// SetVL.
+func (t *Tally) visit(b int, n, r int64, vls []int64) {
+	if n <= 0 || r <= 0 {
 		return
 	}
 	bp := &t.blocks[b]
-	t.visits[b] += n
+	t.visits[b] += r * n
 	w := t.weights[bp.seg : bp.seg+bp.vls+1]
 	in := int64(uint16(t.vl))
 	for j := 1; j < len(w); j++ {
 		t.vl = t.clamp(vls[min(j, len(vls))-1])
-		w[j] += n * int64(uint16(t.vl))
+		w[j] += r * n * int64(uint16(t.vl))
 	}
 	// The run before the first SetVL executes under the VL carried in
 	// on the first visit, and under the last SetVL's value after that.
-	w[0] += in + (n-1)*int64(uint16(t.vl))
+	w[0] += r * (in + (n-1)*int64(uint16(t.vl)))
 }
 
 // Stats returns the profile of every visit accounted so far.
@@ -196,7 +208,7 @@ func Profile(p *Program, bbs []int32, vls []int64, strides, addrs int, maxVL int
 			}
 			break
 		}
-		t.visit(int(b), 1, vls[vi:vi+bp.vls])
+		t.visit(int(b), 1, 1, vls[vi:vi+bp.vls])
 		vi += bp.vls
 		si += bp.strides
 		ai += bp.addrs

@@ -71,7 +71,7 @@ func TestStreamExpansion(t *testing.T) {
 		Strides: []int64{16},
 		Addrs:   []uint64{0x1000, 0x2000, 0x1400, 0x2400},
 	}
-	s := NewStream(p, src)
+	s := NewStreamVL(p, src, 0)
 
 	var got []isa.DynInst
 	var d isa.DynInst
@@ -122,7 +122,7 @@ func TestStreamVLClamping(t *testing.T) {
 		}},
 	}}
 	src := &SliceSource{BBs: []int{0, 0, 0}, VLs: []int64{500, 0, 64}}
-	s := NewStream(p, src)
+	s := NewStreamVL(p, src, 0)
 	var d isa.DynInst
 	var vls []uint16
 	for s.Next(&d) {
@@ -141,7 +141,7 @@ func TestStreamDefaultVLVS(t *testing.T) {
 		{Label: "b", Insts: []isa.Inst{{Op: isa.OpVLoad, Dst: isa.V(0), Src1: isa.A(0)}}},
 	}}
 	src := &SliceSource{BBs: []int{0}, Addrs: []uint64{0x10}}
-	s := NewStream(p, src)
+	s := NewStreamVL(p, src, 0)
 	var d isa.DynInst
 	if !s.Next(&d) {
 		t.Fatal("no instruction")
@@ -153,7 +153,7 @@ func TestStreamDefaultVLVS(t *testing.T) {
 
 func TestStreamBadBlockIndex(t *testing.T) {
 	p := testProgram()
-	s := NewStream(p, &SliceSource{BBs: []int{5}})
+	s := NewStreamVL(p, &SliceSource{BBs: []int{5}}, 0)
 	var d isa.DynInst
 	if s.Next(&d) {
 		t.Fatal("expanded an out-of-range block")
@@ -167,7 +167,7 @@ func TestStreamSourceExhaustion(t *testing.T) {
 	// Address trace runs dry mid-block: the stream must surface an error.
 	p := testProgram()
 	src := &SliceSource{BBs: []int{0, 1}, VLs: []int64{10}, Strides: []int64{8}, Addrs: []uint64{0x1}}
-	s := NewStream(p, src)
+	s := NewStreamVL(p, src, 0)
 	var d isa.DynInst
 	for s.Next(&d) {
 	}
@@ -184,7 +184,7 @@ func TestDrain(t *testing.T) {
 		Strides: []int64{8},
 		Addrs:   []uint64{1, 2},
 	}
-	n, st, err := NewStream(p, src).Drain()
+	n, st, err := NewStreamVL(p, src, 0).Drain()
 	if err != nil {
 		t.Fatal(err)
 	}

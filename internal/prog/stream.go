@@ -16,7 +16,7 @@ import (
 // restart a program.
 //
 // A Stream has two replay modes: expanding a static program against a
-// TraceSource instruction by instruction (NewStream), or indexing a
+// TraceSource instruction by instruction (NewStreamVL), or indexing a
 // predecoded instruction slice (NewDecodedStream) — the hot-path form
 // trace.Trace caches so repeated replays skip the per-instruction decode
 // entirely. In both modes NextDec hands out the compact DecodedInst the
@@ -67,18 +67,11 @@ type Replayer interface {
 	Source() TraceSource
 }
 
-// NewStream creates a dynamic stream for p fed by src. The VL register
-// resets to the hardware vector length (isa.MaxVL, the reference
-// machine's) and the stride register to one element, the conventional
-// initial state.
-func NewStream(p *Program, src TraceSource) *Stream {
-	return NewStreamVL(p, src, 0)
-}
-
-// NewStreamVL is NewStream for a machine whose vector registers hold
-// maxVL elements: the VL register resets to maxVL and SetVL values clamp
-// to it, exactly as the traced machine would have executed them. maxVL
-// <= 0 selects the reference isa.MaxVL.
+// NewStreamVL creates a dynamic stream for p fed by src, for a machine
+// whose vector registers hold maxVL elements: the VL register resets to
+// maxVL, SetVL values clamp to it, exactly as the traced machine would
+// have executed them, and the stride register resets to one element.
+// maxVL <= 0 selects the reference machine's isa.MaxVL.
 func NewStreamVL(p *Program, src TraceSource, maxVL int64) *Stream {
 	if maxVL <= 0 {
 		maxVL = isa.MaxVL

@@ -57,7 +57,7 @@ func scribble(t *testing.T, v reflect.Value) {
 // a buffer scribbled over field by field must give the same value as
 // decoding into a zero one.
 func TestDecodeFillsEveryField(t *testing.T) {
-	s := NewStream(fuzzProgram(), mixSource())
+	s := NewStreamVL(fuzzProgram(), mixSource(), 0)
 	typ := reflect.TypeOf(DecodedInst{})
 	set := make([]bool, typ.NumField())
 	var d isa.DynInst
@@ -100,7 +100,7 @@ func TestStreamMixesNextAndNextDec(t *testing.T) {
 	p := fuzzProgram()
 	rep := replayerFunc(func() TraceSource { return mixSource() })
 	var want []isa.DynInst
-	ref := NewStream(p, rep.Source())
+	ref := NewStreamVL(p, rep.Source(), 0)
 	var d isa.DynInst
 	for ref.Next(&d) {
 		want = append(want, d)
@@ -113,7 +113,7 @@ func TestStreamMixesNextAndNextDec(t *testing.T) {
 	// Runs of NextDec of every length 0..3 between Next calls.
 	pattern := []bool{true, false, true, false, false, true, false, false, false, true, true}
 	for name, s := range map[string]*Stream{
-		"source-driven": NewStream(p, rep.Source()),
+		"source-driven": NewStreamVL(p, rep.Source(), 0),
 		"predecoded":    NewDecodedStream(p, dec, rep, 0),
 	} {
 		for i := range want {

@@ -342,16 +342,24 @@ func (s *Session) runTracked(ctx context.Context, spec RunSpec, sweep bool) (*st
 }
 
 // runMemo resolves a memoizable point the memo does not hold yet:
-// singleflight on its memo key, then the store, then a simulation. It
-// takes the plan by value, so only a miss moves the plan to the heap
-// for the compute closure.
+// singleflight on its memo key, then the store, then a simulation. The
+// store takes a compute closure, which escapes through the Backend
+// interface; it captures the spec, not the plan, and prepares the plan
+// again if it runs, so a store hit leaves the plan on the stack and
+// only a simulation moves one to the heap (prepare allocates nothing).
 func (s *Session) runMemo(ctx context.Context, spec RunSpec, p plan, key string, sweep bool) (*stats.Report, Source, error) {
 	st := s.backend()
 	src := SourceMemo // overwritten iff this caller computes
 	rep, err := s.runs.DoContext(ctx, key, func() (*stats.Report, error) {
 		if st != nil {
 			if key, ok := spec.persistKey(&p); ok {
-				compute := func() (*stats.Report, error) { return s.simulate(ctx, spec, p) }
+				compute := func() (*stats.Report, error) {
+					p, err := spec.prepare()
+					if err != nil {
+						return nil, err
+					}
+					return s.simulate(ctx, spec, p)
+				}
 				var rep *stats.Report
 				var tier store.Tier
 				var err error

@@ -330,3 +330,38 @@ func TestPersistKeyPublic(t *testing.T) {
 		t.Fatal("invalid spec reported a persist key")
 	}
 }
+
+// TestStoreHitAllocs pins what a Run answered by a Dir hit allocates on
+// a fresh session: the memo key and its cache entry, the persist key,
+// the compute closure the store's Do takes, and the record's read. The
+// plan stays on the stack: only a simulation moves anything to the
+// heap for it.
+func TestStoreHitAllocs(t *testing.T) {
+	w := testWorkload(t)
+	st := openStore(t)
+	spec := Solo(w, WithMemLatency(50))
+	ctx := context.Background()
+	if _, err := New(WithStore(st)).Run(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun calls the function once more than it measures.
+	const runs = 50
+	sessions := make([]*Session, runs+1)
+	for i := range sessions {
+		sessions[i] = New(WithStore(st))
+	}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		_, src, err := sessions[next].RunTracked(ctx, spec)
+		next++
+		if err != nil || src != SourceStore {
+			t.Fatalf("store hit: src=%v err=%v", src, err)
+		}
+	})
+	// 12 on Go 1.24. Moving the plan to the heap adds one, and a record
+	// path built as a string that the open call copies again adds two.
+	const pinned = 12
+	if n > pinned {
+		t.Errorf("a store hit allocates %.0f times, want at most %d", n, pinned)
+	}
+}

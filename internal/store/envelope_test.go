@@ -30,7 +30,46 @@ var escapingKeys = []string{
 	"tab\tnew\nline\x01",
 	"ünïcödé·κλειδί·鍵",
 	"sep\u2028par\u2029",
+	"del\x7fbyte",
 	"mode=1,|ws=tf@0.001+fp1f2e,|policy=default|ctx=1,",
+	longKey,
+}
+
+// longKey is as long as a ten-program queue point's persist key, more
+// than an envelope head's old stack buffer held.
+var longKey = "mode=2,|ws=" + strings.Repeat("swm256@0.0001+fp0123456789abcdef,", 20) + "|policy=default|ctx=4,"
+
+// TestKeyEncodingMatchesJSON: appendKey writes every one-byte key, and
+// every byte between plain ones, exactly as encoding/json does.
+func TestKeyEncodingMatchesJSON(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		for _, key := range []string{string(rune(c)), string([]byte{byte(c)}), "a" + string([]byte{byte(c)}) + "b"} {
+			want, _ := json.Marshal(key)
+			if got := appendKey(nil, key); !bytes.Equal(got, want) {
+				t.Errorf("key %q: appendKey %s, json.Marshal %s", key, got, want)
+			}
+		}
+	}
+}
+
+// TestDecodeRecordAllocs: verifying a record's envelope copies nothing,
+// so a record under a long key decodes with the allocations of one
+// under a short key: its Report's.
+func TestDecodeRecordAllocs(t *testing.T) {
+	allocs := func(key string) float64 {
+		data, err := EncodeRecord(key, sampleReport())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := DecodeRecord(data, key); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs("k"), allocs(longKey); long != short {
+		t.Errorf("a record under a %d-byte key allocates %.0f times, under a short key %.0f", len(longKey), long, short)
+	}
 }
 
 func TestEnvelopeRoundTripEscapedKeys(t *testing.T) {

@@ -182,15 +182,59 @@ func appendHead(b []byte, key string) []byte {
 // anything that might need escaping goes through json.Marshal, which
 // defines the encoding.
 func appendKey(b []byte, key string) []byte {
-	for i := 0; i < len(key); i++ {
-		if c := key[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			k, _ := json.Marshal(key) // a string always marshals
-			return append(b, k...)
-		}
+	if !plainKey(key) {
+		k, _ := json.Marshal(key) // a string always marshals
+		return append(b, k...)
 	}
 	b = append(b, '"')
 	b = append(b, key...)
 	return append(b, '"')
+}
+
+// plainKey reports whether encoding/json writes key as itself between
+// quotes: every byte is a plainByte. It reads a table, since a record
+// read checks a whole key.
+func plainKey(key string) bool {
+	for i := 0; i < len(key); i++ {
+		if !plainBytes[key[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// plainBytes tabulates plainByte.
+var plainBytes = func() (t [256]bool) {
+	for c := range t {
+		t[c] = plainByte(byte(c))
+	}
+	return t
+}()
+
+// cutHead reports whether b starts with the envelope head appendHead
+// writes for key and returns what follows it. It compares the head's
+// pieces in place, so a record read copies no key; only a key that
+// JSON must escape is encoded first.
+func cutHead(b []byte, key string) ([]byte, bool) {
+	enc, quote := key, `"`
+	if !plainKey(key) {
+		enc, quote = string(appendKey(nil, key)), ""
+	}
+	ok := true
+	for _, piece := range [...]string{`{"schema":`, strconv.Itoa(Schema), `,"key":`, quote, enc, quote, `,"sum":"`} {
+		if b, ok = cut(b, piece); !ok {
+			break
+		}
+	}
+	return b, ok
+}
+
+// cut is bytes.CutPrefix for a string prefix.
+func cut(b []byte, prefix string) ([]byte, bool) {
+	if len(b) < len(prefix) || string(b[:len(prefix)]) != prefix {
+		return b, false
+	}
+	return b[len(prefix):], true
 }
 
 // envelopeMid sits between the hex sum and the report payload.
@@ -228,13 +272,11 @@ func DecodeRecord(data []byte, key string) (*stats.Report, error) {
 		// encoding/json would rewrite the key, so no record can echo it.
 		return nil, errors.New("store: key is not valid UTF-8")
 	}
-	var buf [512]byte
-	head := appendHead(buf[:0], key)
 	body, _ := bytes.CutSuffix(data, []byte{'\n'})
-	if !bytes.HasPrefix(body, head) {
+	rest, ok := cutHead(body, key)
+	if !ok {
 		return nil, errors.New("store: envelope does not match the schema and key")
 	}
-	rest := body[len(head):]
 	const hexLen = sha256.Size * 2
 	if len(rest) < hexLen+len(envelopeMid)+1 || string(rest[hexLen:hexLen+len(envelopeMid)]) != envelopeMid || rest[len(rest)-1] != '}' {
 		return nil, errors.New("store: malformed envelope")
@@ -250,24 +292,28 @@ func DecodeRecord(data []byte, key string) (*stats.Report, error) {
 }
 
 // path returns the sharded record path for a key,
-// filepath.Join(root, hex[:2], hex+".json") for the key's SHA-256 hex,
-// built in one fixed buffer that first holds the key for hashing. root
-// is clean and ends in layoutVersion (OpenOptions joins it), and the
-// hex parts hold no separator, so the join is a concatenation. Only a
-// key or root longer than the buffer costs more than the returned
-// string.
+// filepath.Join(root, hex[:2], hex+".json") for the key's SHA-256 hex
+// (see appendPath).
 func (s *Dir) path(key string) string {
 	var buf [1024]byte
-	h := sha256.Sum256(append(buf[:0], key...))
-	b := append(buf[:0], s.root...)
+	return string(s.appendPath(buf[:0], key))
+}
+
+// appendPath appends key's record path to b, using b's spare capacity
+// first to hold the key for hashing. root is clean and ends in
+// layoutVersion (OpenOptions joins it), and the hex parts hold no
+// separator, so the join is a concatenation. Only a key or root longer
+// than b's capacity makes it allocate.
+func (s *Dir) appendPath(b []byte, key string) []byte {
+	h := sha256.Sum256(append(b[len(b):], key...))
+	b = append(b, s.root...)
 	b = append(b, filepath.Separator)
 	var name [sha256.Size * 2]byte
 	hex.Encode(name[:], h[:])
 	b = append(b, name[:2]...)
 	b = append(b, filepath.Separator)
 	b = append(b, name[:]...)
-	b = append(b, ".json"...)
-	return string(b)
+	return append(b, ".json"...)
 }
 
 // Get returns the stored report for key (tier TierLocal), or TierMiss.
@@ -286,17 +332,20 @@ func (s *Dir) Get(key string) (*stats.Report, Tier) {
 
 // load is Get without the hit/miss accounting (corrupt records are
 // still counted and deleted): Do re-checks the record several times per
-// logical lookup and must not inflate the counters.
+// logical lookup and must not inflate the counters. The record's path
+// is built on the stack, ending in the NUL byte the open system call
+// takes, so a read allocates only its Report.
 func (s *Dir) load(key string) (*stats.Report, bool) {
-	path := s.path(key)
-	rep, err := readRecord(path, key)
+	var buf [1024]byte
+	name := append(s.appendPath(buf[:0], key), 0)
+	rep, err := readRecord(name, key)
 	if err == nil {
 		return rep, true
 	}
 	if !os.IsNotExist(err) {
 		// Present but unusable: drop it so the slot heals on rewrite.
 		s.corrupt.Add(1)
-		os.Remove(path)
+		os.Remove(string(name[:len(name)-1]))
 	}
 	return nil, false
 }
@@ -306,10 +355,11 @@ func (s *Dir) load(key string) (*stats.Report, bool) {
 // DecodeRecord returns.
 var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
 
-// readRecord loads and verifies one record file.
-func readRecord(path, key string) (*stats.Report, error) {
+// readRecord loads and verifies one record file; name is its path
+// followed by a NUL byte (see readFile).
+func readRecord(name []byte, key string) (*stats.Report, error) {
 	buf := readBufs.Get().(*[]byte)
-	data, err := readFile(path, *buf)
+	data, err := readFile(name, *buf)
 	if err != nil {
 		readBufs.Put(buf)
 		return nil, err
@@ -320,7 +370,7 @@ func readRecord(path, key string) (*stats.Report, error) {
 		readBufs.Put(buf)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", string(name[:len(name)-1]), err)
 	}
 	return rep, nil
 }

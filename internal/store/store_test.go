@@ -695,20 +695,24 @@ func TestDirsRaceOnSharedKeys(t *testing.T) {
 }
 
 // TestReadFile: readFile returns a file's bytes whatever the buffer it
-// is handed, and a missing file reads as os.IsNotExist.
+// is handed, and a missing file reads as os.IsNotExist, naming the
+// path without its NUL.
 func TestReadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f")
 	want := bytes.Repeat([]byte("0123456789abcdef"), 1000)
 	if err := os.WriteFile(path, want, 0o600); err != nil {
 		t.Fatal(err)
 	}
+	name := append([]byte(path), 0)
 	for _, buf := range [][]byte{nil, make([]byte, 0, 7), make([]byte, 3, 64<<10)} {
-		got, err := readFile(path, buf)
+		got, err := readFile(name, buf)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("cap %d: read %d bytes, %v", cap(buf), len(got), err)
 		}
 	}
-	if _, err := readFile(path+".missing", nil); !os.IsNotExist(err) {
+	_, err := readFile(append([]byte(path+".missing"), 0), nil)
+	var perr *os.PathError
+	if !os.IsNotExist(err) || !errors.As(err, &perr) || perr.Path != path+".missing" {
 		t.Fatalf("missing file: %v", err)
 	}
 }

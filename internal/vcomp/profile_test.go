@@ -2,6 +2,7 @@ package vcomp
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mtvec/internal/arch"
@@ -84,14 +85,15 @@ func fuzzKernel(b *fuzzBytes) *kernel.Kernel {
 	return k
 }
 
-// fuzzSchedule draws up to eight invocations over c's units, each trip
-// count 0, below VLen, VLen, a multiple of it, or a multiple plus a
-// remainder, so vector and scalar units interleave and the VL in force
-// crosses invocations.
-func fuzzSchedule(b *fuzzBytes, c *Compiled) []Invocation {
+// fuzzSchedule draws up to eight runs over c's units, each of one to
+// four invocations with trip count 0, below VLen, VLen, a multiple of
+// it, or a multiple plus a remainder, so vector and scalar units
+// interleave, the VL in force crosses invocations, and invocations
+// repeat.
+func fuzzSchedule(b *fuzzBytes, c *Compiled) []Run {
 	vlen := int64(c.RegFile().VLen)
-	sched := make([]Invocation, b.next()%9)
-	for i := range sched {
+	runs := make([]Run, b.next()%9)
+	for i := range runs {
 		n := int64(0)
 		switch b.next() % 5 {
 		case 1:
@@ -103,15 +105,29 @@ func fuzzSchedule(b *fuzzBytes, c *Compiled) []Invocation {
 		case 4:
 			n = vlen*int64(1+b.next()%4) + 1 + int64(b.next())%(vlen-1)
 		}
-		sched[i] = Invocation{Unit: b.next() % c.NumUnits(), N: n}
+		runs[i] = Run{Invocation: Invocation{Unit: b.next() % c.NumUnits(), N: n}, Count: 1 + int64(b.next()%4)}
+	}
+	return runs
+}
+
+// expand spells runs out invocation by invocation.
+func expand(runs []Run) []Invocation {
+	var sched []Invocation
+	for _, r := range runs {
+		for range r.Count {
+			sched = append(sched, r.Invocation)
+		}
 	}
 	return sched
 }
 
 // FuzzScheduleProfile is the differential harness for the closed-form
 // profile: over random kernels, register-file organizations and
-// schedules, Compiled.Profile must equal replaying the synthesized
-// trace field for field, and that replay must succeed.
+// schedules of repeated invocations, Compiled.ProfileRuns must equal
+// Compiled.Profile of the expanded schedule and replaying the
+// synthesized trace field for field, that replay must succeed, and
+// TraceRuns must synthesize the streams Trace does for the expanded
+// schedule.
 func FuzzScheduleProfile(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 64, 0, 0, 1, 0, 1, 2, 1, 0, 0, 0, 5, 4, 2, 7, 1, 3, 0, 1, 2, 3, 1, 4, 1, 1, 2, 0, 0, 1})
@@ -124,26 +140,40 @@ func FuzzScheduleProfile(f *testing.F) {
 		if err != nil {
 			return // a body the register file cannot hold
 		}
-		sched := fuzzSchedule(&b, c)
-		got, err := c.Profile(sched)
+		runs := fuzzSchedule(&b, c)
+		sched := expand(runs)
+		got, err := c.ProfileRuns(runs)
+		if err != nil {
+			t.Fatalf("ProfileRuns(%v): %v", runs, err)
+		}
+		flat, err := c.Profile(sched)
 		if err != nil {
 			t.Fatalf("Profile(%v): %v", sched, err)
 		}
-		tr, err := c.Trace(sched)
+		tr, err := c.TraceRuns(runs)
 		if err != nil {
-			t.Fatalf("Trace(%v): %v", sched, err)
+			t.Fatalf("TraceRuns(%v): %v", runs, err)
 		}
 		want, err := tr.Profile()
 		if err != nil {
-			t.Fatalf("replaying Trace(%v): %v", sched, err)
+			t.Fatalf("replaying TraceRuns(%v): %v", runs, err)
 		}
-		if got != want {
-			t.Fatalf("schedule %v at %+v:\nProfile %+v\nreplay  %+v", sched, opts, got, want)
+		if got != want || flat != want {
+			t.Fatalf("runs %v at %+v:\nProfileRuns %+v\nProfile     %+v\nreplay      %+v", runs, opts, got, flat, want)
+		}
+		ftr, err := c.Trace(sched)
+		if err != nil {
+			t.Fatalf("Trace(%v): %v", sched, err)
+		}
+		if !slices.Equal(ftr.BBs, tr.BBs) || !slices.Equal(ftr.VLs, tr.VLs) ||
+			!slices.Equal(ftr.Strides, tr.Strides) || !slices.Equal(ftr.Addrs, tr.Addrs) || ftr.MaxVL != tr.MaxVL {
+			t.Fatalf("runs %v at %+v: TraceRuns and Trace of the expanded schedule differ", runs, opts)
 		}
 	})
 }
 
 // TestProfileRejectsLikeTrace: an invocation Trace refuses, Profile
+// refuses with the same error, and a run TraceRuns refuses, ProfileRuns
 // refuses with the same error.
 func TestProfileRejectsLikeTrace(t *testing.T) {
 	c := mustCompile(t, axpyKernel())
@@ -154,5 +184,27 @@ func TestProfileRejectsLikeTrace(t *testing.T) {
 		if perr == nil || terr == nil || perr.Error() != terr.Error() {
 			t.Errorf("%+v: Profile error %v, Trace error %v", inv, perr, terr)
 		}
+	}
+	for _, r := range []Run{{Invocation{Unit: 1, N: 4}, 2}, {Invocation{Unit: 0, N: -1}, 0}, {Invocation{Unit: 0, N: 4}, -1}} {
+		runs := []Run{{Invocation{Unit: 0, N: 7}, 3}, r}
+		_, perr := c.ProfileRuns(runs)
+		_, terr := c.TraceRuns(runs)
+		if perr == nil || terr == nil || perr.Error() != terr.Error() {
+			t.Errorf("%+v: ProfileRuns error %v, TraceRuns error %v", r, perr, terr)
+		}
+	}
+}
+
+// TestRunsCompress: Runs merges consecutive identical invocations and
+// nothing else, and AppendRun extends a matching last run.
+func TestRunsCompress(t *testing.T) {
+	a, b := Invocation{Unit: 0, N: 7}, Invocation{Unit: 1, N: 7}
+	got := Runs([]Invocation{a, a, b, a, a, a, {Unit: 0, N: 8}})
+	want := []Run{{a, 2}, {b, 1}, {a, 3}, {Invocation{Unit: 0, N: 8}, 1}}
+	if !slices.Equal(got, want) {
+		t.Errorf("Runs = %v, want %v", got, want)
+	}
+	if got := AppendRun(AppendRun(nil, b, 2), b, 5); !slices.Equal(got, []Run{{b, 7}}) {
+		t.Errorf("AppendRun did not extend the last run: %v", got)
 	}
 }

@@ -78,6 +78,35 @@ type Invocation struct {
 	N    int64
 }
 
+// Run is Count consecutive executions of one invocation, the compact
+// form of a schedule that ProfileRuns and TraceRuns take. The workload
+// planner interleaves each phase across a fixed number of rounds, so
+// its schedules hold a bounded number of runs at any scale.
+type Run struct {
+	Invocation
+	Count int64
+}
+
+// AppendRun appends count executions of inv to runs, extending the
+// last run when it repeats the same invocation.
+func AppendRun(runs []Run, inv Invocation, count int64) []Run {
+	if n := len(runs); n > 0 && runs[n-1].Invocation == inv {
+		runs[n-1].Count += count
+		return runs
+	}
+	return append(runs, Run{Invocation: inv, Count: count})
+}
+
+// Runs compresses a schedule into runs of identical consecutive
+// invocations.
+func Runs(schedule []Invocation) []Run {
+	var runs []Run
+	for _, inv := range schedule {
+		runs = AppendRun(runs, inv, 1)
+	}
+	return runs
+}
+
 // Options tunes the compiler.
 type Options struct {
 	// NoHoist disables load hoisting, modelling a naive compiler that
@@ -165,6 +194,18 @@ func (c *Compiled) checkInvocation(inv Invocation) error {
 	return nil
 }
 
+// checkRun is checkInvocation for a run, which also rejects a negative
+// count.
+func (c *Compiled) checkRun(r Run) error {
+	if err := c.checkInvocation(r.Invocation); err != nil {
+		return err
+	}
+	if r.Count < 0 {
+		return fmt.Errorf("vcomp: negative run count %d", r.Count)
+	}
+	return nil
+}
+
 // AppendTrace appends the dynamic streams for one invocation to tr.
 func (c *Compiled) AppendTrace(tr *trace.Trace, inv Invocation) error {
 	if err := c.checkInvocation(inv); err != nil {
@@ -187,16 +228,23 @@ func (c *Compiled) AppendTrace(tr *trace.Trace, inv Invocation) error {
 	return nil
 }
 
-// Trace builds a complete trace for the schedule. The stream lengths are
-// computed exactly up front so the emission loop never reallocates.
+// Trace builds a complete trace for the schedule, as TraceRuns does
+// for its runs.
 func (c *Compiled) Trace(schedule []Invocation) (*trace.Trace, error) {
+	return c.TraceRuns(Runs(schedule))
+}
+
+// TraceRuns builds a complete trace for the schedule the runs spell
+// out, expanding each run. The stream lengths are computed exactly up
+// front so the emission loop never reallocates.
+func (c *Compiled) TraceRuns(runs []Run) (*trace.Trace, error) {
 	var bbs, vls, strides, addrs int64
-	for _, inv := range schedule {
-		if inv.Unit < 0 || inv.Unit >= len(c.units) || inv.N <= 0 {
-			continue // AppendTrace reports invalid invocations below
+	for _, r := range runs {
+		if c.checkRun(r) != nil || r.N == 0 {
+			continue // reported in order below
 		}
-		b, v, s, a := c.sizeInvocation(c.units[inv.Unit], inv.N)
-		bbs, vls, strides, addrs = bbs+b, vls+v, strides+s, addrs+a
+		b, v, s, a := c.sizeInvocation(c.units[r.Unit], r.N)
+		bbs, vls, strides, addrs = bbs+r.Count*b, vls+r.Count*v, strides+r.Count*s, addrs+r.Count*a
 	}
 	tr := &trace.Trace{
 		Prog:    c.Prog,
@@ -206,9 +254,14 @@ func (c *Compiled) Trace(schedule []Invocation) (*trace.Trace, error) {
 		Addrs:   make([]uint64, 0, addrs),
 		MaxVL:   c.vlen,
 	}
-	for _, inv := range schedule {
-		if err := c.AppendTrace(tr, inv); err != nil {
+	for _, r := range runs {
+		if err := c.checkRun(r); err != nil {
 			return nil, err
+		}
+		for i := int64(0); i < r.Count; i++ {
+			if err := c.AppendTrace(tr, r.Invocation); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return tr, nil
@@ -301,40 +354,67 @@ func emitSlots(tr *trace.Trace, slots []slot, vl int64, elem int64) {
 }
 
 // Profile returns the dynamic statistics of replaying Trace(schedule),
-// computed from the schedule without synthesizing a stream: it visits
-// the blocks emitVectorUnit and emitScalarUnit would emit, each run of
-// body visits at once, through a prog.Tally at the compilation's
-// vector length. The VL in force carries across invocations as the
-// replay carries it. Invalid invocations are rejected as Trace rejects
-// them.
+// computed invocation by invocation without synthesizing a stream (see
+// ProfileRuns). Invalid invocations are rejected as Trace rejects them.
 func (c *Compiled) Profile(schedule []Invocation) (prog.Stats, error) {
 	t := prog.NewTally(c.Prog, c.vlen)
 	for _, inv := range schedule {
 		if err := c.checkInvocation(inv); err != nil {
 			return prog.Stats{}, err
 		}
-		if inv.N == 0 {
-			continue
+		c.tally(t, inv, 1)
+	}
+	return t.Stats(), nil
+}
+
+// ProfileRuns returns the dynamic statistics of replaying
+// TraceRuns(runs), computed from the runs without synthesizing a
+// stream: it visits the blocks emitVectorUnit and emitScalarUnit would
+// emit, each run of body visits at once, through a prog.Tally at the
+// compilation's vector length. The VL in force carries across
+// invocations as the replay carries it. A run of k invocations costs
+// two passes over its blocks, not k: the first execution enters under
+// the VL the previous run left, and every later one under the VL the
+// first left, because an invocation either sets the VL to values of
+// its own or leaves it alone; the second pass accounts those k-1 alike
+// (prog.Tally.Repeat). Invalid runs are rejected as TraceRuns rejects
+// them.
+func (c *Compiled) ProfileRuns(runs []Run) (prog.Stats, error) {
+	t := prog.NewTally(c.Prog, c.vlen)
+	for _, r := range runs {
+		if err := c.checkRun(r); err != nil {
+			return prog.Stats{}, err
 		}
-		u := c.units[inv.Unit]
-		if !isVectorUnit(u) {
-			t.Visit(u.entry, 1, 0)
-			t.Visit(u.body, inv.N, 0)
-			continue
-		}
-		f := inv.N / c.vlen
-		rem := inv.N % c.vlen
-		entryVL := c.vlen
-		if f == 0 {
-			entryVL = rem
-		}
-		t.Visit(u.entry, 1, entryVL)
-		t.Visit(u.body, f, c.vlen)
-		if rem > 0 {
-			t.Visit(u.tail, 1, rem)
+		if r.Count > 0 {
+			c.tally(t, r.Invocation, 1)
+			c.tally(t, r.Invocation, r.Count-1)
 		}
 	}
 	return t.Stats(), nil
+}
+
+// tally accounts r repetitions of a valid invocation (prog.Tally.Repeat).
+func (c *Compiled) tally(t *prog.Tally, inv Invocation, r int64) {
+	if inv.N == 0 {
+		return
+	}
+	u := c.units[inv.Unit]
+	if !isVectorUnit(u) {
+		t.Repeat(u.entry, 1, 0, r)
+		t.Repeat(u.body, inv.N, 0, r)
+		return
+	}
+	f := inv.N / c.vlen
+	rem := inv.N % c.vlen
+	entryVL := c.vlen
+	if f == 0 {
+		entryVL = rem
+	}
+	t.Repeat(u.entry, 1, entryVL, r)
+	t.Repeat(u.body, f, c.vlen, r)
+	if rem > 0 {
+		t.Repeat(u.tail, 1, rem, r)
+	}
 }
 
 // EstimateInvocation returns the exact dynamic instruction counts one

@@ -47,18 +47,18 @@ func benchSize(nominal int64, scale float64) int64 {
 // passSchedule alternates a fixed number of serial setup iterations with
 // one full invocation of unit, the shape of a repeated whole-array sweep
 // (axpy passes, stencil timesteps, ...).
-func passSchedule(c *vcomp.Compiled, unit string, n, passes, serialIters int64) ([]vcomp.Invocation, error) {
+func passSchedule(c *vcomp.Compiled, unit string, n, passes, serialIters int64) ([]vcomp.Run, error) {
 	u := c.UnitIndex(unit)
 	serial := c.UnitIndex("serial")
 	if u < 0 || serial < 0 {
 		return nil, fmt.Errorf("kernel is missing unit %q or serial loop", unit)
 	}
-	sched := make([]vcomp.Invocation, 0, 2*passes)
+	sched := make([]vcomp.Run, 0, 2*passes)
 	for p := int64(0); p < passes; p++ {
 		if serialIters > 0 {
-			sched = append(sched, vcomp.Invocation{Unit: serial, N: serialIters})
+			sched = vcomp.AppendRun(sched, vcomp.Invocation{Unit: serial, N: serialIters}, 1)
 		}
-		sched = append(sched, vcomp.Invocation{Unit: u, N: n})
+		sched = vcomp.AppendRun(sched, vcomp.Invocation{Unit: u, N: n}, 1)
 	}
 	return sched, nil
 }
@@ -72,7 +72,7 @@ func buildBenchSpecs() []*Spec {
 					benchAxpyLoop("daxpy", 0x4000_0000),
 				}}, nil
 			},
-			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Invocation, error) {
+			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Run, error) {
 				return passSchedule(c, "daxpy", benchSize(100_000, scale), 4, 64)
 			},
 		},
@@ -83,7 +83,7 @@ func buildBenchSpecs() []*Spec {
 					benchDotLoop("ddot", 0x4100_0000),
 				}}, nil
 			},
-			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Invocation, error) {
+			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Run, error) {
 				return passSchedule(c, "ddot", benchSize(120_000, scale), 4, 64)
 			},
 		},
@@ -99,7 +99,7 @@ func buildBenchSpecs() []*Spec {
 			// streams one row of B against both accumulator rows. Scale
 			// grows the row-pair count; K and the vectorized row length
 			// stay fixed so blocking behavior is size-invariant.
-			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Invocation, error) {
+			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Run, error) {
 				inner := c.UnitIndex("inner")
 				serial := c.UnitIndex("serial")
 				if inner < 0 || serial < 0 {
@@ -107,12 +107,11 @@ func buildBenchSpecs() []*Spec {
 				}
 				const kSteps, rowLen = 64, 256
 				rowPairs := benchSize(32, scale)
-				sched := make([]vcomp.Invocation, 0, rowPairs*(kSteps+1))
+				sched := make([]vcomp.Run, 0, 2*rowPairs)
 				for b := int64(0); b < rowPairs; b++ {
-					sched = append(sched, vcomp.Invocation{Unit: serial, N: 8})
-					for k := 0; k < kSteps; k++ {
-						sched = append(sched, vcomp.Invocation{Unit: inner, N: rowLen})
-					}
+					sched = append(sched,
+						vcomp.Run{Invocation: vcomp.Invocation{Unit: serial, N: 8}, Count: 1},
+						vcomp.Run{Invocation: vcomp.Invocation{Unit: inner, N: rowLen}, Count: kSteps})
 				}
 				return sched, nil
 			},
@@ -128,20 +127,20 @@ func buildBenchSpecs() []*Spec {
 			// row, trip count = that row's nonzero count. The deterministic
 			// nonzero pattern mixes short and full vectors (average ~81),
 			// the hallmark of sparse workloads.
-			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Invocation, error) {
+			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Run, error) {
 				row := c.UnitIndex("row")
 				serial := c.UnitIndex("serial")
 				if row < 0 || serial < 0 {
 					return nil, fmt.Errorf("kernel is missing unit %q or serial loop", "row")
 				}
 				rows := benchSize(4096, scale)
-				sched := make([]vcomp.Invocation, 0, rows+rows/64+1)
+				sched := make([]vcomp.Run, 0, rows+rows/64+1)
 				for r := int64(0); r < rows; r++ {
 					if r%64 == 0 {
 						// Row-pointer and index bookkeeping between bands.
-						sched = append(sched, vcomp.Invocation{Unit: serial, N: 16})
+						sched = vcomp.AppendRun(sched, vcomp.Invocation{Unit: serial, N: 16}, 1)
 					}
-					sched = append(sched, vcomp.Invocation{Unit: row, N: spmvNNZ[r%int64(len(spmvNNZ))]})
+					sched = vcomp.AppendRun(sched, vcomp.Invocation{Unit: row, N: spmvNNZ[r%int64(len(spmvNNZ))]}, 1)
 				}
 				return sched, nil
 			},
@@ -153,7 +152,7 @@ func buildBenchSpecs() []*Spec {
 					stencil3ptLoop("heat", 0x4400_0000),
 				}}, nil
 			},
-			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Invocation, error) {
+			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Run, error) {
 				return passSchedule(c, "heat", benchSize(65536, scale), 4, 32)
 			},
 		},
@@ -168,7 +167,7 @@ func buildBenchSpecs() []*Spec {
 			// by row: each invocation relaxes one row (north/south
 			// neighbors live a full row-stride away), with per-row pointer
 			// arithmetic in the serial loop. Scale grows the row count.
-			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Invocation, error) {
+			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Run, error) {
 				jacobi := c.UnitIndex("jacobi")
 				serial := c.UnitIndex("serial")
 				if jacobi < 0 || serial < 0 {
@@ -176,12 +175,11 @@ func buildBenchSpecs() []*Spec {
 				}
 				const steps, cols = 2, 512
 				rows := benchSize(256, scale)
-				sched := make([]vcomp.Invocation, 0, steps*rows*2)
+				sched := make([]vcomp.Run, 0, steps*rows*2)
 				for t := 0; t < steps; t++ {
 					for r := int64(0); r < rows; r++ {
-						sched = append(sched,
-							vcomp.Invocation{Unit: serial, N: 2},
-							vcomp.Invocation{Unit: jacobi, N: cols})
+						sched = vcomp.AppendRun(sched, vcomp.Invocation{Unit: serial, N: 2}, 1)
+						sched = vcomp.AppendRun(sched, vcomp.Invocation{Unit: jacobi, N: cols}, 1)
 					}
 				}
 				return sched, nil
@@ -194,7 +192,7 @@ func buildBenchSpecs() []*Spec {
 					blackscholesLoop("price", 0x4600_0000),
 				}}, nil
 			},
-			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Invocation, error) {
+			schedule: func(c *vcomp.Compiled, scale float64) ([]vcomp.Run, error) {
 				return passSchedule(c, "price", benchSize(49152, scale), 2, 64)
 			},
 		},

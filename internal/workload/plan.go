@@ -14,7 +14,7 @@ import (
 const interleaveGroups = 32
 
 // plan solves the invocation schedule that hits the spec's Table 3
-// targets at the requested scale.
+// targets at the requested scale, as runs of identical invocations.
 //
 // For each vector phase it chooses how many invocations reproduce the
 // phase's share of the vector-operation target (plus one partial
@@ -23,7 +23,7 @@ const interleaveGroups = 32
 // the vector loops' own control overhead already exceeds the scalar
 // budget by more than 10% — that means the recipe's loop bodies are too
 // small for the program being modelled.
-func plan(c *vcomp.Compiled, s *Spec, phases []phase, scale float64) ([]vcomp.Invocation, error) {
+func plan(c *vcomp.Compiled, s *Spec, phases []phase, scale float64) ([]vcomp.Run, error) {
 	opsTarget := s.OpsM * 1e6 * scale
 	scalarTarget := s.ScalarM * 1e6 * scale
 
@@ -96,27 +96,29 @@ func plan(c *vcomp.Compiled, s *Spec, phases []phase, scale float64) ([]vcomp.In
 	}
 
 	// Interleave: split every phase's invocations (and the serial
-	// iterations) across interleaveGroups rounds. The schedule holds
-	// every full invocation, one serial entry per round that has
-	// iterations, and one partial per phase that has one, so it is
-	// sized once.
+	// iterations) across interleaveGroups rounds. Within a round a
+	// phase's invocations are one run, so the schedule holds one run
+	// per phase and round that has invocations, one serial run per
+	// round that has iterations, and one partial per phase that has
+	// one: its length does not grow with the scale, and it is sized
+	// once.
 	groups := int64(interleaveGroups)
 	size := min(serialIters, groups)
 	for _, pp := range plans {
-		size += pp.full
+		size += min(pp.full, groups)
 		if pp.partialN > 0 {
 			size++
 		}
 	}
-	sched := make([]vcomp.Invocation, 0, max(size, 0))
+	runs := make([]vcomp.Run, 0, max(size, 0))
 	for g := int64(0); g < groups; g++ {
 		for _, pp := range plans {
 			count := pp.full / groups
 			if g < pp.full%groups {
 				count++
 			}
-			for i := int64(0); i < count; i++ {
-				sched = append(sched, vcomp.Invocation{Unit: pp.unit, N: pp.n})
+			if count > 0 {
+				runs = append(runs, vcomp.Run{Invocation: vcomp.Invocation{Unit: pp.unit, N: pp.n}, Count: count})
 			}
 		}
 		iters := serialIters / groups
@@ -124,16 +126,16 @@ func plan(c *vcomp.Compiled, s *Spec, phases []phase, scale float64) ([]vcomp.In
 			iters++
 		}
 		if iters > 0 {
-			sched = append(sched, vcomp.Invocation{Unit: serial, N: iters})
+			runs = append(runs, vcomp.Run{Invocation: vcomp.Invocation{Unit: serial, N: iters}, Count: 1})
 		}
 	}
 	for _, pp := range plans {
 		if pp.partialN > 0 {
-			sched = append(sched, vcomp.Invocation{Unit: pp.unit, N: pp.partialN})
+			runs = append(runs, vcomp.Run{Invocation: vcomp.Invocation{Unit: pp.unit, N: pp.partialN}, Count: 1})
 		}
 	}
-	if len(sched) == 0 {
+	if len(runs) == 0 {
 		return nil, fmt.Errorf("empty schedule at scale %g; increase scale", scale)
 	}
-	return sched, nil
+	return runs, nil
 }

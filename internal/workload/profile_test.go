@@ -14,10 +14,11 @@ import (
 // TestBuildProfileMatchesReplay: for every catalog spec, under the
 // default compilation, without load hoisting, at a short vector length
 // and for each compiled organization of the register-file study, at
-// three scales, a build's closed-form profile and fingerprint equal
-// replaying the trace it defers, both per basic block and instruction
-// by instruction; that replay succeeds, and the predecoded trace holds
-// the profile's instruction count.
+// four scales, a build's closed-form profile of its schedule's runs
+// equals profiling the expanded schedule invocation by invocation, and
+// with its fingerprint equals replaying the trace it defers, both per
+// basic block and instruction by instruction; that replay succeeds,
+// and the predecoded trace holds the profile's instruction count.
 func TestBuildProfileMatchesReplay(t *testing.T) {
 	rf := func(vregs, vlen, perBank int) vcomp.Options {
 		r := arch.DefaultRegFile()
@@ -44,11 +45,19 @@ func TestBuildProfileMatchesReplay(t *testing.T) {
 	}
 	for _, s := range specs {
 		for _, v := range variants {
-			for _, scale := range []float64{1e-4, 3e-4, DefaultScale} {
+			for _, scale := range []float64{1e-5, 1e-4, 3e-4, DefaultScale} {
 				name := fmt.Sprintf("%s/%s/%g", s.Short, v.name, scale)
-				w, err := s.BuildOpts(scale, v.opts)
+				c, runs, err := s.compile(scale, v.opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
+				}
+				w, err := fromSchedule(s, scale, v.opts, c, runs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				flat, err := c.Profile(expand(runs))
+				if err != nil || w.Stats != flat {
+					t.Errorf("%s: run-form profile %+v\nflat profile %+v, %v", name, w.Stats, flat, err)
 				}
 				want, err := w.Trace.Profile()
 				if err != nil {
@@ -67,6 +76,17 @@ func TestBuildProfileMatchesReplay(t *testing.T) {
 			}
 		}
 	}
+}
+
+// expand spells runs out invocation by invocation.
+func expand(runs []vcomp.Run) []vcomp.Invocation {
+	var sched []vcomp.Invocation
+	for _, r := range runs {
+		for range r.Count {
+			sched = append(sched, r.Invocation)
+		}
+	}
+	return sched
 }
 
 // TestFingerprintHandAssembled: a Workload built without Build or

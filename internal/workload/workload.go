@@ -40,7 +40,6 @@ package workload
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 
 	"mtvec/internal/arch"
@@ -79,10 +78,11 @@ type Spec struct {
 
 	// schedule, when non-nil, replaces the calibration planner: it
 	// receives the compiled kernel and the requested scale and returns
-	// the invocation schedule directly. Bench-suite specs use it to
+	// the invocation schedule directly, as runs of identical
+	// invocations. Bench-suite specs use it to
 	// scale real problem sizes (elements, matrix dimensions) instead of
 	// instruction budgets. It must be deterministic in (c, scale).
-	schedule func(c *vcomp.Compiled, scale float64) ([]vcomp.Invocation, error)
+	schedule func(c *vcomp.Compiled, scale float64) ([]vcomp.Run, error)
 }
 
 // phase is one vector loop of the recipe: trip count per invocation and
@@ -165,56 +165,67 @@ func (s *Spec) Build(scale float64) (*Workload, error) {
 
 // BuildOpts is Build with explicit compiler options (the ext-compiler
 // ablation builds the suite with load hoisting disabled). It profiles
-// the schedule in closed form (vcomp.Compiled.Profile) and defers the
-// trace's synthesis to its first replay; the profile equals the
-// replayed one field for field, which the package tests and the vcomp
-// fuzz target check instead of every build.
+// the schedule's runs in closed form (vcomp.Compiled.ProfileRuns) and
+// defers the trace's synthesis to its first replay; the profile equals
+// the replayed one field for field, which the package tests and the
+// vcomp fuzz target check instead of every build.
 func (s *Spec) BuildOpts(scale float64, opts vcomp.Options) (*Workload, error) {
+	c, runs, err := s.compile(scale, opts)
+	if err != nil {
+		return nil, err
+	}
+	return fromSchedule(s, scale, opts, c, runs)
+}
+
+// compile compiles the spec's kernel and solves its schedule at scale.
+func (s *Spec) compile(scale float64, opts vcomp.Options) (*vcomp.Compiled, []vcomp.Run, error) {
 	if scale <= 0 {
-		return nil, fmt.Errorf("workload: %s: non-positive scale %g", s.Name, scale)
+		return nil, nil, fmt.Errorf("workload: %s: non-positive scale %g", s.Name, scale)
 	}
 	k, phases := s.build()
 	k.Units = append(k.Units, serialLoop())
 	c, err := vcomp.CompileOpts(k, opts)
 	if err != nil {
-		return nil, fmt.Errorf("workload: %s: %w", s.Name, err)
+		return nil, nil, fmt.Errorf("workload: %s: %w", s.Name, err)
 	}
-	var sched []vcomp.Invocation
+	var runs []vcomp.Run
 	if s.schedule != nil {
-		sched, err = s.schedule(c, scale)
+		runs, err = s.schedule(c, scale)
 	} else {
-		sched, err = plan(c, s, phases, scale)
+		runs, err = plan(c, s, phases, scale)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("workload: %s: %w", s.Name, err)
+		return nil, nil, fmt.Errorf("workload: %s: %w", s.Name, err)
 	}
-	return fromSchedule(s, scale, opts, c, sched)
+	return c, runs, nil
 }
 
 // FromCompiled wraps a user-compiled kernel under an invocation
 // schedule as a runnable Workload, the way a build wraps a catalog
-// kernel: the schedule is copied and profiled in closed form, and the
-// trace is synthesized on its first replay. The workload runs in every
-// mode under the program's name, and like FromTrace's it is memoized
-// per process but never persisted: its Spec is not registered. A nil
-// kernel or an invalid invocation is rejected here, not at run time.
+// kernel: the schedule is copied into runs (vcomp.Runs) and profiled
+// in closed form, and the trace is synthesized on its first replay.
+// The workload runs in every mode under the program's name, and like
+// FromTrace's it is memoized per process but never persisted: its Spec
+// is not registered. A nil kernel or an invalid invocation is rejected
+// here, not at run time.
 func FromCompiled(c *vcomp.Compiled, schedule []vcomp.Invocation) (*Workload, error) {
 	if c == nil || c.Prog == nil {
 		return nil, fmt.Errorf("workload: FromCompiled: nil compiled kernel")
 	}
 	spec := &Spec{Name: c.Prog.Name, Short: c.Prog.Name, Suite: "User"}
-	return fromSchedule(spec, 1, vcomp.Options{}, c, slices.Clone(schedule))
+	return fromSchedule(spec, 1, vcomp.Options{}, c, vcomp.Runs(schedule))
 }
 
-// fromSchedule profiles the compiled schedule in closed form
-// (vcomp.Compiled.Profile) and defers the trace's synthesis to its
-// first replay. The caller must not change sched afterwards.
-func fromSchedule(s *Spec, scale float64, opts vcomp.Options, c *vcomp.Compiled, sched []vcomp.Invocation) (*Workload, error) {
-	st, err := c.Profile(sched)
+// fromSchedule profiles the compiled schedule's runs in closed form
+// (vcomp.Compiled.ProfileRuns) and defers the trace's synthesis, which
+// expands the runs, to its first replay. The caller must not change
+// runs afterwards.
+func fromSchedule(s *Spec, scale float64, opts vcomp.Options, c *vcomp.Compiled, runs []vcomp.Run) (*Workload, error) {
+	st, err := c.ProfileRuns(runs)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", s.Name, err)
 	}
-	tr := trace.Deferred(c.Prog, int64(c.RegFile().VLen), func() (*trace.Trace, error) { return c.Trace(sched) })
+	tr := trace.Deferred(c.Prog, int64(c.RegFile().VLen), func() (*trace.Trace, error) { return c.TraceRuns(runs) })
 	w := &Workload{Spec: s, Scale: scale, Trace: tr, Stats: st, Opts: opts, fp: st.Fingerprint()}
 	w.id, _ = w.PersistID()
 	return w, nil

@@ -232,9 +232,10 @@ func TestWorkloadMixProperties(t *testing.T) {
 	}
 }
 
-// TestPlanSizesScheduleOnce: the planner's count of full invocations,
-// serial rounds and partials is exact, so the schedule is allocated
-// once and never grows.
+// TestPlanSizesScheduleOnce: the planner's count of phase runs, serial
+// rounds and partials is exact, so the schedule is allocated once and
+// never grows, and it holds at most one run per phase and one serial
+// run per interleaving round plus one partial per phase, at any scale.
 func TestPlanSizesScheduleOnce(t *testing.T) {
 	short := arch.DefaultRegFile()
 	short.VLen = 32
@@ -257,8 +258,12 @@ func TestPlanSizesScheduleOnce(t *testing.T) {
 					t.Fatalf("%s at %g: %v", s.Short, scale, err)
 				}
 				if len(sched) != cap(sched) {
-					t.Errorf("%s at %g, vlen %d: schedule of %d entries sized for %d",
+					t.Errorf("%s at %g, vlen %d: schedule of %d runs sized for %d",
 						s.Short, scale, c.RegFile().VLen, len(sched), cap(sched))
+				}
+				if most := interleaveGroups*(len(phases)+1) + len(phases); len(sched) > most {
+					t.Errorf("%s at %g, vlen %d: schedule of %d runs, want at most %d",
+						s.Short, scale, c.RegFile().VLen, len(sched), most)
 				}
 			}
 		}
