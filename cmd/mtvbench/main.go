@@ -230,6 +230,7 @@ func run(ctx context.Context, w io.Writer, expID string, scale float64, format s
 		fmt.Fprintf(os.Stderr, "running %d experiment(s), jobs=%d ...\n", len(exps), jobs)
 	}
 	env := mtvec.NewEnv(scale)
+	env.SetJobs(jobs)
 	if storeDir != "" {
 		st, err := mtvec.OpenStore(storeDir)
 		if err != nil {

@@ -365,6 +365,7 @@ func New(scale float64, jobs int) (cases []Case, cleanup func()) {
 		}
 		pass := func() (int64, error) {
 			env := mtvec.NewEnv(scale)
+			env.SetJobs(jobs)
 			env.SetStore(st)
 			_, _, err := mtvec.RunExperiments(env, mtvec.Experiments(), jobs)
 			return env.Simulations(), err

@@ -469,10 +469,13 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExperiment regenerates one experiment (every table/figure of
-// it) against the shared Env. With a warm store this is pure serving:
-// the X-Mtvec-Simulations header reports how many machine runs the
-// request actually cost (0 on a fully cached regeneration; approximate
-// under concurrent requests, which share the Env's counters).
+// it) against the shared Env, through the same suite path as mtvbench:
+// the experiment's inputs are resolved on the suite's pool, under the
+// Env's own jobs bound, before it renders. With a warm store this is
+// pure serving: the X-Mtvec-Simulations header reports how many
+// machine runs the request actually cost (0 on a fully cached
+// regeneration; approximate under concurrent requests, which share the
+// Env's counters).
 //
 // Unlike the point endpoints, regeneration runs under
 // context.Background(), not the request's context: its simulation
@@ -497,21 +500,21 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (text | markdown)", format))
 		return
 	}
-	sims0, hits0 := s.env.Simulations(), s.env.StoreHits()
+	hits0 := s.env.StoreHits()
 	start := time.Now()
-	res, err := exp.Run(context.Background(), s.env)
+	res, st, err := mtvec.RunExperimentsContext(context.Background(), s.env, []mtvec.Experiment{*exp}, 0)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	var buf strings.Builder
-	if err := render(&buf, res); err != nil {
+	if err := render(&buf, res[0]); err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	h := w.Header()
 	h.Set("Content-Type", contentType)
-	h.Set("X-Mtvec-Simulations", strconv.FormatInt(s.env.Simulations()-sims0, 10))
+	h.Set("X-Mtvec-Simulations", strconv.FormatInt(st.Simulations, 10))
 	h.Set("X-Mtvec-Store-Hits", strconv.FormatInt(s.env.StoreHits()-hits0, 10))
 	h.Set("X-Mtvec-Elapsed-Ms", strconv.FormatFloat(msSince(start), 'f', 1, 64))
 	io.WriteString(w, buf.String())

@@ -291,6 +291,30 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 }
 
+// TestExperimentEndpointResolvesInputs: a cold regeneration of
+// Figure 4 runs through the suite path on a one-slot server. It
+// simulates the figure's 40 reference runs once, leaves the server's
+// jobs bound as it was, and a repeat costs nothing.
+func TestExperimentEndpointResolvesInputs(t *testing.T) {
+	s, err := NewServer(Config{Scale: testScale, Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for i, want := range []string{"40", "0"} {
+		rec := do(t, h, "GET", "/api/v1/experiments/fig4", "", nil)
+		if rec.Code != 200 {
+			t.Fatalf("request %d: fig4 = %d: %s", i+1, rec.Code, rec.Body.String())
+		}
+		if got := rec.Header().Get("X-Mtvec-Simulations"); got != want {
+			t.Errorf("request %d: X-Mtvec-Simulations = %s, want %s", i+1, got, want)
+		}
+		if n := s.Env().Jobs(); n != 1 {
+			t.Fatalf("request %d: the server's jobs bound is %d after a regeneration, want 1", i+1, n)
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	h := newTestServer(t, "").Handler()
 	cases := []struct {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mtvec/internal/report"
-	"mtvec/internal/sched"
 	"mtvec/internal/workload"
 )
 
@@ -30,39 +29,18 @@ func extBenchsuiteSpecs() []QueueSpec {
 			specs = append(specs, QueueSpec{Contexts: ctx, Latency: lat})
 		}
 	}
-	for _, pol := range sched.Names() {
-		for _, ctx := range []int{2, 4} {
-			specs = append(specs, QueueSpec{Contexts: ctx, Latency: 50, Policy: pol})
-		}
-	}
-	return specs
-}
-
-// benchPoints prefetches the suite's solo characterization runs and
-// queue sweep.
-func benchPoints(ctx context.Context, e *Env) []func() error {
-	ps := []func() error{func() error {
-		_, err := e.suite(ctx, suiteKey{bench: true})
-		return err
-	}}
-	for _, s := range workload.BenchOrder() {
-		short := s.Short
-		ps = append(ps, func() error { _, err := e.RefReport(ctx, short, 50); return err })
-	}
-	for _, s := range extBenchsuiteSpecs() {
-		s := s
-		ps = append(ps, func() error { _, err := e.BenchQueueRun(ctx, s); return err })
-	}
-	return ps
+	return append(specs, extPoliciesSpecs()...)
 }
 
 // extBenchsuiteExp is the real-suite characterization and sweep.
 func extBenchsuiteExp() Experiment {
 	return Experiment{
 		ID:         "ext-benchsuite",
-		Points:     benchPoints,
 		Title:      "Extension: real vectorizable benchmark suite (axpy/dot/gemm/spmv/stencils/blackscholes)",
 		PaperShape: "the paper's effects measured on kernels with genuine dataflow: latency tolerance should survive, but memory-bound kernels saturate the single port sooner than the calibrated suite",
+		Inputs: func() []Input {
+			return append(refRuns(workload.BenchOrder(), 50), queueRuns(suiteKey{bench: true}, extBenchsuiteSpecs()...)...)
+		},
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			ct := report.NewTable("Suite characterization (each kernel solo on the reference machine, latency 50)",
 				"kernel", "vectorized", "avg VL", "cycles", "VOPC", "mem occ")
@@ -109,15 +87,13 @@ func extBenchsuiteExp() Experiment {
 
 			pt := report.NewTable("Suite job queue: thread-switch policies at latency 50",
 				"policy", "contexts", "cycles", "mem occ", "lost decode")
-			for _, pol := range sched.Names() {
-				for _, nctx := range []int{2, 4} {
-					rep, err := e.BenchQueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50, Policy: pol})
-					if err != nil {
-						return nil, err
-					}
-					pt.AddRow(pol, report.I(int64(nctx)), report.I(rep.Cycles),
-						report.Pct(rep.MemOccupation()), report.I(rep.LostDecode))
+			for _, s := range extPoliciesSpecs() {
+				rep, err := e.BenchQueueRun(ctx, s)
+				if err != nil {
+					return nil, err
 				}
+				pt.AddRow(s.Policy, report.I(int64(s.Contexts)), report.I(rep.Cycles),
+					report.Pct(rep.MemOccupation()), report.I(rep.LostDecode))
 			}
 
 			return &Result{

@@ -16,12 +16,16 @@
 // experiments at once is simulated exactly once and the result shared.
 // The Env holds no context: each call that may simulate takes the
 // context governing it, so concurrent suites on one Env cancel only
-// their own runs. RunSuite fans the suite out over a worker pool —
-// first the experiments' declared sweep points (Experiment.Points),
-// then the experiments themselves — and collects results in registry
-// order. Because each simulation is a pure function of its (workload,
-// config) key, the rendered output is byte-identical for any worker
-// count, including 1.
+// their own runs. Each experiment states what it reads as data
+// (Experiment.Inputs: workload builds, reference runs, queue runs and
+// the grouped set), and Run renders from the same memoized methods.
+// RunSuite resolves every experiment's inputs on a worker pool, then
+// runs the renders, and collects results in registry order. The
+// suite's concurrency bound is the Env's own (SetJobs, set by the
+// Env's creator before first use); a suite never changes it. Because
+// each simulation is a pure function of its (workload, config) key,
+// the rendered output is byte-identical for any worker count,
+// including 1.
 package experiments
 
 import (
@@ -262,10 +266,11 @@ func (e *Env) suite(ctx context.Context, key suiteKey) ([]*workload.Workload, er
 	})
 }
 
-// queueRun executes (once) the job queue of the suite key names under
-// s: every workload in catalog order, threads pulling the next job as
-// they finish.
+// queueRun executes (once) the job queue of the suite key names,
+// compiled for s.RegFile, under s: every workload in catalog order,
+// threads pulling the next job as they finish.
 func (e *Env) queueRun(ctx context.Context, key suiteKey, s QueueSpec) (*stats.Report, error) {
+	key.opts.RegFile = s.RegFile
 	ws, err := e.suite(ctx, key)
 	if err != nil {
 		return nil, err
@@ -281,7 +286,7 @@ func (e *Env) queueRun(ctx context.Context, key suiteKey, s QueueSpec) (*stats.R
 // QueueRun executes (once) the ten-program job queue under the spec,
 // with the suite compiled for s.RegFile.
 func (e *Env) QueueRun(ctx context.Context, s QueueSpec) (*stats.Report, error) {
-	return e.queueRun(ctx, suiteKey{opts: vcomp.Options{RegFile: s.RegFile}}, s)
+	return e.queueRun(ctx, suiteKey{}, s)
 }
 
 // BenchQueueRun executes (once) the benchmark-suite job queue under the
@@ -289,15 +294,18 @@ func (e *Env) QueueRun(ctx context.Context, s QueueSpec) (*stats.Report, error) 
 // kernels, which resolve through the same registry as the Table 3
 // programs and run through the identical session machinery.
 func (e *Env) BenchQueueRun(ctx context.Context, s QueueSpec) (*stats.Report, error) {
-	return e.queueRun(ctx, suiteKey{bench: true, opts: vcomp.Options{RegFile: s.RegFile}}, s)
+	return e.queueRun(ctx, suiteKey{bench: true}, s)
 }
 
 // NaiveQueueRun executes (once) the ten-program job queue built by the
 // naive compiler, with load hoisting disabled — the ext-compiler
 // counterfactual.
 func (e *Env) NaiveQueueRun(ctx context.Context, s QueueSpec) (*stats.Report, error) {
-	return e.queueRun(ctx, suiteKey{opts: vcomp.Options{NoHoist: true, RegFile: s.RegFile}}, s)
+	return e.queueRun(ctx, naiveSuite, s)
 }
+
+// naiveSuite names the ten programs built with load hoisting disabled.
+var naiveSuite = suiteKey{opts: vcomp.Options{NoHoist: true}}
 
 // SuiteDemand merges the ten programs' demand statistics (for the IDEAL
 // bound).

@@ -25,13 +25,12 @@ type Experiment struct {
 	PaperShape string
 	// Run regenerates the artifact from env; ctx governs its runs.
 	Run func(context.Context, *Env) (*Result, error)
-	// Points enumerates the experiment's independent simulation points
-	// as prefetch tasks, which run under ctx. RunSuite fans them out
-	// over the worker pool to warm the Env caches before Run aggregates
-	// them serially; nil means the experiment has no parallelizable
-	// sweep. Each task must be memoized by the Env, so running it twice
-	// costs one simulation.
-	Points func(context.Context, *Env) []func() error
+	// Inputs lists, as data, the memoized computations Run reads:
+	// workload builds, reference runs, queue runs and the grouped set.
+	// RunSuite resolves a suite's inputs on its worker pool before any
+	// Run starts, so Run renders from warm caches. It must list exactly
+	// the simulations Run reads; nil means Run reads none.
+	Inputs func() []Input
 }
 
 // All returns every experiment in paper order, followed by the

@@ -6,6 +6,11 @@ import (
 	"mtvec/internal/report"
 )
 
+// extCompilerSpecs are the queue runs each compiler's suite makes.
+func extCompilerSpecs() []QueueSpec {
+	return []QueueSpec{{Contexts: 1, Latency: 50}, {Contexts: 2, Latency: 50}, {Contexts: 3, Latency: 50}}
+}
+
 // extCompilerExp quantifies the Convex compiler's instruction scheduling.
 // Section 3 notes the compiler "schedules vector instructions taking the
 // lack of load chaining into account"; here the same ten workloads are
@@ -15,24 +20,26 @@ import (
 func extCompilerExp() Experiment {
 	return Experiment{
 		ID:         "ext-compiler",
-		Points:     extCompilerPoints,
 		Title:      "Extension: compiler load scheduling (hoisting on/off)",
 		PaperShape: "the machine depends on compiler scheduling because loads do not chain; a naive compiler should hurt the reference machine most",
+		Inputs: func() []Input {
+			return append(queueRuns(suiteKey{}, extCompilerSpecs()...), queueRuns(naiveSuite, extCompilerSpecs()...)...)
+		},
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("Ten-program queue at latency 50",
 				"compiler", "contexts", "cycles", "mem occ", "vs scheduled")
-			for _, nctx := range []int{1, 2, 3} {
-				sched, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50})
+			for _, s := range extCompilerSpecs() {
+				sched, err := e.QueueRun(ctx, s)
 				if err != nil {
 					return nil, err
 				}
-				naiveRep, err := e.NaiveQueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50})
+				naiveRep, err := e.NaiveQueueRun(ctx, s)
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow("scheduled", report.I(int64(nctx)), report.I(sched.Cycles),
+				t.AddRow("scheduled", report.I(int64(s.Contexts)), report.I(sched.Cycles),
 					report.Pct(sched.MemOccupation()), "1.0000")
-				t.AddRow("naive", report.I(int64(nctx)), report.I(naiveRep.Cycles),
+				t.AddRow("naive", report.I(int64(s.Contexts)), report.I(naiveRep.Cycles),
 					report.Pct(naiveRep.MemOccupation()),
 					report.F(float64(naiveRep.Cycles)/float64(sched.Cycles), 4))
 			}
@@ -46,17 +53,4 @@ func extCompilerExp() Experiment {
 			}, nil
 		},
 	}
-}
-
-// extCompilerPoints enumerates the scheduled and naive queue runs at
-// contexts 1-3.
-func extCompilerPoints(ctx context.Context, e *Env) []func() error {
-	var ps []func() error
-	for _, nctx := range []int{1, 2, 3} {
-		s := QueueSpec{Contexts: nctx, Latency: 50}
-		ps = append(ps,
-			func() error { _, err := e.QueueRun(ctx, s); return err },
-			func() error { _, err := e.NaiveQueueRun(ctx, s); return err })
-	}
-	return ps
 }

@@ -69,22 +69,20 @@ func extIssueSpecs() []QueueSpec {
 func extPoliciesExp() Experiment {
 	return Experiment{
 		ID:         "ext-policies",
-		Points:     func(ctx context.Context, e *Env) []func() error { return queuePoints(ctx, e, extPoliciesSpecs()) },
 		Title:      "Extension: thread-switch policy study",
 		PaperShape: "paper argues run-until-block preserves chaining; fine-grain interleave should lose",
+		Inputs:     func() []Input { return queueRuns(suiteKey{}, extPoliciesSpecs()...) },
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("Ten-program queue at latency 50",
 				"policy", "contexts", "cycles", "mem occ", "VOPC", "lost decode")
-			for _, pol := range sched.Names() {
-				for _, nctx := range []int{2, 4} {
-					rep, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50, Policy: pol})
-					if err != nil {
-						return nil, err
-					}
-					t.AddRow(pol, report.I(int64(nctx)), report.I(rep.Cycles),
-						report.Pct(rep.MemOccupation()), report.F(rep.VOPC(), 2),
-						report.I(rep.LostDecode))
+			for _, s := range extPoliciesSpecs() {
+				rep, err := e.QueueRun(ctx, s)
+				if err != nil {
+					return nil, err
 				}
+				t.AddRow(s.Policy, report.I(int64(s.Contexts)), report.I(rep.Cycles),
+					report.Pct(rep.MemOccupation()), report.F(rep.VOPC(), 2),
+					report.I(rep.LostDecode))
 			}
 			return &Result{ID: "ext-policies", Title: "Policy study", Tables: []*report.Table{t}}, nil
 		},
@@ -95,33 +93,23 @@ func extPoliciesExp() Experiment {
 func extPortsExp() Experiment {
 	return Experiment{
 		ID:         "ext-ports",
-		Points:     func(ctx context.Context, e *Env) []func() error { return queuePoints(ctx, e, extPortsSpecs()) },
 		Title:      "Extension: Cray-like 2-load/1-store memory ports",
 		PaperShape: "paper predicts multi-port machines need simultaneous multi-thread issue to saturate",
+		Inputs:     func() []Input { return queueRuns(suiteKey{}, extPortsSpecs()...) },
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("Ten-program queue at latency 50",
 				"memory", "contexts", "issue width", "cycles", "occ/port")
-			for _, nctx := range []int{1, 2, 4} {
-				rep, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50})
+			for _, s := range extPortsSpecs() {
+				rep, err := e.QueueRun(ctx, s)
 				if err != nil {
 					return nil, err
 				}
-				t.AddRow("1 port", report.I(int64(nctx)), "1", report.I(rep.Cycles), report.Pct(rep.MemOccupation()))
-			}
-			for _, nctx := range []int{2, 4} {
-				for _, iw := range []int{1, 2} {
-					if iw > nctx {
-						continue
-					}
-					rep, err := e.QueueRun(ctx, QueueSpec{
-						Contexts: nctx, Latency: 50, LoadPorts: 2, StorePorts: 1, IssueWidth: iw,
-					})
-					if err != nil {
-						return nil, err
-					}
-					t.AddRow("2L+1S ports", report.I(int64(nctx)), report.I(int64(iw)),
-						report.I(rep.Cycles), report.Pct(rep.MemOccupation()))
+				memory := "1 port"
+				if s.LoadPorts > 0 {
+					memory = "2L+1S ports"
 				}
+				t.AddRow(memory, report.I(int64(s.Contexts)), report.I(int64(max(s.IssueWidth, 1))),
+					report.I(rep.Cycles), report.Pct(rep.MemOccupation()))
 			}
 			return &Result{
 				ID: "ext-ports", Title: "Multi-port memory",
@@ -139,24 +127,25 @@ func extPortsExp() Experiment {
 func extBanksExp() Experiment {
 	return Experiment{
 		ID:         "ext-banks",
-		Points:     func(ctx context.Context, e *Env) []func() error { return queuePoints(ctx, e, extBanksSpecs()) },
 		Title:      "Extension: banked memory with conflict stalls",
 		PaperShape: "the paper assumes a conflict-free memory; banking should cost little at unit stride",
+		Inputs:     func() []Input { return queueRuns(suiteKey{}, extBanksSpecs()...) },
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("Ten-program queue at latency 50",
 				"memory model", "contexts", "cycles", "vs flat")
-			for _, nctx := range []int{1, 2} {
-				flat, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50})
+			var flat int64
+			for _, s := range extBanksSpecs() {
+				rep, err := e.QueueRun(ctx, s)
 				if err != nil {
 					return nil, err
 				}
-				banked, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50, Banks: 64, BankBusy: 8})
-				if err != nil {
-					return nil, err
+				if s.Banks == 0 {
+					flat = rep.Cycles
+					t.AddRow("flat", report.I(int64(s.Contexts)), report.I(rep.Cycles), "1.0000")
+				} else {
+					t.AddRow("64 banks, busy 8", report.I(int64(s.Contexts)), report.I(rep.Cycles),
+						report.F(float64(rep.Cycles)/float64(flat), 4))
 				}
-				t.AddRow("flat", report.I(int64(nctx)), report.I(flat.Cycles), "1.0000")
-				t.AddRow("64 banks, busy 8", report.I(int64(nctx)), report.I(banked.Cycles),
-					report.F(float64(banked.Cycles)/float64(flat.Cycles), 4))
 			}
 			return &Result{
 				ID: "ext-banks", Title: "Banked memory",
@@ -173,28 +162,26 @@ func extBanksExp() Experiment {
 func extIssueExp() Experiment {
 	return Experiment{
 		ID:         "ext-issue",
-		Points:     func(ctx context.Context, e *Env) []func() error { return queuePoints(ctx, e, extIssueSpecs()) },
 		Title:      "Extension: simultaneous issue from several threads",
 		PaperShape: "paper expects little gain on a single-port machine (decode is rarely the bottleneck)",
+		Inputs:     func() []Input { return queueRuns(suiteKey{}, extIssueSpecs()...) },
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("Ten-program queue at latency 50",
 				"contexts", "issue width", "cycles", "speed vs width 1", "mem occ")
-			for _, nctx := range []int{2, 3, 4} {
-				var base int64
-				for _, iw := range []int{1, 2} {
-					rep, err := e.QueueRun(ctx, QueueSpec{Contexts: nctx, Latency: 50, IssueWidth: iw})
-					if err != nil {
-						return nil, err
-					}
-					rel := "1.000"
-					if iw == 1 {
-						base = rep.Cycles
-					} else {
-						rel = report.F(float64(base)/float64(rep.Cycles), 3)
-					}
-					t.AddRow(report.I(int64(nctx)), report.I(int64(iw)), report.I(rep.Cycles),
-						rel, report.Pct(rep.MemOccupation()))
+			var base int64
+			for _, s := range extIssueSpecs() {
+				rep, err := e.QueueRun(ctx, s)
+				if err != nil {
+					return nil, err
 				}
+				rel := "1.000"
+				if s.IssueWidth == 1 {
+					base = rep.Cycles
+				} else {
+					rel = report.F(float64(base)/float64(rep.Cycles), 3)
+				}
+				t.AddRow(report.I(int64(s.Contexts)), report.I(int64(s.IssueWidth)), report.I(rep.Cycles),
+					rel, report.Pct(rep.MemOccupation()))
 			}
 			return &Result{
 				ID: "ext-issue", Title: "Multi-thread issue",

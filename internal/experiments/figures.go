@@ -6,6 +6,7 @@ import (
 
 	"mtvec/internal/report"
 	"mtvec/internal/stats"
+	"mtvec/internal/workload"
 )
 
 // fig4Latencies are the memory latencies of Figures 4 and 5.
@@ -17,21 +18,15 @@ var fig10Latencies = []int{1, 20, 40, 60, 80, 100}
 // fig11Latencies are the sweep points of Figure 11.
 var fig11Latencies = []int{1, 10, 30, 50, 70, 90, 100}
 
-// fig4Points enumerates the 40 solo reference runs shared by Figures 4
-// and 5.
-func fig4Points(ctx context.Context, e *Env) []func() error {
-	return refPoints(ctx, e, fig4Latencies)
-}
+// fig4Inputs are the 40 solo reference runs shared by Figures 4 and 5.
+func fig4Inputs() []Input { return refRuns(workload.Specs(), fig4Latencies...) }
 
-// groupedPoints exposes the Table 2 grouped-run set (Figures 6-8) as a
-// single task; GroupedRuns fans its ~250 simulations out internally.
-func groupedPoints(ctx context.Context, e *Env) []func() error {
-	return []func() error{func() error { _, err := e.GroupedRuns(ctx); return err }}
-}
+// fig9Spec is Figure 9's one queue run, with job spans recorded.
+var fig9Spec = QueueSpec{Contexts: 2, Latency: 50, RecordSpans: true}
 
 // fig10QueueSpecs are the multithreaded queue runs of Figures 10 and 12.
 func fig10QueueSpecs() []QueueSpec {
-	var specs []QueueSpec
+	specs := make([]QueueSpec, 0, 3*len(fig10Latencies))
 	for _, lat := range fig10Latencies {
 		for _, ctx := range []int{2, 3, 4} {
 			specs = append(specs, QueueSpec{Contexts: ctx, Latency: lat})
@@ -40,14 +35,9 @@ func fig10QueueSpecs() []QueueSpec {
 	return specs
 }
 
-// fig10Points covers the baseline reference runs and the queue sweep.
-func fig10Points(ctx context.Context, e *Env) []func() error {
-	return append(refPoints(ctx, e, fig10Latencies), queuePoints(ctx, e, fig10QueueSpecs())...)
-}
-
-// fig11Points enumerates both crossbar variants of the queue sweep.
-func fig11Points(ctx context.Context, e *Env) []func() error {
-	var specs []QueueSpec
+// fig11QueueSpecs are both crossbar variants of the Figure 11 sweep.
+func fig11QueueSpecs() []QueueSpec {
+	specs := make([]QueueSpec, 0, 6*len(fig11Latencies))
 	for _, lat := range fig11Latencies {
 		for _, nctx := range []int{2, 3, 4} {
 			for _, xbar := range []int{2, 3} {
@@ -55,25 +45,26 @@ func fig11Points(ctx context.Context, e *Env) []func() error {
 			}
 		}
 	}
-	return queuePoints(ctx, e, specs)
+	return specs
 }
 
-// fig12Points adds the dual-scalar runs to the shared Figure 10 sweep.
-func fig12Points(ctx context.Context, e *Env) []func() error {
+// fig12QueueSpecs adds the dual-scalar runs to the shared Figure 10
+// sweep.
+func fig12QueueSpecs() []QueueSpec {
 	specs := fig10QueueSpecs()
 	for _, lat := range fig10Latencies {
 		specs = append(specs, QueueSpec{Contexts: 2, Latency: lat, DualScalar: true})
 	}
-	return queuePoints(ctx, e, specs)
+	return specs
 }
 
 // fig4Exp reproduces the reference machine's 8-state breakdown.
 func fig4Exp() Experiment {
 	return Experiment{
 		ID:         "fig4",
-		Points:     fig4Points,
 		Title:      "Figure 4: functional-unit usage on the reference architecture",
 		PaperShape: "peak states rare and shrinking with latency; <,,> grows with latency; DYFESM/TRFD/FLO52 most latency-sensitive",
+		Inputs:     fig4Inputs,
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			cols := []string{"program", "latency", "cycles"}
 			for s := 0; s < stats.NumStates; s++ {
@@ -102,9 +93,9 @@ func fig4Exp() Experiment {
 func fig5Exp() Experiment {
 	return Experiment{
 		ID:         "fig5",
-		Points:     fig4Points,
 		Title:      "Figure 5: percentage of cycles with the memory port idle",
 		PaperShape: "30-65% idle at latency 70 across the ten programs",
+		Inputs:     fig4Inputs,
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			cols := []string{"program"}
 			for _, lat := range fig4Latencies {
@@ -179,9 +170,9 @@ func aggregateGrouped(runs []GroupedRun) map[string]map[int]*groupAgg {
 func fig6Exp() Experiment {
 	return Experiment{
 		ID:         "fig6",
-		Points:     groupedPoints,
 		Title:      "Figure 6: multithreaded speedup at memory latency 50",
 		PaperShape: "2 threads: 1.2-1.4; 3 threads: ~1.3 up to 1.51; 4 threads: small further gain; dyfesm/trfd highest",
+		Inputs:     groupedRuns,
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			runs, err := e.GroupedRuns(ctx)
 			if err != nil {
@@ -208,9 +199,9 @@ func fig6Exp() Experiment {
 func fig7Exp() Experiment {
 	return Experiment{
 		ID:         "fig7",
-		Points:     groupedPoints,
 		Title:      "Figure 7: memory-port occupation, multithreaded vs sequential reference",
 		PaperShape: "~80-86% at 2 threads, ~90% at 3, 90-95% at 4; reference runs well below; less-vectorized programs lower",
+		Inputs:     groupedRuns,
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			runs, err := e.GroupedRuns(ctx)
 			if err != nil {
@@ -238,9 +229,9 @@ func fig7Exp() Experiment {
 func fig8Exp() Experiment {
 	return Experiment{
 		ID:         "fig8",
-		Points:     groupedPoints,
 		Title:      "Figure 8: vector arithmetic operations per cycle (VOPC)",
 		PaperShape: "reference 0.5-0.85; top-6 programs reach ~1 at 2 threads, >1 at 3; trfd/dyfesm stay low",
+		Inputs:     groupedRuns,
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			runs, err := e.GroupedRuns(ctx)
 			if err != nil {
@@ -270,8 +261,9 @@ func fig9Exp() Experiment {
 		ID:         "fig9",
 		Title:      "Figure 9: execution profile of the 10 programs on a 2-context machine (latency 50)",
 		PaperShape: "threads pull jobs in order TF SW SU TI TO A7 HY NA SR SD; a short tail runs alone at the end",
+		Inputs:     func() []Input { return queueRuns(suiteKey{}, fig9Spec) },
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
-			rep, err := e.QueueRun(ctx, QueueSpec{Contexts: 2, Latency: 50, RecordSpans: true})
+			rep, err := e.QueueRun(ctx, fig9Spec)
 			if err != nil {
 				return nil, err
 			}
@@ -294,9 +286,11 @@ func fig9Exp() Experiment {
 func fig10Exp() Experiment {
 	return Experiment{
 		ID:         "fig10",
-		Points:     fig10Points,
 		Title:      "Figure 10: total execution time vs memory latency",
 		PaperShape: "baseline ~linear in latency; 2-context curve nearly flat (~6.8% from 1 to 100); speedup 1.15 at latency 1, 1.45 at 100",
+		Inputs: func() []Input {
+			return append(refRuns(workload.Specs(), fig10Latencies...), queueRuns(suiteKey{}, fig10QueueSpecs()...)...)
+		},
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			demand, err := e.SuiteDemand()
 			if err != nil {
@@ -366,9 +360,9 @@ func fig10Exp() Experiment {
 func fig11Exp() Experiment {
 	return Experiment{
 		ID:         "fig11",
-		Points:     fig11Points,
 		Title:      "Figure 11: slowdown from 3-cycle register-file crossbars",
 		PaperShape: "slowdown below ~1.009 everywhere; chaining, vector length and multithreading absorb the extra cycle",
+		Inputs:     func() []Input { return queueRuns(suiteKey{}, fig11QueueSpecs()...) },
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			t := report.NewTable("T(crossbar=3) / T(crossbar=2) on the ten-program queue",
 				"latency", "2 threads", "3 threads", "4 threads")
@@ -415,9 +409,9 @@ func fig11Exp() Experiment {
 func fig12Exp() Experiment {
 	return Experiment{
 		ID:         "fig12",
-		Points:     fig12Points,
 		Title:      "Figure 12: dual scalar units (Fujitsu VP2000 style) vs multithreaded decode",
 		PaperShape: "Fujitsu-style ~3% ahead of 2-thread mth at latency 1, converging by latency 100; 3 and 4 threads beat both",
+		Inputs:     func() []Input { return queueRuns(suiteKey{}, fig12QueueSpecs()...) },
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			demand, err := e.SuiteDemand()
 			if err != nil {

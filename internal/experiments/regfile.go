@@ -76,9 +76,9 @@ func extRegfileSpecs() []QueueSpec {
 func extRegfileExp() Experiment {
 	return Experiment{
 		ID:         "ext-regfile",
-		Points:     func(ctx context.Context, e *Env) []func() error { return queuePoints(ctx, e, extRegfileSpecs()) },
 		Title:      "Extension: register-file organization study (vreg length x bank ports x contexts)",
 		PaperShape: "Section 8 prices the register file; shorter registers add strip overhead, fewer ports add conflicts, splitting trades capacity for contexts",
+		Inputs:     func() []Input { return queueRuns(suiteKey{}, extRegfileSpecs()...) },
 		Run: func(ctx context.Context, e *Env) (*Result, error) {
 			ref := make(map[int]int64) // reference cycles per context count
 			for _, nctx := range regfileCtxs {

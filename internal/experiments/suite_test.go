@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,11 +17,11 @@ import (
 const testScale = 1e-4
 
 func TestRunSuiteParallelMatchesSerial(t *testing.T) {
-	serial, sst, err := RunSuite(NewEnv(testScale), All(), 1)
+	serial, sst, err := RunSuite(envWithJobs(1), All(), 1)
 	if err != nil {
 		t.Fatalf("serial suite: %v", err)
 	}
-	parallel, pst, err := RunSuite(NewEnv(testScale), All(), 8)
+	parallel, pst, err := RunSuite(envWithJobs(8), All(), 8)
 	if err != nil {
 		t.Fatalf("parallel suite: %v", err)
 	}
@@ -40,12 +41,20 @@ func TestRunSuiteParallelMatchesSerial(t *testing.T) {
 	if sst.Jobs != 1 || pst.Jobs != 8 {
 		t.Errorf("stats jobs = %d/%d, want 1/8", sst.Jobs, pst.Jobs)
 	}
-	if pst.Wall <= 0 || pst.Busy <= 0 || pst.Points == 0 {
+	if pst.Wall <= 0 || pst.Busy <= 0 {
 		t.Errorf("suite stats not populated: %+v", pst)
 	}
 	if pst.Parallelism() <= 0 {
 		t.Errorf("parallelism = %v", pst.Parallelism())
 	}
+}
+
+// envWithJobs is a fresh test Env whose simulations admit under a
+// bound of jobs.
+func envWithJobs(jobs int) *Env {
+	e := NewEnv(testScale)
+	e.SetJobs(jobs)
+	return e
 }
 
 func TestSharedPointsSimulatedOnce(t *testing.T) {
@@ -100,11 +109,9 @@ func TestEnvConcurrentSingleflight(t *testing.T) {
 
 func TestRunSuiteReportsExperimentErrors(t *testing.T) {
 	bad := Experiment{
-		ID:    "bad",
-		Title: "always fails",
-		Points: func(_ context.Context, e *Env) []func() error {
-			return []func() error{func() error { _, err := e.W("zz"); return err }}
-		},
+		ID:     "bad",
+		Title:  "always fails",
+		Inputs: func() []Input { return []Input{{kind: buildInput, short: "zz"}} },
 		Run: func(_ context.Context, e *Env) (*Result, error) {
 			_, err := e.W("zz")
 			return nil, err
@@ -146,10 +153,16 @@ func TestCancelledSuiteLeavesEnvUsable(t *testing.T) {
 // can force how two suites on one Env interleave.
 type blocker struct{ started, release chan struct{} }
 
-// start runs the blocker's suite on env under ctx in a goroutine and
-// returns once its Run has started; the channel carries the suite's
-// error.
-func (b *blocker) start(ctx context.Context, env *Env, body func(context.Context, *Env) error) <-chan error {
+// suiteDone is how a blocker's suite ended.
+type suiteDone struct {
+	st  *SuiteStats
+	err error
+}
+
+// start runs the blocker's suite on env under ctx with the given jobs
+// in a goroutine and returns once its Run has started; the channel
+// carries the suite's stats and error.
+func (b *blocker) start(ctx context.Context, env *Env, jobs int, body func(context.Context, *Env) error) <-chan suiteDone {
 	b.started, b.release = make(chan struct{}), make(chan struct{})
 	exp := Experiment{ID: "blocker", Run: func(ctx context.Context, e *Env) (*Result, error) {
 		close(b.started)
@@ -159,10 +172,10 @@ func (b *blocker) start(ctx context.Context, env *Env, body func(context.Context
 		}
 		return &Result{ID: "blocker"}, nil
 	}}
-	done := make(chan error, 1)
+	done := make(chan suiteDone, 1)
 	go func() {
-		_, _, err := RunSuiteContext(ctx, env, []Experiment{exp}, 2)
-		done <- err
+		_, st, err := RunSuiteContext(ctx, env, []Experiment{exp}, jobs)
+		done <- suiteDone{st, err}
 	}()
 	<-b.started
 	return done
@@ -184,15 +197,15 @@ func TestOverlappingSuitesKeepEnvUsable(t *testing.T) {
 	defer cancelA()
 	noop := func(context.Context, *Env) error { return nil }
 	var a, b blocker
-	doneA := a.start(ctxA, env, noop)
-	doneB := b.start(context.Background(), env, noop)
+	doneA := a.start(ctxA, env, 2, noop)
+	doneB := b.start(context.Background(), env, 2, noop)
 	close(a.release)
-	if err := <-doneA; err != nil {
-		t.Fatalf("suite A: %v", err)
+	if d := <-doneA; d.err != nil {
+		t.Fatalf("suite A: %v", d.err)
 	}
 	close(b.release)
-	if err := <-doneB; err != nil {
-		t.Fatalf("suite B: %v", err)
+	if d := <-doneB; d.err != nil {
+		t.Fatalf("suite B: %v", d.err)
 	}
 	cancelA()
 	if _, err := env.RefReport(context.Background(), "tf", 50); err != nil {
@@ -206,19 +219,82 @@ func TestCancellingOneSuiteSparesAnother(t *testing.T) {
 	env := NewEnv(testScale)
 	ctxA, cancelA := context.WithCancel(context.Background())
 	var a, b blocker
-	doneA := a.start(ctxA, env, refRun("tf"))
-	doneB := b.start(context.Background(), env, refRun("sw"))
+	doneA := a.start(ctxA, env, 2, refRun("tf"))
+	doneB := b.start(context.Background(), env, 2, refRun("sw"))
 	cancelA()
 	close(a.release)
-	if err := <-doneA; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled suite A: err = %v, want context.Canceled", err)
+	if d := <-doneA; !errors.Is(d.err, context.Canceled) {
+		t.Fatalf("cancelled suite A: err = %v, want context.Canceled", d.err)
 	}
 	close(b.release)
-	if err := <-doneB; err != nil {
-		t.Fatalf("suite B failed after A was cancelled: %v", err)
+	if d := <-doneB; d.err != nil {
+		t.Fatalf("suite B failed after A was cancelled: %v", d.err)
 	}
 	if n := env.Simulations(); n != 1 {
 		t.Fatalf("simulations = %d, want 1 (suite B's run only)", n)
+	}
+}
+
+// TestOverlappingSuitesKeepEnvBound: suites A (jobs 2) and B (jobs 8)
+// run on one Env whose bound is 3. A suite's jobs sizes only its own
+// pool, so both admit under the Env's bound while they overlap, and
+// both report it.
+func TestOverlappingSuitesKeepEnvBound(t *testing.T) {
+	env := envWithJobs(3)
+	bound := func(_ context.Context, e *Env) error {
+		if n := e.Jobs(); n != 3 {
+			return fmt.Errorf("admitting under a bound of %d, want the Env's 3", n)
+		}
+		return nil
+	}
+	var a, b blocker
+	doneA := a.start(context.Background(), env, 2, bound)
+	doneB := b.start(context.Background(), env, 8, bound)
+	close(a.release)
+	close(b.release)
+	for name, done := range map[string]<-chan suiteDone{"A": doneA, "B": doneB} {
+		d := <-done
+		if d.err != nil {
+			t.Errorf("suite %s: %v", name, d.err)
+		} else if d.st.Jobs != 3 {
+			t.Errorf("suite %s: SuiteStats.Jobs = %d, want the Env's 3", name, d.st.Jobs)
+		}
+	}
+}
+
+// TestInputsCoverRun: every experiment's Inputs list exactly the
+// simulations its Run reads. On a fresh Env, Run after the resolved
+// Inputs simulates nothing (no read is unlisted), and the Inputs alone
+// simulate as many points as Run alone on a second fresh Env (nothing
+// listed is unread).
+func TestInputsCoverRun(t *testing.T) {
+	ctx := context.Background()
+	for _, exp := range All() {
+		t.Run(exp.ID, func(t *testing.T) {
+			t.Parallel()
+			listed := NewEnv(testScale)
+			if exp.Inputs != nil {
+				for _, in := range exp.Inputs() {
+					if err := listed.resolve(ctx, in); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			resolved := listed.Simulations()
+			if _, err := exp.Run(ctx, listed); err != nil {
+				t.Fatal(err)
+			}
+			if n := listed.Simulations() - resolved; n != 0 {
+				t.Errorf("Run simulated %d points its Inputs do not list", n)
+			}
+			alone := NewEnv(testScale)
+			if _, err := exp.Run(ctx, alone); err != nil {
+				t.Fatal(err)
+			}
+			if n := alone.Simulations(); n != resolved {
+				t.Errorf("Inputs simulate %d points, Run alone %d", resolved, n)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"mtvec/internal/isa"
 	"mtvec/internal/report"
@@ -81,9 +80,9 @@ func table2Exp() Experiment {
 func table3Exp() Experiment {
 	return Experiment{
 		ID:         "table3",
-		Points:     workloadPoints,
 		Title:      "Table 3: basic operation counts",
 		PaperShape: "per-program scalar/vector instructions (M), vector operations (M), %vectorized, average VL",
+		Inputs:     func() []Input { return builds(workload.Specs()) },
 		Run: func(_ context.Context, e *Env) (*Result, error) {
 			t := report.NewTable(
 				fmt.Sprintf("Dynamic profiles at scale %g (counts rescaled to paper millions)", e.Scale),
@@ -128,6 +127,3 @@ func shortNames() []string {
 	}
 	return out
 }
-
-// joinShorts renders a companion list.
-func joinShorts(ss []string) string { return strings.Join(ss, "+") }

@@ -43,13 +43,6 @@ func (g *Gate) SetLimit(limit int) {
 	g.cond.Broadcast()
 }
 
-// Limit returns the current admission limit.
-func (g *Gate) Limit() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.limit
-}
-
 // Do runs fn once a slot is free.
 func (g *Gate) Do(fn func()) {
 	g.mu.Lock()
@@ -75,7 +68,7 @@ func (g *Gate) Do(fn func()) {
 func (g *Gate) Busy() time.Duration { return time.Duration(g.busy.Load()) }
 
 // Active returns how many sections are inside the gate right now —
-// instantaneous occupancy, between 0 and Limit().
+// instantaneous occupancy, between 0 and the admission limit.
 func (g *Gate) Active() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -149,8 +150,8 @@ func TestCacheMemoizesErrors(t *testing.T) {
 
 func TestGateBoundsConcurrency(t *testing.T) {
 	g := NewGate(3)
-	if g.Limit() != 3 {
-		t.Fatalf("Limit() = %d", g.Limit())
+	if !admits(g, 3) {
+		t.Fatal("a 3-slot gate did not admit 3 sections at once")
 	}
 	var in, max atomic.Int32
 	p := New(16)
@@ -176,9 +177,31 @@ func TestGateBoundsConcurrency(t *testing.T) {
 	if g.Busy() <= 0 {
 		t.Fatal("gate busy time not accumulated")
 	}
-	if NewGate(0).Limit() < 1 {
-		t.Fatal("default gate limit")
+	if !admits(NewGate(0), runtime.NumCPU()) {
+		t.Fatalf("a default gate did not admit runtime.NumCPU() = %d sections at once", runtime.NumCPU())
 	}
+}
+
+// admits reports whether g lets n sections in at once: n goroutines
+// park inside Do until all n are in, or until a deadline passes.
+func admits(g *Gate, n int) bool {
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.Do(func() { <-release })
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Active() < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	ok := g.Active() == n
+	close(release)
+	wg.Wait()
+	return ok
 }
 
 // TestDoContextCancelledLeaderWaiterRetries: a waiter that observes the

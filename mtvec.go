@@ -39,10 +39,13 @@
 //	env := mtvec.NewEnv(mtvec.DefaultScale)
 //	results, stats, _ := mtvec.RunExperiments(env, mtvec.Experiments(), 0)
 //
-// The Env holds no context. One experiment runs under the context its
-// caller passes, which governs only that call's simulations:
+// The Env holds no context, and a run never changes its jobs bound
+// (env.SetJobs, before first use). One experiment runs under the
+// context its caller passes, which governs only that call's
+// simulations:
 //
-//	res, _ := mtvec.ExperimentByID("fig10").Run(ctx, env)
+//	fig10 := []mtvec.Experiment{*mtvec.ExperimentByID("fig10")}
+//	res, _, _ := mtvec.RunExperimentsContext(ctx, env, fig10, 0)
 //
 // Every run goes through a Session; docs/API.md maps the removed
 // RunSolo, RunGroup, RunQueue and RunCompiled functions onto specs.
@@ -265,17 +268,20 @@ func ExperimentByID(id string) *Experiment { return experiments.ByID(id) }
 // ExperimentIDs lists the experiment identifiers.
 func ExperimentIDs() []string { return experiments.IDs() }
 
-// RunExperiments executes the experiments on env with at most jobs
-// concurrent simulations (jobs <= 0 selects runtime.NumCPU()). Shared
-// simulation points are run exactly once; results are collected in
-// experiment order and are byte-identical for any jobs value.
+// RunExperiments executes the experiments on env. Simulations admit
+// under the Env's own bound (Env.SetJobs, runtime.NumCPU() unless set),
+// which a run never changes; jobs only sizes the orchestration pool
+// (jobs <= 0 sizes it from the Env's bound). Shared simulation points
+// are run exactly once; results are collected in experiment order and
+// are byte-identical for any bound.
 func RunExperiments(env *Env, exps []Experiment, jobs int) ([]*ExperimentResult, *SuiteStats, error) {
 	return experiments.RunSuite(env, exps, jobs)
 }
 
 // RunExperimentsContext is RunExperiments under a context: cancellation
 // or deadline expiry aborts in-flight simulations and returns ctx.Err()
-// in the joined error; the Env's caches stay reusable afterwards.
+// in the joined error; the Env's caches stay reusable afterwards. As
+// with RunExperiments, the Env's bound governs, not jobs.
 func RunExperimentsContext(ctx context.Context, env *Env, exps []Experiment, jobs int) ([]*ExperimentResult, *SuiteStats, error) {
 	return experiments.RunSuiteContext(ctx, env, exps, jobs)
 }
