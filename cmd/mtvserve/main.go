@@ -64,7 +64,6 @@ func main() {
 		storeDir = flag.String("store", "", "persistent result store directory (empty = in-memory caches only)")
 		scale    = flag.Float64("scale", mtvec.DefaultScale, "workload scale relative to Table 3 millions (must match across the cluster)")
 		jobs     = flag.Int("jobs", runtime.NumCPU(), "max concurrent simulations")
-		stealAge = flag.Duration("store-steal-age", 0, "age after which another process's store lock is presumed dead (0 = default)")
 		probe    = flag.Duration("probe-interval", time.Second, "coordinator: worker readiness probe interval")
 		drainFor = flag.Duration("drain-timeout", 10*time.Second, "how long in-flight requests may finish after SIGTERM")
 	)
@@ -93,7 +92,6 @@ func main() {
 			Scale:    *scale,
 			Jobs:     *jobs,
 			StoreDir: *storeDir,
-			StealAge: *stealAge,
 		})
 		if err != nil {
 			log.Fatalln("mtvserve:", err)

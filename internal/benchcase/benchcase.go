@@ -8,11 +8,8 @@ package benchcase
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 
@@ -44,6 +41,9 @@ type Case struct {
 	Prepare func() (Func, error)
 }
 
+// storeReadKeys is how many records store/read's store holds.
+const storeReadKeys = 1024
+
 // ready prepares a case that has no fixtures.
 func ready(fn Func) func() (Func, error) { return func() (Func, error) { return fn, nil } }
 
@@ -58,13 +58,14 @@ func over[T any](fixture func() (T, error), mk func(T) (Func, error)) func() (Fu
 	}
 }
 
-// New returns the suite: one case per registered experiment (fresh
-// environment per iteration) plus the engine, predecode, import,
-// session, sweep, store and warm-suite cases. scale is the workload
-// scale (mtvec.BenchScale). jobs is the session gate width the sweep
-// and suite cases run under: 1 measures work per core, >1 also measures
-// points running side by side. The caller runs cleanup once done with
-// the cases; it removes the temp directories the cases made.
+// New returns the suite: one case per registered experiment (resolving
+// its inputs and running it on a fresh environment per iteration) plus
+// the engine, predecode, import, session, sweep, store and warm-suite
+// cases. scale is the workload scale (mtvec.BenchScale). jobs is the
+// session gate width the experiment, sweep and suite cases run under: 1
+// measures work per core, >1 also measures points running side by
+// side. The caller runs cleanup once done with the cases; it removes
+// the temp directories the cases made.
 func New(scale float64, jobs int) (cases []Case, cleanup func()) {
 	var dirs []string
 	tempDir := func(pattern string) (string, error) {
@@ -83,14 +84,14 @@ func New(scale float64, jobs int) (cases []Case, cleanup func()) {
 	ctx := context.Background()
 
 	for _, e := range mtvec.Experiments() {
-		exp := e
-		cases = append(cases, Case{Name: exp.ID, Prepare: ready(func() (int64, error) {
-			res, err := exp.Run(ctx, mtvec.NewEnv(scale))
+		exps := []mtvec.Experiment{e}
+		cases = append(cases, Case{Name: e.ID, Prepare: ready(func() (int64, error) {
+			res, _, err := mtvec.RunExperiments(mtvec.NewEnv(scale), exps, jobs)
 			if err != nil {
 				return 0, err
 			}
-			if len(res.Tables) == 0 {
-				return 0, fmt.Errorf("%s: empty result", exp.ID)
+			if len(res) != 1 || len(res[0].Tables) == 0 {
+				return 0, fmt.Errorf("%s: empty result", exps[0].ID)
 			}
 			return 0, nil
 		})})
@@ -286,8 +287,8 @@ func New(scale float64, jobs int) (cases []Case, cleanup func()) {
 	// real record, the solo point above under its persist key, through
 	// EncodeRecord and DecodeRecord. store/claim is a cold sweep point's
 	// store traffic for a fresh key on a temp directory: Get's miss,
-	// TryLock, Put and the release. It then deletes the record, so every
-	// iteration meets a directory of the same size.
+	// TryLock, Put and the release. store/read is a warm point's: a Get
+	// that hits, on a store of storeReadKeys records.
 	type record struct {
 		key string
 		rep *mtvec.Report
@@ -338,14 +339,33 @@ func New(scale float64, jobs int) (cases []Case, cleanup func()) {
 				}
 				err := st.Put(key, r.rep)
 				release()
-				if err != nil {
-					return 0, err
+				return 0, err
+			}, nil
+		})},
+		Case{Name: "store/read", Prepare: over(rec, func(r record) (Func, error) {
+			dir, err := tempDir("mtvbench-store-")
+			if err != nil {
+				return nil, err
+			}
+			st, err := store.Open(dir)
+			if err != nil {
+				return nil, err
+			}
+			keys := make([]string, storeReadKeys)
+			for i := range keys {
+				keys[i] = r.key + "|read=" + strconv.Itoa(i)
+				if err := st.Put(keys[i], r.rep); err != nil {
+					return nil, err
 				}
-				// The record's path is the store's documented layout,
-				// <dir>/v1/<hh>/<sha256 of the key>.json.
-				sum := sha256.Sum256([]byte(key))
-				name := hex.EncodeToString(sum[:])
-				return 0, os.Remove(filepath.Join(dir, "v1", name[:2], name+".json"))
+			}
+			seq := 0
+			return func() (int64, error) {
+				seq++
+				key := keys[seq%len(keys)]
+				if _, tier := st.Get(key); !tier.Hit() {
+					return 0, fmt.Errorf("stored key %s missed", key)
+				}
+				return 0, nil
 			}, nil
 		})},
 	)

@@ -35,8 +35,6 @@ type Config struct {
 	// only; such a worker still serves, it just re-simulates after a
 	// restart).
 	StoreDir string
-	// StealAge overrides the store's lock-file steal age (0 = default).
-	StealAge time.Duration
 }
 
 // Server is one serving node: the full single-node mtvserve API plus
@@ -73,7 +71,7 @@ func NewServer(cfg Config) (*Server, error) {
 		start: time.Now(),
 	}
 	if cfg.StoreDir != "" {
-		dir, err := mtvec.OpenStoreOptions(cfg.StoreDir, mtvec.StoreOptions{StealAge: cfg.StealAge})
+		dir, err := mtvec.OpenStore(cfg.StoreDir)
 		if err != nil {
 			return nil, err
 		}

@@ -55,3 +55,33 @@ func TestPersistKeysPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestPersistKeyAllocs: a persist key allocates only the string it
+// returns, for a solo point and for a queue of all ten Table 3
+// programs, the suite's longest key.
+func TestPersistKeyAllocs(t *testing.T) {
+	var ws []*workload.Workload
+	for _, spec := range workload.QueueOrder() {
+		w, err := spec.BuildOpts(1e-4, vcomp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	for name, spec := range map[string]RunSpec{
+		"solo":  Solo(ws[0]),
+		"queue": Queue(ws, WithContexts(4)),
+	} {
+		p, err := spec.prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, ok := spec.persistKey(&p)
+		if !ok {
+			t.Fatalf("%s: spec unexpectedly unpersistable", name)
+		}
+		if n := testing.AllocsPerRun(100, func() { spec.persistKey(&p) }); n != 1 {
+			t.Errorf("%s: a %d-byte persist key allocates %.0f times, want 1", name, len(key), n)
+		}
+	}
+}

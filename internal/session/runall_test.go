@@ -306,7 +306,7 @@ func (c *callLog) TryLock(key string) func() {
 // for that process's record instead of simulating, while the sweep's
 // other points simulate and release their locks.
 func TestSweepClaimsStoreLocks(t *testing.T) {
-	dir, err := store.OpenOptions(t.TempDir(), store.Options{StealAge: time.Hour, LockPoll: time.Millisecond})
+	dir, err := store.OpenOptions(t.TempDir(), store.Options{LockPoll: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -599,6 +599,12 @@ func appendMachineBin(b []byte, p *plan) []byte {
 	return binary.AppendVarint(b, p.stop.MaxCycles)
 }
 
+// persistKeyCap is the stack buffer a persist key is built in: it holds
+// every key of the experiment suite, the longest of which (a queue of
+// all ten Table 3 programs) is about 500 bytes, so building one
+// allocates only the returned string.
+const persistKeyCap = 1024
+
 // persistKey canonically encodes the spec for the on-disk result store,
 // where keys must be stable across processes: run artifacts are
 // identified by build provenance (catalog program, scale, compiler
@@ -611,7 +617,7 @@ func (s RunSpec) persistKey(p *plan) (string, bool) {
 	if p.policyInst != nil {
 		return "", false
 	}
-	b := make([]byte, 0, 320)
+	b := make([]byte, 0, persistKeyCap)
 	b = append(b, "mode="...)
 	b = appendNum(b, int64(s.mode))
 	b = append(b, "|ws="...)

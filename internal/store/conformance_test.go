@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -28,7 +29,7 @@ type backendFixture struct {
 func fixtures() []backendFixture {
 	return []backendFixture{
 		{"Dir", func(t *testing.T) (Backend, Tier, func(string)) {
-			d, err := OpenOptions(t.TempDir(), Options{StealAge: time.Minute, LockPoll: time.Millisecond})
+			d, err := OpenOptions(t.TempDir(), Options{LockPoll: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,10 +38,17 @@ func fixtures() []backendFixture {
 	}
 }
 
-// mangle overwrites the record file for key in d with garbage.
+// mangle overwrites key's record line in d's log with garbage of the
+// same length, in place.
 func mangle(t *testing.T, d *Dir, key string) {
 	t.Helper()
-	if err := os.WriteFile(d.path(key), []byte("garbage\x00"), 0o644); err != nil {
+	_, off, n := recordLine(t, d, key)
+	f, err := os.OpenFile(logPath(d), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(bytes.Repeat([]byte("garbage\x00"), n)[:n], int64(off)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,17 +154,14 @@ func TestBackendConformanceSingleFlight(t *testing.T) {
 
 // TestOpenOptionsValidation pins Options handling.
 func TestOpenOptionsValidation(t *testing.T) {
-	if _, err := OpenOptions(t.TempDir(), Options{StealAge: -1}); err == nil {
-		t.Error("negative StealAge accepted")
-	}
 	if _, err := OpenOptions(t.TempDir(), Options{LockPoll: -1}); err == nil {
 		t.Error("negative LockPoll accepted")
 	}
-	d, err := OpenOptions(t.TempDir(), Options{StealAge: time.Hour, LockPoll: time.Millisecond})
+	d, err := OpenOptions(t.TempDir(), Options{LockPoll: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.lockStale != time.Hour || d.lockPoll != time.Millisecond {
-		t.Errorf("options not applied: stale %v poll %v", d.lockStale, d.lockPoll)
+	if d.lockPoll != time.Millisecond {
+		t.Errorf("options not applied: poll %v", d.lockPoll)
 	}
 }

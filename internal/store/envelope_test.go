@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -150,7 +149,8 @@ var nonCanonical = []struct {
 }
 
 // TestNonCanonicalEnvelopeIsCorrupt: valid JSON that is not the
-// canonical envelope is a miss that Dir counts as Corrupt and deletes.
+// canonical envelope, found where a Dir indexed key's record, is a miss
+// that the Dir counts as Corrupt and drops from its index.
 func TestNonCanonicalEnvelopeIsCorrupt(t *testing.T) {
 	const key = "k<1>"
 	for _, tc := range nonCanonical {
@@ -162,25 +162,21 @@ func TestNonCanonicalEnvelopeIsCorrupt(t *testing.T) {
 			if err := s.Put(key, sampleReport()); err != nil {
 				t.Fatal(err)
 			}
-			data, err := os.ReadFile(s.path(key))
-			if err != nil {
-				t.Fatal(err)
-			}
-			bad := tc.rewrite(bytes.TrimSuffix(data, []byte{'\n'}))
-			if bytes.Equal(bad, data) || bytes.Equal(bad, bytes.TrimSuffix(data, []byte{'\n'})) {
+			log, off, n := recordLine(t, s, key)
+			data := log[off : off+n]
+			bad := tc.rewrite(bytes.Clone(data))
+			if bytes.Equal(bad, data) || bytes.Equal(bad, append(bytes.Clone(data), '\n')) {
 				t.Fatal("rewrite left the record canonical")
 			}
-			if err := os.WriteFile(s.path(key), bad, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			replaceRecord(t, s, key, bad)
 			if _, tier := s.Get(key); tier.Hit() {
 				t.Fatal("non-canonical record served")
 			}
 			if st := s.Stats(); st.Corrupt != 1 || st.Misses != 1 {
 				t.Errorf("stats %+v, want 1 corrupt miss", st)
 			}
-			if _, err := os.Stat(s.path(key)); !os.IsNotExist(err) {
-				t.Error("non-canonical record not deleted")
+			if _, ok := s.index[keySum(key)]; ok {
+				t.Error("non-canonical record not dropped from the index")
 			}
 		})
 	}

@@ -4,18 +4,27 @@
 //
 // Every record is keyed by the session's canonical persist key — the
 // full (mode, workload provenance, policy, machine shape, stop rule)
-// encoding, covering the arch/register-file/VLen dimensions — hashed
-// with SHA-256 into a sharded file path under a format-versioned root:
+// encoding, covering the arch/register-file/VLen dimensions. A store is
+// one append-only log of records, one per line, under a
+// format-versioned root, beside the file whose bytes are its locks:
 //
-//	<dir>/v1/<hh>/<sha256>.json
+//	<dir>/v2/records.log
+//	<dir>/v2/locks
+//
+// Each Put appends "\n" + record + "\n" in one write, so a write torn
+// by a crash is one corrupt line and never swallows the next record. A
+// Dir indexes the log in memory by the SHA-256 of each line's key; a
+// lookup that misses the index first indexes the lines appended since
+// its last look, and a later line for a key supersedes an earlier one.
+// A v1 store (one file per record) is neither read nor removed.
 //
 // Records are self-describing JSON envelopes carrying the format
-// schema, the full key (so hash collisions and cross-key file moves are
-// detected, never trusted), and an integrity hash of the report
-// payload. A record that fails any of those checks — truncated write,
-// bit rot, schema from a future version, key mismatch — is treated as a
-// miss and deleted, so corrupt or stale entries are recomputed rather
-// than served.
+// schema, the full key (so a record is never served for another key),
+// and an integrity hash of the report payload. A record that fails any
+// of those checks — torn write, bit rot, schema from a future version,
+// key mismatch — is counted corrupt and read as a miss, so it is
+// recomputed rather than served, and the recomputed record supersedes
+// it.
 //
 // The envelope has one canonical byte form, the one EncodeRecord
 // writes: {"schema":N,"key":<key>,"sum":"<64 hex>","report":<report>}
@@ -28,27 +37,28 @@
 //
 // # Concurrency
 //
-// A Dir is safe for concurrent use by any number of goroutines and
-// processes sharing the directory. Writes are atomic (a complete file
-// renamed over the record path), and because every simulation is a
-// pure function of its key, concurrent writers of one key write
-// byte-identical records — last writer wins harmlessly. Do adds
-// cross-process single-flight on top: a lock file elects one computing
-// process per key while the others poll for its result, so a fleet of
-// processes warming one store directory simulates each point once.
-// TryLock takes the same lock without waiting. The holder writes the
-// record into its lock file and renames it over the record path, so
-// one rename publishes the record and releases the lock; a Put without
-// the lock writes a temp file instead. Lock holders that die are
-// detected by age and their locks stolen (the bound is
-// Options.StealAge); a cancelled compute releases the lock without
-// writing, preserving the engine's forget-on-cancel semantics on disk.
+// A Dir is safe for concurrent use by any number of goroutines, and any
+// number of Dirs and processes may share a directory. Because every
+// simulation is a pure function of its key, concurrent writers of one
+// key append byte-identical records, and whichever a reader indexes
+// last serves. Do adds cross-process single-flight on top: each key's
+// lock elects one computing process while the others poll for its
+// result, so a fleet of processes warming one store directory simulates
+// each point once. TryLock takes the same lock without waiting. A lock
+// is one byte of the locks file, at an offset derived from the key's
+// hash, held as a Linux open-file-description lock (F_OFD_SETLK): the
+// kernel releases it when its holder exits or dies, so no lock outlives
+// its process. Within a process, a Dir's held set excludes its own
+// goroutines. On other systems only that in-process exclusion applies.
+// A cancelled compute releases the lock without writing, preserving the
+// engine's forget-on-cancel semantics on disk.
 package store
 
 import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -61,52 +71,61 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"mtvec/internal/runner"
 	"mtvec/internal/stats"
 )
 
 // Schema versions the record envelope. Readers reject records with a
 // different schema (treated as a miss, recomputed); the layout version
-// in the directory path isolates incompatible path schemes.
+// in the directory path isolates incompatible layouts.
 const Schema = 1
 
-// layoutVersion names the on-disk layout root. Bump it together with
-// Schema when the path scheme or envelope changes incompatibly: old and
-// new binaries then share a directory without serving each other's
-// records.
-const layoutVersion = "v1"
+// layoutVersion names the on-disk layout root. Bump it when the layout
+// or the envelope changes incompatibly: old and new binaries then share
+// a directory without serving each other's records.
+const layoutVersion = "v2"
 
 // Options tunes a Dir. The zero value selects every default.
 type Options struct {
-	// StealAge is the age after which another process's lock file is
-	// presumed abandoned (its holder crashed) and stolen. Zero selects
-	// DefaultStealAge. Set it below the longest simulation a deployment
-	// can run and a healthy holder will be displaced — the loser only
-	// duplicates work, never corrupts it, but the single-flight is gone.
-	StealAge time.Duration
 	// LockPoll is the interval at which lock waiters re-check for the
 	// holder's result. Zero selects 25ms.
 	LockPoll time.Duration
 }
 
-// DefaultStealAge is the default lock-file steal age.
-const DefaultStealAge = 10 * time.Minute
+// span locates one record, a line of the log without its newline.
+type span struct {
+	off int64
+	n   int
+}
 
-// Dir is one on-disk result store rooted at a directory.
+// scanChunk is the size of the buffer the log's tail is read through.
+// It grows only to hold one line longer than itself.
+const scanChunk = 32 << 10
+
+// Dir is one on-disk result store rooted at a directory. It keeps its
+// log, and its locks file once it has claimed a lock, open for as long
+// as it lives: the descriptors close when the Dir is garbage collected
+// or its process exits, and the kernel then drops any lock still held.
 type Dir struct {
 	root string // <dir>/<layoutVersion>
 
-	// lockStale is the age after which another process's lock file is
-	// presumed abandoned (its holder crashed) and stolen.
-	lockStale time.Duration
 	// lockPoll is the interval at which lock waiters re-check for the
 	// holder's result.
 	lockPoll time.Duration
 
-	// held maps each key whose lock file this Dir holds to that file
-	// (see Put).
-	mu   sync.Mutex
-	held map[string]*heldLock
+	log *os.File // records.log, appended to and read at offsets
+
+	mu sync.Mutex
+	// locks is the file whose bytes are the keys' locks (see
+	// lockOffset), opened by the first TryLock, so that opening a store
+	// creates one file.
+	locks *os.File
+	// index maps the SHA-256 of a key to its latest record in the log
+	// up to scanned, the offset of the first line not yet indexed.
+	index   map[[sha256.Size]byte]span
+	scanned int64
+	scan    []byte // catchUp's read buffer
+	// held is the set of lock offsets this Dir holds.
+	held map[int64]bool
 
 	hits    atomic.Int64
 	misses  atomic.Int64
@@ -132,21 +151,23 @@ func OpenOptions(dir string, o Options) (*Dir, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory")
 	}
-	if o.StealAge < 0 || o.LockPoll < 0 {
-		return nil, fmt.Errorf("store: negative lock tuning (steal age %v, poll %v)", o.StealAge, o.LockPoll)
+	if o.LockPoll < 0 {
+		return nil, fmt.Errorf("store: negative lock poll %v", o.LockPoll)
 	}
 	root := filepath.Join(dir, layoutVersion)
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	d := &Dir{
-		root:      root,
-		lockStale: DefaultStealAge,
-		lockPoll:  25 * time.Millisecond,
-		held:      make(map[string]*heldLock),
+	log, err := os.OpenFile(filepath.Join(root, "records.log"), os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	if o.StealAge > 0 {
-		d.lockStale = o.StealAge
+	d := &Dir{
+		root:     root,
+		lockPoll: 25 * time.Millisecond,
+		log:      log,
+		index:    make(map[[sha256.Size]byte]span),
+		held:     make(map[int64]bool),
 	}
 	if o.LockPoll > 0 {
 		d.lockPoll = o.LockPoll
@@ -167,12 +188,13 @@ func (s *Dir) Stats() Stats {
 	}
 }
 
+// keyHead opens every envelope, up to the key's opening quote.
+var keyHead = `{"schema":` + strconv.Itoa(Schema) + `,"key":`
+
 // appendHead appends the canonical envelope (see the package comment)
 // for key up to the hex sum.
 func appendHead(b []byte, key string) []byte {
-	b = append(b, `{"schema":`...)
-	b = strconv.AppendInt(b, Schema, 10)
-	b = append(b, `,"key":`...)
+	b = append(b, keyHead...)
 	b = appendKey(b, key)
 	return append(b, `,"sum":"`...)
 }
@@ -221,7 +243,7 @@ func cutHead(b []byte, key string) ([]byte, bool) {
 		enc, quote = string(appendKey(nil, key)), ""
 	}
 	ok := true
-	for _, piece := range [...]string{`{"schema":`, strconv.Itoa(Schema), `,"key":`, quote, enc, quote, `,"sum":"`} {
+	for _, piece := range [...]string{keyHead, quote, enc, quote, `,"sum":"`} {
 		if b, ok = cut(b, piece); !ok {
 			break
 		}
@@ -240,6 +262,17 @@ func cut(b []byte, prefix string) ([]byte, bool) {
 // envelopeMid sits between the hex sum and the report payload.
 const envelopeMid = `","report":`
 
+// appendRecord appends key's envelope around a report payload, the
+// bytes json.Marshal writes for the report.
+func appendRecord(b []byte, key string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	b = appendHead(b, key)
+	b = hex.AppendEncode(b, sum[:])
+	b = append(b, envelopeMid...)
+	b = append(b, payload...)
+	return append(b, '}')
+}
+
 // EncodeRecord builds the self-describing envelope for a report — the
 // exact bytes Dir persists. Envelope bytes are a pure function of (key,
 // report), so every encoder of one result produces identical bytes.
@@ -248,15 +281,7 @@ func EncodeRecord(key string, rep *stats.Report) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: encode report: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	// One allocation for a plain key, with room for the newline that Put
-	// appends.
-	data := make([]byte, 0, len(key)+len(payload)+128)
-	data = appendHead(data, key)
-	data = hex.AppendEncode(data, sum[:])
-	data = append(data, envelopeMid...)
-	data = append(data, payload...)
-	return append(data, '}'), nil
+	return appendRecord(make([]byte, 0, len(key)+len(payload)+128), key, payload), nil
 }
 
 // DecodeRecord verifies an envelope against the key it was requested
@@ -291,35 +316,87 @@ func DecodeRecord(data []byte, key string) (*stats.Report, error) {
 	return decodeReport(payload)
 }
 
-// path returns the sharded record path for a key,
-// filepath.Join(root, hex[:2], hex+".json") for the key's SHA-256 hex
-// (see appendPath).
-func (s *Dir) path(key string) string {
+// keySum returns the SHA-256 of key, hashed from a stack copy: only a
+// key longer than the buffer allocates.
+func keySum(key string) [sha256.Size]byte {
 	var buf [1024]byte
-	return string(s.appendPath(buf[:0], key))
+	return sha256.Sum256(append(buf[:0], key...))
 }
 
-// appendPath appends key's record path to b, using b's spare capacity
-// first to hold the key for hashing. root is clean and ends in
-// layoutVersion (OpenOptions joins it), and the hex parts hold no
-// separator, so the join is a concatenation. Only a key or root longer
-// than b's capacity makes it allocate.
-func (s *Dir) appendPath(b []byte, key string) []byte {
-	h := sha256.Sum256(append(b[len(b):], key...))
-	b = append(b, s.root...)
-	b = append(b, filepath.Separator)
-	var name [sha256.Size * 2]byte
-	hex.Encode(name[:], h[:])
-	b = append(b, name[:2]...)
-	b = append(b, filepath.Separator)
-	b = append(b, name[:]...)
-	return append(b, ".json"...)
+// lineKeySum returns the SHA-256 of the key a log line's envelope
+// names, or false when the line does not open with an envelope head. A
+// key is hashed where it lies in the line; only one with JSON escapes
+// is decoded first.
+func lineKeySum(line []byte) (sum [sha256.Size]byte, ok bool) {
+	rest, ok := cut(line, keyHead+`"`)
+	if !ok {
+		return sum, false
+	}
+	escaped := false
+	for i := 0; i < len(rest); i++ {
+		switch rest[i] {
+		case '\\':
+			escaped = true
+			i++
+		case '"':
+			if !escaped {
+				return sha256.Sum256(rest[:i]), true
+			}
+			var key string
+			if json.Unmarshal(line[len(keyHead):len(keyHead)+i+2], &key) != nil {
+				return sum, false
+			}
+			return keySum(key), true
+		}
+	}
+	return sum, false
+}
+
+// catchUp indexes the complete lines the log holds past s.scanned and
+// leaves s.scanned at the start of the first incomplete one: a record
+// still being appended, or a torn write that the next append turns into
+// a corrupt line. A later line for a key replaces the earlier one, and
+// a line that names no key is counted corrupt. The lines are read
+// through s.scan, which grows only to hold a line longer than itself.
+// The caller holds s.mu.
+func (s *Dir) catchUp() {
+	for {
+		if s.scan == nil {
+			s.scan = make([]byte, scanChunk)
+		}
+		n, err := s.log.ReadAt(s.scan, s.scanned)
+		data, done := s.scan[:n], 0
+		for {
+			i := bytes.IndexByte(data[done:], '\n')
+			if i < 0 {
+				break
+			}
+			if line := data[done : done+i]; len(line) > 0 {
+				if sum, ok := lineKeySum(line); ok {
+					s.index[sum] = span{s.scanned + int64(done), len(line)}
+				} else {
+					s.corrupt.Add(1)
+				}
+			}
+			done += i + 1
+		}
+		s.scanned += int64(done)
+		if err != nil { // the end of the log, or a failed read
+			break
+		}
+		if done == 0 {
+			s.scan = make([]byte, 2*len(s.scan))
+		}
+	}
+	if len(s.scan) > scanChunk {
+		s.scan = nil // a long line does not pin its buffer
+	}
 }
 
 // Get returns the stored report for key (tier TierLocal), or TierMiss.
 // A record that fails verification (schema, key, integrity hash, or
-// malformed JSON) is deleted and reported as a miss — corruption is
-// recomputed, never trusted.
+// malformed JSON) is reported as a miss — corruption is recomputed,
+// never trusted.
 func (s *Dir) Get(key string) (*stats.Report, Tier) {
 	rep, ok := s.load(key)
 	if ok {
@@ -331,23 +408,33 @@ func (s *Dir) Get(key string) (*stats.Report, Tier) {
 }
 
 // load is Get without the hit/miss accounting (corrupt records are
-// still counted and deleted): Do re-checks the record several times per
-// logical lookup and must not inflate the counters. The record's path
-// is built on the stack, ending in the NUL byte the open system call
-// takes, so a read allocates only its Report.
+// still counted): Do re-checks the record after taking the lock and
+// must not inflate the counters. A key the index misses first makes it
+// catch up with the log. A record that fails verification is dropped
+// from the index, so the key misses until a newer line supersedes it.
 func (s *Dir) load(key string) (*stats.Report, bool) {
-	var buf [1024]byte
-	name := append(s.appendPath(buf[:0], key), 0)
-	rep, err := readRecord(name, key)
-	if err == nil {
-		return rep, true
+	sum := keySum(key)
+	s.mu.Lock()
+	at, ok := s.index[sum]
+	if !ok {
+		s.catchUp()
+		at, ok = s.index[sum]
 	}
-	if !os.IsNotExist(err) {
-		// Present but unusable: drop it so the slot heals on rewrite.
-		s.corrupt.Add(1)
-		os.Remove(string(name[:len(name)-1]))
+	s.mu.Unlock()
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	rep, err := s.readRecord(at, key)
+	if err != nil {
+		s.mu.Lock()
+		if s.index[sum] == at {
+			delete(s.index, sum)
+			s.corrupt.Add(1)
+		}
+		s.mu.Unlock()
+		return nil, false
+	}
+	return rep, true
 }
 
 // readBufs recycles the buffers records are read into. A decoded
@@ -355,77 +442,54 @@ func (s *Dir) load(key string) (*stats.Report, bool) {
 // DecodeRecord returns.
 var readBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
 
-// readRecord loads and verifies one record file; name is its path
-// followed by a NUL byte (see readFile).
-func readRecord(name []byte, key string) (*stats.Report, error) {
+// readRecord reads and verifies the record at one span of the log.
+func (s *Dir) readRecord(at span, key string) (*stats.Report, error) {
 	buf := readBufs.Get().(*[]byte)
-	data, err := readFile(name, *buf)
-	if err != nil {
+	if cap(*buf) < at.n {
+		*buf = make([]byte, at.n)
+	}
+	data := (*buf)[:at.n]
+	_, err := s.log.ReadAt(data, at.off)
+	var rep *stats.Report
+	if err == nil {
+		rep, err = DecodeRecord(data, key)
+	}
+	if cap(data) <= 64<<10 { // an outsized record does not pin its buffer
 		readBufs.Put(buf)
-		return nil, err
 	}
-	rep, err := DecodeRecord(data, key)
-	if cap(data) <= 64<<10 { // an outsized file does not pin its buffer
-		*buf = data[:0]
-		readBufs.Put(buf)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", string(name[:len(name)-1]), err)
-	}
-	return rep, nil
+	return rep, err
 }
 
-// Put writes the report under key. The write is atomic: readers see
-// either the old record or the complete new one, never a torn file.
-// Concurrent writers of one key write identical bytes (simulations are
-// pure functions of their key), so last-writer-wins is harmless.
-//
-// When this Dir holds key's lock (TryLock, or Do computing), Put writes
-// the record into the lock file and renames it over the record path:
-// one rename publishes the record and releases the lock, and the key
-// costs one file creation instead of two. Ownership is checked just
-// before the rename; a lock that was stolen meanwhile, or any failure
-// on the way, falls back to a temp file plus rename, as for a Put
-// without a held lock.
+// lineBuf builds one log line. Put recycles them, so a write allocates
+// nothing once the pool is warm.
+type lineBuf struct {
+	payload bytes.Buffer
+	enc     *json.Encoder // writes json.Marshal's bytes and a newline into payload
+	line    []byte
+}
+
+var lineBufs = sync.Pool{New: func() any {
+	b := new(lineBuf)
+	b.enc = json.NewEncoder(&b.payload)
+	return b
+}}
+
+// Put appends the report's record to the log under key, between
+// newlines and in one write. Readers see either no record or the
+// complete one: a line is indexed only once its closing newline is in
+// the log. Concurrent writers of one key write identical records
+// (simulations are pure functions of their key), so which one a reader
+// indexes is harmless.
 func (s *Dir) Put(key string, rep *stats.Report) error {
-	data, err := EncodeRecord(key, rep)
-	if err != nil {
-		return err
+	b := lineBufs.Get().(*lineBuf)
+	defer lineBufs.Put(b)
+	b.payload.Reset()
+	if err := b.enc.Encode(rep); err != nil {
+		return fmt.Errorf("store: encode report: %w", err)
 	}
-	data = append(data, '\n')
-	path := s.path(key)
-	if h := s.takeHeld(key); h != nil {
-		fi, ok := h.publish(data, path)
-		if ok {
-			s.writes.Add(1)
-			return nil
-		}
-		// Release the lock only once the fallback's record is in place,
-		// so that a waiter never sees neither.
-		defer func() {
-			if owns(h.path, fi) {
-				os.Remove(h.path)
-			}
-		}()
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if os.IsNotExist(err) {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		tmp, err = os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: write %s: %w", path, errors.Join(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	payload := bytes.TrimSuffix(b.payload.Bytes(), []byte{'\n'})
+	b.line = append(appendRecord(append(b.line[:0], '\n'), key, payload), '\n')
+	if _, err := s.log.Write(b.line); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.writes.Add(1)
@@ -437,237 +501,65 @@ func (s *Dir) Put(key string, rep *stats.Report) error {
 // the result was served from disk (by this call's own read — a compute
 // that raced another process still reports TierMiss).
 //
-// Across processes Do is single-flight: a lock file elects one computer
-// per key and the others poll, re-checking for the winner's record. A
-// compute that fails — including ctx cancellation — releases the lock
-// without writing, so errors are never persisted and a cancelled run is
-// recomputed by the next requester (the on-disk mirror of the session
-// cache's forget-on-cancel rule). Lock files older than the staleness
-// bound are presumed abandoned and stolen.
+// Across processes Do is single-flight: key's lock elects one computer
+// and the others poll for it, re-checking for the winner's record once
+// they hold the lock. A compute that fails — including ctx cancellation
+// — releases the lock without writing, so errors are never persisted
+// and a cancelled run is recomputed by the next requester (the on-disk
+// mirror of the session cache's forget-on-cancel rule).
 //
-// Do returns an error only from ctx or from compute itself: store I/O
-// failures (unwritable lock, failed record write) degrade to computing
-// without the single-flight or to a plain miss next time, never to a
-// failed call — so callers may safely memoize what Do returns.
+// Do returns an error only from ctx or from compute itself: a failed
+// record write degrades to a miss next time, never to a failed call —
+// so callers may safely memoize what Do returns.
 func (s *Dir) Do(ctx context.Context, key string, compute func() (*stats.Report, error)) (rep *stats.Report, tier Tier, err error) {
-	// One logical lookup counts exactly one hit (served from disk at any
-	// of the checks below) or one miss (computed).
+	// One logical lookup counts exactly one hit (served from disk at
+	// either check below) or one miss (computed).
 	if rep, ok := s.load(key); ok {
 		s.hits.Add(1)
 		return rep, TierLocal, nil
 	}
-	unlock, err := s.lock(ctx, key)
+	release, err := s.lock(ctx, key)
 	if err != nil {
-		if runner.IsContextErr(err) {
-			return nil, TierMiss, err
-		}
-		// Lock bookkeeping failed — a full or read-only store volume.
-		// The lock is pure work-deduplication, so degrade to computing
-		// without it rather than failing the run: a concurrent process
-		// may duplicate the simulation, never corrupt it. Crucially the
-		// caller's memo must not get poisoned by a transient I/O error
-		// that a retry would not reproduce.
-		unlock = nil
+		return nil, TierMiss, err
 	}
-	if unlock == nil {
-		// The lock holder finished while we waited; its record must be
-		// there now. If it isn't (holder failed), compute without the
-		// lock: correctness never depends on the single-flight.
-		if rep, ok := s.load(key); ok {
-			s.hits.Add(1)
-			return rep, TierLocal, nil
-		}
-	} else {
-		defer unlock()
-		// Double-check under the lock: another process may have written
-		// between our miss and the acquisition.
-		if rep, ok := s.load(key); ok {
-			s.hits.Add(1)
-			return rep, TierLocal, nil
-		}
+	defer release()
+	// Re-check under the lock: the previous holder may have written it.
+	if rep, ok := s.load(key); ok {
+		s.hits.Add(1)
+		return rep, TierLocal, nil
 	}
 	s.misses.Add(1)
 	rep, err = compute()
 	if err != nil {
 		return nil, TierMiss, err
 	}
-	if perr := s.Put(key, rep); perr != nil {
-		// A failed write degrades the store to a cache miss next time;
-		// the computed result is still good.
-		return rep, TierMiss, nil
-	}
+	// A failed write degrades the store to a miss next time; the
+	// computed result is still good.
+	_ = s.Put(key, rep)
 	return rep, TierMiss, nil
 }
 
-// lockSeq disambiguates lock tokens taken by one process at one
-// instant (two goroutines can lock different keys concurrently).
-var lockSeq atomic.Int64
-
-// heldLock is a lock file this Dir created and still holds open. The
-// held table owns the descriptor: whoever removes an entry closes it.
-type heldLock struct {
-	f    *os.File
-	path string
-}
-
-// createLock creates key's lock file at path and records it as held.
-// It fails with an os.IsExist error while another holder has the lock.
-// The file is created 0600, the mode os.CreateTemp gives a record
-// written through a temp file, because Put may publish it as the
-// record.
-//
-// The file carries a token naming its creator (pid, sequence, time)
-// for a reader diagnosing a stuck lock. Ownership is never read back
-// from it: a holder owns the lock while the lock path still names the
-// file it created (os.SameFile against the open descriptor).
-func (s *Dir) createLock(key, path string) (release func(), err error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
-	if os.IsNotExist(err) {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return nil, err
-		}
-		f, err = os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
-	}
-	if err != nil {
-		return nil, err
-	}
-	token := fmt.Sprintf("%d.%d %s\n", os.Getpid(), lockSeq.Add(1), time.Now().UTC().Format(time.RFC3339Nano))
-	if _, err := f.WriteString(token); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	h := &heldLock{f: f, path: path}
-	s.mu.Lock()
-	if old := s.held[key]; old != nil {
-		// A lock of ours that was stolen while its holder ran; the
-		// holder's release finds it displaced and leaves it be.
-		old.f.Close()
-	}
-	s.held[key] = h
-	s.mu.Unlock()
-	return func() { s.release(key, h) }, nil
-}
-
-// takeHeld removes key's held lock from the table and returns it, or
-// nil when this Dir holds none.
-func (s *Dir) takeHeld(key string) *heldLock {
-	s.mu.Lock()
-	h := s.held[key]
-	delete(s.held, key)
-	s.mu.Unlock()
-	return h
-}
-
-// release gives up h: it closes the descriptor and deletes the lock
-// file, if h is still held and the lock path still names its file.
-// After Put published the record through h, release does nothing.
-func (s *Dir) release(key string, h *heldLock) {
-	s.mu.Lock()
-	mine := s.held[key] == h
-	if mine {
-		delete(s.held, key)
-	}
-	s.mu.Unlock()
-	if !mine {
-		return
-	}
-	fi, _ := h.f.Stat()
-	h.f.Close()
-	if owns(h.path, fi) {
-		os.Remove(h.path)
-	}
-}
-
-// publish writes a record into the lock file, closes it, and renames it
-// to path if the lock path still names it. It returns the lock file's
-// identity (nil if unknown) and whether the record was published. The
-// record overwrites the token whole: a token is at most 64 bytes, and
-// a record's hex sum alone is that long.
-func (h *heldLock) publish(data []byte, path string) (os.FileInfo, bool) {
-	_, werr := h.f.WriteAt(data, 0)
-	fi, serr := h.f.Stat()
-	cerr := h.f.Close()
-	if serr != nil {
-		return nil, false
-	}
-	// A holder displaced between the check and the rename would move
-	// its usurper's lock over the record. That needs a steal — a lock
-	// older than the staleness bound, which the write just refreshed —
-	// inside those two calls, and costs one corrupt record that the
-	// next read deletes.
-	if werr != nil || cerr != nil || !owns(h.path, fi) {
-		return fi, false
-	}
-	return fi, os.Rename(h.path, path) == nil
-}
-
-// owns reports whether path names the file fi describes.
-func owns(path string, fi os.FileInfo) bool {
-	if fi == nil {
-		return false
-	}
-	cur, err := os.Stat(path)
-	return err == nil && os.SameFile(fi, cur)
-}
-
-// lock acquires the cross-process lock for key. It returns a release
-// function on acquisition, or (nil, nil) when the previous holder
-// released while we waited (the caller should re-check the store), or
-// ctx.Err() when cancelled while waiting.
-//
-// The lock is advisory work-deduplication, not a correctness
-// mechanism: record writes are atomic and all writers of one key write
-// identical bytes, so the worst a lost race can cost is a duplicate
-// simulation. Staleness handling is therefore built to never break
-// another holder's lock by accident: a stale lock is stolen by atomic
-// rename (exactly one stealer wins; the losers just re-poll), and
-// release deletes the lock file only while the lock path still names
-// the file this acquisition created — a holder displaced for exceeding
-// the staleness bound will not remove its usurper's lock.
+// lock takes key's lock, polling while another holder has it, and
+// returns its release function, or ctx's error when cancelled while
+// waiting.
 func (s *Dir) lock(ctx context.Context, key string) (func(), error) {
-	path := s.path(key) + ".lock"
 	for {
-		release, err := s.createLock(key, path)
-		if err == nil {
+		if release := s.TryLock(key); release != nil {
 			return release, nil
-		}
-		if !os.IsExist(err) {
-			return nil, fmt.Errorf("store: lock %s: %w", path, err)
-		}
-		// Someone else is computing. Wait for the lock to clear, stealing
-		// it if its holder looks dead.
-		info, serr := os.Stat(path)
-		if serr == nil && time.Since(info.ModTime()) > s.lockStale {
-			// Steal atomically: rename sideways, then delete the moved
-			// file. Concurrent stealers race on the rename and exactly
-			// one wins; a lock re-acquired between our stat and rename is
-			// younger than the staleness bound only if the filesystem
-			// clock jumped, and even then the loser merely recomputes.
-			stealLock(path)
-			continue
-		}
-		if serr != nil && os.IsNotExist(serr) {
-			// Released between our open and stat: the holder finished.
-			return nil, nil
 		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-time.After(s.lockPoll):
 		}
-		if _, serr := os.Stat(path); os.IsNotExist(serr) {
-			return nil, nil
-		}
 	}
 }
 
-// stealLock moves an abandoned lock file aside and deletes it.
-func stealLock(path string) {
-	stale := fmt.Sprintf("%s.stale.%d.%d", path, os.Getpid(), lockSeq.Add(1))
-	if os.Rename(path, stale) == nil {
-		os.Remove(stale)
-	}
+// lockOffset is the byte of the locks file that is key's lock, taken
+// from 48 bits of the key's SHA-256. Two keys that share a byte share a
+// lock, which costs at worst a wait, never a wrong record.
+func lockOffset(sum [sha256.Size]byte) int64 {
+	return int64(binary.LittleEndian.Uint64(sum[:8]) & (1<<48 - 1))
 }
 
 // TryLocker is the optional non-blocking face of a backend's
@@ -680,29 +572,37 @@ type TryLocker interface {
 	TryLock(key string) (release func())
 }
 
-// TryLock claims key's lock file without blocking: one creation
-// attempt, plus one steal-and-retry when the existing lock is older
-// than the staleness bound (its holder crashed — without this, an
-// abandoned lock would block the key's claims forever). Returns nil
-// when the lock is live elsewhere. A Put of key before the release
-// publishes the record through the lock file (see Put); the release
-// then has nothing left to do.
+// TryLock claims key's lock without blocking and returns its release
+// function, which must be called once, or nil while another goroutine
+// of this Dir, or another Dir or process, holds it. A lock the kernel
+// cannot take for a reason other than a holder (a locks file that
+// cannot be opened, a filesystem without byte-range locks) leaves the
+// in-process exclusion alone in force.
 func (s *Dir) TryLock(key string) (release func()) {
-	path := s.path(key) + ".lock"
-	for attempt := 0; attempt < 2; attempt++ {
-		release, err := s.createLock(key, path)
-		if err == nil {
-			return release
-		}
-		if !os.IsExist(err) {
-			return nil
-		}
-		info, serr := os.Stat(path)
-		if serr != nil || time.Since(info.ModTime()) <= s.lockStale {
-			return nil // live lock (or vanished: holder just released)
-		}
-		// Stale: steal by atomic rename, then retry the creation once.
-		stealLock(path)
+	off := lockOffset(keySum(key))
+	s.mu.Lock()
+	if s.held[off] {
+		s.mu.Unlock()
+		return nil
 	}
-	return nil
+	s.held[off] = true
+	if s.locks == nil {
+		s.locks, _ = os.OpenFile(filepath.Join(s.root, "locks"), os.O_RDWR|os.O_CREATE, 0o644)
+	}
+	locks := s.locks
+	s.mu.Unlock()
+	if !lockByte(locks, off) {
+		s.mu.Lock()
+		delete(s.held, off)
+		s.mu.Unlock()
+		return nil
+	}
+	return func() {
+		// The kernel lock goes first: once off leaves the held set,
+		// another goroutine may take it through the same descriptor.
+		unlockByte(locks, off)
+		s.mu.Lock()
+		delete(s.held, off)
+		s.mu.Unlock()
+	}
 }

@@ -1,16 +1,19 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,6 +61,14 @@ func TestRoundTripByteIdentical(t *testing.T) {
 	if err := s.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
+	// Put's pooled encoder writes EncodeRecord's bytes, between newlines.
+	rec, err := EncodeRecord(key, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log, line := readLog(t, s), append(append([]byte{'\n'}, rec...), '\n'); !bytes.Equal(log, line) {
+		t.Fatalf("log holds\n%q\nwant\n%q", log, line)
+	}
 	got, tier := s.Get(key)
 	if tier != TierLocal {
 		t.Fatalf("stored record not found (tier %v)", tier)
@@ -103,56 +114,55 @@ func TestReopenSurvivesProcessBoundary(t *testing.T) {
 	}
 }
 
-// corruptions lists the ways a record file can go bad; each must read
-// as a miss and be deleted, never served.
+// TestCorruptRecordsRecovered: each way a record can go bad reads as a
+// miss, is counted corrupt and dropped from the index, and is never
+// served, by the Dir that indexed it or by a fresh one; a Put heals it.
 func TestCorruptRecordsRecovered(t *testing.T) {
 	cases := []struct {
 		name   string
-		mangle func(path string, t *testing.T)
+		mangle func(line []byte, t *testing.T) []byte
 	}{
-		{"truncated", func(p string, t *testing.T) {
-			data, _ := os.ReadFile(p)
-			os.WriteFile(p, data[:len(data)/2], 0o644)
+		{"truncated", func(line []byte, t *testing.T) []byte {
+			return line[:len(line)/2]
 		}},
-		{"bitflip-payload", func(p string, t *testing.T) {
-			data, _ := os.ReadFile(p)
+		{"bitflip-payload", func(line []byte, t *testing.T) []byte {
 			// Flip a digit inside the report payload without breaking
 			// the JSON: the integrity hash must catch it.
 			var rec record
-			if err := json.Unmarshal(data, &rec); err != nil {
+			if err := json.Unmarshal(line, &rec); err != nil {
 				t.Fatal(err)
 			}
 			rec.Report = []byte(`{"Cycles":1}`)
 			out, _ := json.Marshal(rec)
-			os.WriteFile(p, out, 0o644)
+			return out
 		}},
-		{"wrong-schema", func(p string, t *testing.T) {
-			data, _ := os.ReadFile(p)
+		{"wrong-schema", func(line []byte, t *testing.T) []byte {
 			var rec record
-			if err := json.Unmarshal(data, &rec); err != nil {
+			if err := json.Unmarshal(line, &rec); err != nil {
 				t.Fatal(err)
 			}
 			rec.Schema = Schema + 1
 			out, _ := json.Marshal(rec)
-			os.WriteFile(p, out, 0o644)
+			return out
 		}},
-		{"wrong-key", func(p string, t *testing.T) {
-			data, _ := os.ReadFile(p)
+		{"wrong-key", func(line []byte, t *testing.T) []byte {
+			// Filed under the key's hash, as a hash collision would.
 			var rec record
-			if err := json.Unmarshal(data, &rec); err != nil {
+			if err := json.Unmarshal(line, &rec); err != nil {
 				t.Fatal(err)
 			}
 			rec.Key = "someone-else"
 			out, _ := json.Marshal(rec)
-			os.WriteFile(p, out, 0o644)
+			return out
 		}},
-		{"not-json", func(p string, t *testing.T) {
-			os.WriteFile(p, []byte("hello\x00world"), 0o644)
+		{"not-json", func(line []byte, t *testing.T) []byte {
+			return []byte("hello\x00world")
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := Open(t.TempDir())
+			dir := t.TempDir()
+			s, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,15 +170,23 @@ func TestCorruptRecordsRecovered(t *testing.T) {
 			if err := s.Put(key, sampleReport()); err != nil {
 				t.Fatal(err)
 			}
-			tc.mangle(s.path(key), t)
+			_, off, n := recordLine(t, s, key)
+			replaceRecord(t, s, key, tc.mangle(readLog(t, s)[off:off+n], t))
+			fresh, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, tier := fresh.Get(key); tier.Hit() {
+				t.Fatal("corrupt record served to a fresh Dir")
+			}
 			if _, tier := s.Get(key); tier.Hit() {
 				t.Fatal("corrupt record served")
 			}
 			if s.Stats().Corrupt != 1 {
 				t.Errorf("corrupt counter = %d, want 1", s.Stats().Corrupt)
 			}
-			if _, err := os.Stat(s.path(key)); !os.IsNotExist(err) {
-				t.Error("corrupt record not deleted")
+			if _, ok := s.index[keySum(key)]; ok {
+				t.Error("corrupt record not dropped from the index")
 			}
 			// The slot heals: a rewrite serves again.
 			if err := s.Put(key, sampleReport()); err != nil {
@@ -187,7 +205,7 @@ func TestDoComputesOnceAcrossStores(t *testing.T) {
 	dir := t.TempDir()
 	var stores []*Dir
 	for i := 0; i < 2; i++ {
-		s, err := OpenOptions(dir, Options{StealAge: time.Minute, LockPoll: time.Millisecond})
+		s, err := OpenOptions(dir, Options{LockPoll: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +256,7 @@ func TestDoComputesOnceAcrossStores(t *testing.T) {
 }
 
 func TestDoFailedComputeNotPersisted(t *testing.T) {
-	s, err := OpenOptions(t.TempDir(), Options{StealAge: time.Minute, LockPoll: time.Millisecond})
+	s, err := OpenOptions(t.TempDir(), Options{LockPoll: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,14 +287,14 @@ func TestDoFailedComputeNotPersisted(t *testing.T) {
 }
 
 func TestDoCancelledWhileWaiting(t *testing.T) {
-	s, err := OpenOptions(t.TempDir(), Options{StealAge: time.Minute, LockPoll: 5 * time.Millisecond})
+	s, err := OpenOptions(t.TempDir(), Options{LockPoll: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Hold the lock from a fake peer.
-	unlock, err := s.lock(context.Background(), "k")
-	if err != nil || unlock == nil {
-		t.Fatalf("seed lock: %v", err)
+	unlock := s.TryLock("k")
+	if unlock == nil {
+		t.Fatal("seed lock not taken")
 	}
 	defer unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -290,33 +308,13 @@ func TestDoCancelledWhileWaiting(t *testing.T) {
 	}
 }
 
-func TestStaleLockStolen(t *testing.T) {
-	s, err := OpenOptions(t.TempDir(), Options{StealAge: 50 * time.Millisecond, LockPoll: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plant a lock and age it: a holder that never returns.
-	lockPath := s.path("k") + ".lock"
-	os.MkdirAll(filepath.Dir(lockPath), 0o755)
-	if err := os.WriteFile(lockPath, []byte("dead\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Minute)
-	os.Chtimes(lockPath, old, old)
-
-	rep, tier, err := s.Do(context.Background(), "k", func() (*stats.Report, error) {
-		return sampleReport(), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tier.Hit() || rep == nil {
-		t.Fatal("stale lock not stolen")
-	}
-}
-
 func TestTryLock(t *testing.T) {
-	s, err := Open(t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,60 +322,31 @@ func TestTryLock(t *testing.T) {
 	if release == nil {
 		t.Fatal("TryLock on a free key failed")
 	}
-	lockPath := s.path("k") + ".lock"
-	if _, err := os.Stat(lockPath); err != nil {
-		t.Fatalf("no lock file after TryLock: %v", err)
-	}
-	// Held: a second claim must not block, just miss.
+	// Held: a second claim, from this Dir or another on the directory,
+	// must not block, just miss.
 	if again := s.TryLock("k"); again != nil {
 		again()
 		t.Fatal("TryLock succeeded on a held key")
 	}
-	release()
-	if _, err := os.Stat(lockPath); !os.IsNotExist(err) {
-		t.Fatalf("lock file survived release: %v", err)
+	if again := other.TryLock("k"); again != nil {
+		again()
+		t.Fatal("another Dir took a held key's lock")
 	}
-	// Released: claimable again; release is idempotent-safe to call once.
-	if release = s.TryLock("k"); release == nil {
+	if free := other.TryLock("k2"); free == nil {
+		t.Error("another key's lock is not free")
+	} else {
+		free()
+	}
+	release()
+	// Released: claimable again, by either Dir.
+	if release = other.TryLock("k"); release == nil {
 		t.Fatal("TryLock after release failed")
 	}
 	release()
-}
-
-func TestTryLockStealsStale(t *testing.T) {
-	s, err := OpenOptions(t.TempDir(), Options{StealAge: 50 * time.Millisecond, LockPoll: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lockPath := s.path("k") + ".lock"
-	os.MkdirAll(filepath.Dir(lockPath), 0o755)
-	if err := os.WriteFile(lockPath, []byte("dead\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Minute)
-	os.Chtimes(lockPath, old, old)
-
-	release := s.TryLock("k")
-	if release == nil {
-		t.Fatal("stale lock not stolen")
+	if release = s.TryLock("k"); release == nil {
+		t.Fatal("TryLock after the other Dir's release failed")
 	}
 	release()
-	if _, err := os.Stat(lockPath); !os.IsNotExist(err) {
-		t.Fatal("lock file survived release after steal")
-	}
-	// A fresh foreign lock is respected, and release never removes a
-	// lock the releaser does not own.
-	if err := os.WriteFile(lockPath, []byte("alive\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TryLock("k"); got != nil {
-		got()
-		t.Fatal("fresh foreign lock stolen")
-	}
-	release() // second call: token no longer matches anything of ours
-	if data, err := os.ReadFile(lockPath); err != nil || string(data) != "alive\n" {
-		t.Fatalf("foreign lock disturbed: %q, %v", data, err)
-	}
 }
 
 func TestOpenRejectsEmptyDir(t *testing.T) {
@@ -386,103 +355,104 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 	}
 }
 
-func TestPathSharding(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := s.path("some-key")
-	rel, err := filepath.Rel(s.root, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Base(filepath.Dir(p))
-	base := filepath.Base(p)
-	if len(dir) != 2 || base[:2] != dir {
-		t.Errorf("path %q not sharded by leading hash byte", rel)
-	}
-}
-
-// TestPathMatchesJoin: the record name built in path's buffer is
-// byte-identical to filepath.Join(root, hex[:2], hex+".json"), the form
-// every store written so far is addressed by, for keys that JSON must
-// escape, non-ASCII keys, an empty key and a key longer than the
-// buffer, under roots spelled with redundant separators and non-ASCII
-// names; and it allocates only the returned string.
-func TestPathMatchesJoin(t *testing.T) {
-	tmp := t.TempDir()
-	roots := []string{
-		tmp,
-		tmp + string(filepath.Separator) + "a" + string(filepath.Separator) + string(filepath.Separator) + "b" + string(filepath.Separator) + ".",
-		filepath.Join(tmp, "störe dir", "ü"),
-		filepath.Join(tmp, strings.Repeat("long-root-segment"+string(filepath.Separator), 15)),
-	}
-	keys := []string{
-		"mode=1,|ws=flo52@0.0001+fpf546bc2976fd7d4a,|policy=default|ctx=1,",
-		"", "clé-ü→∞", `quote"back\slash`, "<&>", "ctl\x00\n\t", "\xff\xfe invalid utf-8",
-		strings.Repeat("k", 1000),
-	}
-	for _, dir := range roots {
-		s, err := Open(dir)
+// TestKeySumMatchesLine: the hash a log line is indexed under is the
+// hash a lookup computes for its key, for keys that JSON must escape,
+// an empty key and a key longer than keySum's buffer; and hashing a
+// key or a line allocates nothing.
+func TestKeySumMatchesLine(t *testing.T) {
+	keys := append([]string{"", strings.Repeat("k", 2000)}, escapingKeys...)
+	for _, key := range keys {
+		data, err := EncodeRecord(key, sampleReport())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, key := range keys {
-			sum := sha256.Sum256([]byte(key))
-			name := hex.EncodeToString(sum[:])
-			if got, want := s.path(key), filepath.Join(s.root, name[:2], name+".json"); got != want {
-				t.Errorf("path(%q) under %q:\n got  %s\n want %s", key, dir, got, want)
-			}
+		got, ok := lineKeySum(data)
+		if want := sha256.Sum256([]byte(key)); !ok || got != want || keySum(key) != want {
+			t.Errorf("key %q: line sum %x (%v), key sum %x, want %x", key, got, ok, keySum(key), want)
 		}
 	}
-	s, err := Open(tmp)
-	if err != nil {
-		t.Fatal(err)
+	line, _ := EncodeRecord(longKey, sampleReport())
+	if n := testing.AllocsPerRun(100, func() { keySum(longKey); lineKeySum(line) }); n != 0 {
+		t.Errorf("hashing a key and its line allocates %.0f times", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = s.path(keys[0]) }); n > 1 {
-		t.Errorf("path allocates %.0f times, want at most the returned string", n)
+	for _, bad := range []string{"", "{", `{"schema":1,"key":"unterminated`, `{"schema":1,"key":"bad\u12"}`, `{"schema":2,"key":"k"}`} {
+		if _, ok := lineKeySum([]byte(bad)); ok {
+			t.Errorf("line %q names a key", bad)
+		}
 	}
 }
 
-// shardLeftovers lists the lock and temp files in key's shard.
-func shardLeftovers(t *testing.T, s *Dir, key string) []string {
+// logPath is d's record log.
+func logPath(d *Dir) string { return filepath.Join(d.root, "records.log") }
+
+// closeDir closes d's files, as its process's exit would.
+func closeDir(d *Dir) {
+	d.log.Close()
+	d.locks.Close()
+}
+
+// readLog returns d's log.
+func readLog(t *testing.T, d *Dir) []byte {
 	t.Helper()
-	entries, err := os.ReadDir(filepath.Dir(s.path(key)))
+	data, err := os.ReadFile(logPath(d))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var left []string
-	for _, e := range entries {
-		if name := e.Name(); strings.HasSuffix(name, ".lock") || strings.HasPrefix(name, ".tmp-") {
-			left = append(left, name)
-		}
-	}
-	return left
+	return data
 }
 
-// verifyRecord reads key's record file and checks it decodes to want.
+// recordLine returns d's log and the offset and length of key's first
+// record line in it.
+func recordLine(t *testing.T, d *Dir, key string) (data []byte, off, n int) {
+	t.Helper()
+	data = readLog(t, d)
+	if off = bytes.Index(data, appendHead(nil, key)); off < 0 {
+		t.Fatalf("no record of %q in the log", key)
+	}
+	return data, off, bytes.IndexByte(data[off:], '\n')
+}
+
+// replaceRecord rewrites key's record line in d's log as bad and points
+// d's index entry for key at it, as if d had indexed those bytes as
+// key's record.
+func replaceRecord(t *testing.T, d *Dir, key string, bad []byte) {
+	t.Helper()
+	data, off, n := recordLine(t, d, key)
+	out := append(append(append([]byte(nil), data[:off]...), bad...), data[off+n:]...)
+	if err := os.WriteFile(logPath(d), out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	d.index[keySum(key)] = span{int64(off), len(bad)}
+	d.scanned = int64(len(out))
+	d.mu.Unlock()
+}
+
+// verifyRecord checks that a fresh Dir on s's directory reads key's
+// record as want.
 func verifyRecord(t *testing.T, s *Dir, key string, want *stats.Report) {
 	t.Helper()
-	data, err := os.ReadFile(s.path(key))
+	fresh, err := Open(s.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRecord(data, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("record decodes to %+v, want %+v", got, want)
+	defer closeDir(fresh)
+	got, tier := fresh.Get(key)
+	if tier != TierLocal || !reflect.DeepEqual(got, want) {
+		t.Fatalf("record of %q reads %+v (tier %v), want %+v", key, got, tier, want)
 	}
 }
 
 // TestPutPublishesThroughHeldLock: a Put of a key this Dir has locked
-// renames the lock file over the record path, which leaves nothing
-// behind and releases the lock; the release afterwards touches neither
-// the record nor a lock taken since.
+// is visible to another Dir while the lock is still held, so a waiter
+// that takes the lock next finds it; the release then frees the key.
 func TestPutPublishesThroughHeldLock(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,50 +461,32 @@ func TestPutPublishesThroughHeldLock(t *testing.T) {
 	if release == nil {
 		t.Fatal("TryLock on a free key failed")
 	}
-	lockPath := s.path(key) + ".lock"
-	lockInfo, err := os.Stat(lockPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Put(key, sampleReport()); err != nil {
 		t.Fatal(err)
 	}
-	verifyRecord(t, s, key, sampleReport())
-	recInfo, err := os.Stat(s.path(key))
-	if err != nil {
-		t.Fatal(err)
+	if got, tier := other.Get(key); tier != TierLocal || !reflect.DeepEqual(got, sampleReport()) {
+		t.Fatalf("record invisible to another Dir before the release (tier %v)", tier)
 	}
-	if !os.SameFile(lockInfo, recInfo) {
-		t.Error("the record is not the lock file it was written into")
+	if again := other.TryLock(key); again != nil {
+		again()
+		t.Fatal("the Put released the lock")
 	}
-	if left := shardLeftovers(t, s, key); len(left) != 0 {
-		t.Errorf("shard holds %v after the Put", left)
+	release()
+	otherRelease := other.TryLock(key)
+	if otherRelease == nil {
+		t.Fatal("lock not released")
 	}
+	otherRelease()
 	if st := s.Stats(); st.Writes != 1 {
 		t.Errorf("stats %+v, want 1 write", st)
 	}
-	// The key is free again; another process locks it before the
-	// first holder's release runs.
-	other, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherRelease := other.TryLock(key)
-	if otherRelease == nil {
-		t.Fatal("lock not released by the Put")
-	}
-	defer otherRelease()
-	release()
-	verifyRecord(t, s, key, sampleReport())
-	if _, err := os.Stat(lockPath); err != nil {
-		t.Errorf("release removed another holder's lock: %v", err)
-	}
 }
 
-// TestPutFallsBackWhenLockReplaced: when the lock this Dir holds was
-// stolen and retaken by another process before the Put, the Put writes
-// through a temp file and leaves the foreign lock exactly as it was,
-// and so does the release, with or without a Put before it.
+// TestPutFallsBackWhenLockReplaced: a Put never goes through the key's
+// lock, so when the locks file is removed or renamed under a holder and
+// a foreign file takes its place, the holder's Put still publishes, its
+// release leaves the foreign file alone, and a release without a Put
+// publishes nothing.
 func TestPutFallsBackWhenLockReplaced(t *testing.T) {
 	for _, how := range []string{"removed", "renamed", "released-unput"} {
 		t.Run(how, func(t *testing.T) {
@@ -547,9 +499,11 @@ func TestPutFallsBackWhenLockReplaced(t *testing.T) {
 			if release == nil {
 				t.Fatal("TryLock on a free key failed")
 			}
-			lockPath := s.path(key) + ".lock"
+			lockPath := filepath.Join(s.root, "locks")
+			want := []string{"locks", "records.log"}
 			if how == "renamed" {
 				err = os.Rename(lockPath, lockPath+".stale.test")
+				want = []string{"locks", "locks.stale.test", "records.log"}
 			} else {
 				err = os.Remove(lockPath)
 			}
@@ -568,85 +522,384 @@ func TestPutFallsBackWhenLockReplaced(t *testing.T) {
 			}
 			release()
 			if data, err := os.ReadFile(lockPath); err != nil || !bytes.Equal(data, foreign) {
-				t.Fatalf("foreign lock disturbed: %q, %v", data, err)
+				t.Fatalf("foreign locks file disturbed: %q, %v", data, err)
 			}
-			if left := shardLeftovers(t, s, key); len(left) != 1 || left[0] != filepath.Base(lockPath) {
-				t.Errorf("shard holds %v, want only the foreign lock", left)
+			entries, err := os.ReadDir(s.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, e := range entries {
+				got = append(got, e.Name())
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("store holds %v, want %v", got, want)
+			}
+			if how == "released-unput" {
+				fresh, err := Open(s.Dir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer closeDir(fresh)
+				if _, tier := fresh.Get(key); tier.Hit() {
+					t.Error("a release without a Put published a record")
+				}
 			}
 		})
 	}
 }
 
-// TestDoPublishesThroughItsLock: Do writes the record it computed into
-// the lock file it took, and leaves no lock behind.
+// TestDoPublishesThroughItsLock: Do writes the record it computed while
+// it holds the key's lock, and leaves the lock free.
 func TestDoPublishesThroughItsLock(t *testing.T) {
-	s, err := Open(t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const key = "k"
-	var lockInfo os.FileInfo
 	_, tier, err := s.Do(context.Background(), key, func() (*stats.Report, error) {
-		var err error
-		lockInfo, err = os.Stat(s.path(key) + ".lock")
-		return sampleReport(), err
+		if release := other.TryLock(key); release != nil {
+			release()
+			return nil, errors.New("compute runs without the key's lock")
+		}
+		return sampleReport(), nil
 	})
 	if err != nil || tier.Hit() {
 		t.Fatalf("Do: tier %v, err %v", tier, err)
 	}
 	verifyRecord(t, s, key, sampleReport())
-	recInfo, err := os.Stat(s.path(key))
-	if err != nil {
-		t.Fatal(err)
+	release := other.TryLock(key)
+	if release == nil {
+		t.Fatal("Do left its lock held")
 	}
-	if !os.SameFile(lockInfo, recInfo) {
-		t.Error("Do did not publish through its lock file")
-	}
-	if left := shardLeftovers(t, s, key); len(left) != 0 {
-		t.Errorf("shard holds %v after Do", left)
+	release()
+}
+
+// TestTornTail: a record torn by a crash, its leading newline and part
+// of its bytes, becomes one corrupt line when the next Put appends, and
+// the record after it reads. The tear falls inside the key or after it.
+func TestTornTail(t *testing.T) {
+	for name, cut := range map[string]int{"in-key": 10, "in-payload": -1} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			torn, _ := EncodeRecord("torn", sampleReport())
+			if cut < 0 {
+				cut = len(torn) / 2
+			}
+			f, err := os.OpenFile(logPath(s), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(append([]byte{'\n'}, torn[:cut]...)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if err := s.Put("next", sampleReport()); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Open(s.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, tier := fresh.Get("next"); tier != TierLocal || !reflect.DeepEqual(got, sampleReport()) {
+				t.Fatalf("record after a torn one reads %v", tier)
+			}
+			if _, tier := fresh.Get("torn"); tier.Hit() {
+				t.Fatal("torn record served")
+			}
+			if st := fresh.Stats(); st.Corrupt != 1 || st.Hits != 1 || st.Misses != 1 {
+				t.Errorf("stats %+v, want 1 hit, 1 miss, 1 corrupt line", st)
+			}
+		})
 	}
 }
 
-// TestRecordModeIndependentOfWritePath: a record published from a lock
-// file has the mode of one written through a temp file.
-func TestRecordModeIndependentOfWritePath(t *testing.T) {
+// TestBitRotMidLog: a record damaged in the middle of the log misses
+// and counts corrupt while its neighbours read; a Put supersedes it,
+// and a fresh Dir reads the healed copy.
+func TestBitRotMidLog(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("plain", sampleReport()); err != nil {
-		t.Fatal(err)
+	report := func(k int) *stats.Report {
+		rep := sampleReport()
+		rep.Cycles = int64(k)
+		return rep
 	}
-	release := s.TryLock("locked")
-	if release == nil {
-		t.Fatal("TryLock on a free key failed")
+	for k := 0; k < 3; k++ {
+		if err := s.Put(fmt.Sprint("key-", k), report(k)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer release()
-	if err := s.Put("locked", sampleReport()); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := os.Stat(s.path("plain"))
+	_, off, n := recordLine(t, s, "key-1")
+	f, err := os.OpenFile(logPath(s), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	locked, err := os.Stat(s.path("locked"))
+	if _, err := f.WriteAt([]byte{'X'}, int64(off+n-20)); err != nil { // inside the payload
+		t.Fatal(err)
+	}
+	f.Close()
+	d, err := Open(s.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Mode() != locked.Mode() {
-		t.Errorf("temp-file record mode %v, lock-file record mode %v", plain.Mode(), locked.Mode())
+	if _, tier := d.Get("key-1"); tier.Hit() {
+		t.Fatal("rotten record served")
 	}
+	if c := d.Stats().Corrupt; c != 1 {
+		t.Errorf("corrupt = %d, want 1", c)
+	}
+	for _, k := range []int{0, 2} {
+		if got, tier := d.Get(fmt.Sprint("key-", k)); !tier.Hit() || !reflect.DeepEqual(got, report(k)) {
+			t.Errorf("neighbour key-%d reads %v", k, tier)
+		}
+	}
+	if err := d.Put("key-1", report(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got, tier := d.Get("key-1"); !tier.Hit() || !reflect.DeepEqual(got, report(1)) {
+		t.Fatal("healed record not served")
+	}
+	verifyRecord(t, s, "key-1", report(1))
+}
+
+// TestLogVisibility: a record another Dir appends after this one has
+// indexed the log is found by this one's next lookup.
+func TestLogVisibility(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, tier := a.Get("k"); tier.Hit() {
+		t.Fatal("empty store hit")
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put("k", sampleReport()); err != nil {
+		t.Fatal(err)
+	}
+	if got, tier := a.Get("k"); tier != TierLocal || !reflect.DeepEqual(got, sampleReport()) {
+		t.Fatalf("another Dir's record reads %v", tier)
+	}
+}
+
+// TestLongRecordLine: a record longer than the scan buffer is indexed
+// whole, and the lines after it too.
+func TestLongRecordLine(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := sampleReport()
+	for i := 0; i < 2000; i++ {
+		long.Spans = append(long.Spans, stats.Span{Thread: i % 4, Program: "tf", Start: int64(i), End: int64(i + 1)})
+	}
+	if err := s.Put("long", long); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("short", sampleReport()); err != nil {
+		t.Fatal(err)
+	}
+	if len(readLog(t, s)) <= scanChunk {
+		t.Fatal("the long record fits the scan buffer")
+	}
+	verifyRecord(t, s, "short", sampleReport())
+	verifyRecord(t, s, "long", long)
+}
+
+// lockChildEnv names the directory a re-executed test binary locks a
+// key in (see TestLockHolderChild).
+const lockChildEnv = "MTVEC_STORE_LOCK_CHILD"
+
+// TestLockHolderChild is the child of TestCrossProcessLock, a separate
+// process: it takes the key's lock, says so on stdout, and then, for
+// each line on stdin, Puts the key's record. It never releases the
+// lock: it ends when killed or when stdin closes.
+func TestLockHolderChild(t *testing.T) {
+	dir := os.Getenv(lockChildEnv)
+	if dir == "" {
+		t.Skip("run as TestCrossProcessLock's child")
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.TryLock("k") == nil {
+		t.Fatal("child could not take the lock")
+	}
+	fmt.Println("locked")
+	in := bufio.NewScanner(os.Stdin)
+	for in.Scan() {
+		if err := s.Put("k", sampleReport()); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Println("put")
+	}
+	os.Exit(0) // exit holding the lock: the kernel releases it
+}
+
+// TestCrossProcessLock: a key's lock excludes another process, and the
+// kernel frees it the moment its holder dies, with no age involved. A
+// holder that writes the record and exits answers a Do waiting on it.
+func TestCrossProcessLock(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("cross-process locks are Linux's")
+	}
+	start := func(t *testing.T, dir string) (*exec.Cmd, io.WriteCloser, *bufio.Scanner) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestLockHolderChild$")
+		cmd.Env = append(os.Environ(), lockChildEnv+"="+dir)
+		cmd.Stderr = os.Stderr
+		stdin, err := cmd.StdinPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
+		out := bufio.NewScanner(stdout)
+		if !out.Scan() || out.Text() != "locked" {
+			t.Fatalf("child did not lock: %q", out.Text())
+		}
+		return cmd, stdin, out
+	}
+	t.Run("killed", func(t *testing.T) {
+		dir := t.TempDir()
+		cmd, _, _ := start(t, dir)
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if release := s.TryLock("k"); release != nil {
+			release()
+			t.Fatal("TryLock took a lock another process holds")
+		}
+		if err := cmd.Process.Kill(); err != nil { // SIGKILL: no cleanup runs
+			t.Fatal(err)
+		}
+		cmd.Wait()
+		release := s.TryLock("k")
+		if release == nil {
+			t.Fatal("a killed holder's lock is still held")
+		}
+		release()
+	})
+	t.Run("holder-puts", func(t *testing.T) {
+		dir := t.TempDir()
+		cmd, stdin, out := start(t, dir)
+		s, err := OpenOptions(dir, Options{LockPoll: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type result struct {
+			tier Tier
+			err  error
+		}
+		done := make(chan result, 1)
+		go func() {
+			_, tier, err := s.Do(context.Background(), "k", func() (*stats.Report, error) {
+				return nil, errors.New("compute ran under a live holder")
+			})
+			done <- result{tier, err}
+		}()
+		time.Sleep(50 * time.Millisecond) // let Do wait on the lock
+		fmt.Fprintln(stdin, "put")
+		if !out.Scan() || out.Text() != "put" {
+			t.Fatalf("child did not put: %q", out.Text())
+		}
+		stdin.Close()
+		cmd.Wait()
+		select {
+		case r := <-done:
+			if r.err != nil || r.tier != TierLocal {
+				t.Fatalf("Do: tier %v, err %v, want the holder's record", r.tier, r.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Do still waits after the holder exited")
+		}
+	})
+}
+
+// FuzzStoreLog: whatever bytes a log starts with, a Dir never panics,
+// finds every record Put after them, and serves only records that were
+// Put or that the bytes hold whole.
+func FuzzStoreLog(f *testing.F) {
+	valid, _ := EncodeRecord("absent", sampleReport())
+	for _, seed := range [][]byte{
+		nil, []byte("\n"), []byte("garbage"), valid, append(append([]byte("\n"), valid...), '\n'),
+		valid[:len(valid)/2], []byte(`{"schema":1,"key":"k\"`), []byte(`{"schema":1,"key":"ab"`),
+	} {
+		f.Add(seed)
+	}
+	keys := []string{"k", "a<b>", "ab"}
+	f.Fuzz(func(t *testing.T, prefix []byte) {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeDir(s)
+		if err := os.WriteFile(logPath(s), prefix, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]*stats.Report{}
+		for i, key := range keys {
+			rep := sampleReport()
+			rep.Cycles = int64(i)
+			if err := s.Put(key, rep); err != nil {
+				t.Fatal(err)
+			}
+			want[key] = rep
+		}
+		fresh, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeDir(fresh)
+		for _, key := range append(keys, "absent", "") {
+			got, tier := fresh.Get(key)
+			if w, ok := want[key]; ok {
+				if tier != TierLocal || !reflect.DeepEqual(got, w) {
+					t.Fatalf("%q reads %+v (tier %v), want %+v", key, got, tier, w)
+				}
+				continue
+			}
+			if tier.Hit() {
+				rec, _ := EncodeRecord(key, got)
+				if !bytes.Contains(prefix, rec) {
+					t.Fatalf("%q served a record the log does not hold", key)
+				}
+			}
+		}
+	})
 }
 
 // TestDirsRaceOnSharedKeys: goroutines on two Dirs over one directory
 // (two processes) Do a shared set of keys in different orders. Each key
-// is computed once, every record verifies, and no lock or temp file is
-// left. Run it with -race -count=10.
+// is computed once, every record verifies, and no lock is left held.
+// Run it with -race -count=10.
 func TestDirsRaceOnSharedKeys(t *testing.T) {
 	dir := t.TempDir()
 	var dirs [2]*Dir
 	for i := range dirs {
-		d, err := OpenOptions(dir, Options{StealAge: time.Minute, LockPoll: time.Millisecond})
+		d, err := OpenOptions(dir, Options{LockPoll: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -688,31 +941,11 @@ func TestDirsRaceOnSharedKeys(t *testing.T) {
 			t.Errorf("%s computed %d times, want 1", key, n)
 		}
 		verifyRecord(t, dirs[0], key, report(k))
-		if left := shardLeftovers(t, dirs[0], key); len(left) != 0 {
-			t.Errorf("%s: shard holds %v", key, left)
+		release := dirs[0].TryLock(key)
+		if release == nil {
+			t.Errorf("%s: lock left held", key)
+			continue
 		}
-	}
-}
-
-// TestReadFile: readFile returns a file's bytes whatever the buffer it
-// is handed, and a missing file reads as os.IsNotExist, naming the
-// path without its NUL.
-func TestReadFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "f")
-	want := bytes.Repeat([]byte("0123456789abcdef"), 1000)
-	if err := os.WriteFile(path, want, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	name := append([]byte(path), 0)
-	for _, buf := range [][]byte{nil, make([]byte, 0, 7), make([]byte, 3, 64<<10)} {
-		got, err := readFile(name, buf)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("cap %d: read %d bytes, %v", cap(buf), len(got), err)
-		}
-	}
-	_, err := readFile(append([]byte(path+".missing"), 0), nil)
-	var perr *os.PathError
-	if !os.IsNotExist(err) || !errors.As(err, &perr) || perr.Path != path+".missing" {
-		t.Fatalf("missing file: %v", err)
+		release()
 	}
 }

@@ -72,7 +72,7 @@ type StoreBackend = store.Backend
 // counters.
 type StoreStats = store.Stats
 
-// StoreOptions tunes an on-disk store (lock-file steal age and poll
+// StoreOptions tunes an on-disk store (the lock waiters' poll
 // interval); the zero value selects every default.
 type StoreOptions = store.Options
 
