@@ -21,14 +21,17 @@
 //
 // # Concurrency and determinism
 //
-// A Machine is single-use and not safe for concurrent use, but a run is
+// A Machine runs once and is not safe for concurrent use, but a run is
 // a pure function of its Config and input streams: the same inputs
 // always produce the same Report, cycle for cycle. Distinct Machines
 // share no mutable state: New clones Config.Policy (policies may carry
 // per-run state), so one Config value can be reused across concurrent
 // runs, and the session engine (internal/session, internal/runner)
 // simulates many Machines in parallel and still gets byte-identical
-// results at any worker count.
+// results at any worker count. Release hands a finished machine back
+// to New, which rebuilds it in place for the next run: a recycled
+// machine starts from the same zeroed state as a new one, so recycling
+// never changes a Report.
 //
 // RunContext plumbs context.Context cancellation into the simulation
 // loop. The deadline is checked on a coarse iteration stride, so an
@@ -39,6 +42,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"mtvec/internal/arch"
 	"mtvec/internal/isa"
@@ -159,17 +163,18 @@ type JobSource func() (*prog.Stream, string, bool)
 // fuState is one pipelined unit's availability.
 type fuState struct{ freeAt Cycle }
 
-// Machine is one simulation instance. Machines are single-use: configure
-// threads, Run once, read the report.
+// Machine is one simulation instance. A machine runs once: configure
+// threads, Run, read the report. Release then recycles it, so that a
+// later New reuses its memory instead of allocating a new machine.
 type Machine struct {
 	cfg Config
 	lat isa.LatencyTable
-	mem *memsys.System
+	mem memsys.System
 
 	fu1, fu2 fuState // the default 1-restricted + 1-general FU pair
 	ld       fuState
 	// fus holds the lanes of a non-default mix (restricted lanes first);
-	// nil when pairFU selects the devirtualized fu1/fu2 fast path.
+	// empty when pairFU selects the devirtualized fu1/fu2 fast path.
 	fus    []fuState
 	pairFU bool
 
@@ -184,6 +189,11 @@ type Machine struct {
 	fuRestr  int
 
 	ctxs []hwContext // contiguous: one cache-friendly block
+	// The backing arrays every context's register, bank and port-window
+	// state is sliced from (see build).
+	vregBuf []vregState
+	bankBuf []bankState
+	winBuf  []portWindow
 
 	now        Cycle
 	cur        int
@@ -233,21 +243,62 @@ type Machine struct {
 	ran bool
 }
 
-// New builds a machine from cfg.
+// machines holds released machines for New to rebuild (see Release).
+var machines = sync.Pool{New: func() any { return new(Machine) }}
+
+// New builds a machine from cfg. It rebuilds a released machine when
+// one is pooled, and allocates one otherwise.
 func New(cfg Config) (*Machine, error) {
-	cfg = cfg.Normalized()
+	m := machines.Get().(*Machine)
+	if err := m.build(cfg); err != nil {
+		machines.Put(m)
+		return nil, err
+	}
+	return m, nil
+}
+
+// Release returns a machine to the pool New rebuilds machines from. It
+// first drops every reference the run held (streams, job sources, the
+// cloned policy, observers, the config), so a pooled machine pins no
+// trace, workload or Report. A Report the machine returned stays valid:
+// it shares no memory with the machine. The machine must not be used
+// after Release; releasing it again is a no-op.
+func (m *Machine) Release() {
+	if m.cfg.Policy == nil { // released already: build always sets a policy
+		return
+	}
+	m.reset()
+	machines.Put(m)
+}
+
+// reset drops the references the run held: the config and what the
+// contexts and observers point at. Everything else in a machine is its
+// own memory, which build zeroes. A reset machine refuses to run until
+// it is built again.
+func (m *Machine) reset() {
+	clear(m.ctxs[:cap(m.ctxs)])
+	clear(m.obs[:cap(m.obs)])
+	m.cfg = Config{}
+	m.ran = true
+}
+
+// build initializes m as a machine for cfg. It is New's one init path,
+// for a new machine and a recycled one alike: every field starts from
+// zero, and only the backing arrays of the state slices are kept, grown
+// when cfg's shape needs more. On an error m is unchanged.
+func (m *Machine) build(cfg Config) error {
+	cfg.Normalize()
 	// Derive runs the spec- and context-level validation; only the
 	// cross-knob checks of Config.Validate remain.
 	der, err := cfg.Spec.Derive(cfg.Contexts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := cfg.validateKnobs(); err != nil {
-		return nil, err
+		return err
 	}
-	mem, err := memsys.New(cfg.Mem)
-	if err != nil {
-		return nil, err
+	if err := m.mem.Reset(cfg.Mem); err != nil {
+		return err
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = sched.Unfair{}
@@ -255,7 +306,10 @@ func New(cfg Config) (*Machine, error) {
 	// Take ownership of the policy: cloning makes sharing one Config
 	// (or one policy value) across concurrent runs safe by construction.
 	cfg.Policy = cfg.Policy.Clone()
-	m := &Machine{cfg: cfg, lat: cfg.Lat, mem: mem, cur: -1, lastDisp: -1, sole: -1}
+	*m = Machine{
+		cfg: cfg, lat: cfg.Lat, mem: m.mem, cur: -1, lastDisp: -1, sole: -1,
+		fus: m.fus, ctxs: m.ctxs, vregBuf: m.vregBuf, bankBuf: m.bankBuf, winBuf: m.winBuf, obs: m.obs,
+	}
 	if cfg.Contexts == 1 {
 		m.sole = 0
 	}
@@ -278,11 +332,13 @@ func New(cfg Config) (*Machine, error) {
 	m.vlMax = der.VLMax
 	m.fuRestr = der.RestrictedFUs
 	m.pairFU = der.RestrictedFUs == 1 && der.TotalFUs == 2
-	if !m.pairFU {
-		m.fus = make([]fuState, der.TotalFUs)
+	if m.pairFU {
+		m.fus = m.fus[:0]
+	} else {
+		m.fus = resize(m.fus, der.TotalFUs)
 	}
 
-	m.obs = append(m.obs, cfg.Observers...)
+	m.obs = append(m.obs[:0], cfg.Observers...)
 	m.hasObs = len(m.obs) > 0
 	m.progressStride = cfg.ProgressStride
 	if m.progressStride <= 0 {
@@ -293,10 +349,11 @@ func New(cfg Config) (*Machine, error) {
 	// One contiguous block per state kind: the contexts themselves, then
 	// every context's register and bank windows, sliced out of shared
 	// backing arrays so multi-context scans stay cache-friendly.
-	m.ctxs = make([]hwContext, cfg.Contexts)
-	vregs := make([]vregState, cfg.Contexts*der.CtxVRegs)
-	banks := make([]bankState, cfg.Contexts*der.NumBanks)
-	wins := make([]portWindow, 2*bankWinReserve*cfg.Contexts*der.NumBanks)
+	m.ctxs = resize(m.ctxs, cfg.Contexts)
+	m.vregBuf = resize(m.vregBuf, cfg.Contexts*der.CtxVRegs)
+	m.bankBuf = resize(m.bankBuf, cfg.Contexts*der.NumBanks)
+	m.winBuf = resize(m.winBuf, 2*bankWinReserve*cfg.Contexts*der.NumBanks)
+	vregs, banks, wins := m.vregBuf, m.bankBuf, m.winBuf
 	// Seed every bank's port-window lists with a preallocated reserve:
 	// pruning keeps live windows to a few in-flight instructions, so
 	// bankWinReserve covers the steady state and only a genuinely deep
@@ -314,7 +371,18 @@ func New(cfg Config) (*Machine, error) {
 		c.banks = banks[i*der.NumBanks : (i+1)*der.NumBanks : (i+1)*der.NumBanks]
 		c.init(i)
 	}
-	return m, nil
+	return nil
+}
+
+// resize returns s resliced to n zeroed elements, in its own backing
+// array when that holds n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SetThread installs the job source of context id.
@@ -828,15 +896,16 @@ func (m *Machine) report(stop Stop) *stats.Report {
 		Insts:          m.dispatched,
 		LostDecode:     m.lost,
 	}
+	rep.Threads = make([]stats.ThreadReport, len(m.ctxs))
 	for i := range m.ctxs {
 		c := &m.ctxs[i]
 		m.closeSpan(c)
-		rep.Threads = append(rep.Threads, stats.ThreadReport{
+		rep.Threads[i] = stats.ThreadReport{
 			Program:      c.program,
 			Completions:  c.completions,
 			PartialInsts: c.partialInsts(),
 			Dispatched:   c.dispatched,
-		})
+		}
 	}
 	return rep
 }

@@ -118,13 +118,32 @@ type System struct {
 
 // New creates a memory system. The configuration must validate.
 func New(cfg Config) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+	s := new(System)
+	if err := s.Reset(cfg); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// Reset makes s the memory system New(cfg) would build, with every port
+// free and every counter zero, keeping the port table's backing array
+// when it is large enough. The configuration must validate; on an error
+// s is unchanged.
+func (s *System) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	n := cfg.GeneralPorts + cfg.LoadPorts + cfg.StorePorts
-	s := &System{
+	ports := s.portFree[:0]
+	if cap(ports) < n {
+		ports = make([]Cycle, n)
+	} else {
+		ports = ports[:n]
+		clear(ports)
+	}
+	*s = System{
 		cfg:      cfg,
-		portFree: make([]Cycle, n),
+		portFree: ports,
 		single:   n == 1 && cfg.GeneralPorts == 1,
 		noBanks:  cfg.Banks == 0,
 		lat:      int64(cfg.Latency),
@@ -133,7 +152,7 @@ func New(cfg Config) (*System, error) {
 	if cfg.ScalarLatency > 0 {
 		s.scalarLat = int64(cfg.ScalarLatency)
 	}
-	return s, nil
+	return nil
 }
 
 // Config returns the system's configuration.

@@ -528,6 +528,7 @@ func (s *Session) simulate(ctx context.Context, spec RunSpec, p plan) (rep *stat
 		if m, err = core.New(cfg); err != nil {
 			return
 		}
+		defer m.Release()
 		if err = attachThreads(m, spec, cfg); err != nil {
 			return
 		}

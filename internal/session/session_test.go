@@ -335,3 +335,31 @@ func TestMemoHitAllocs(t *testing.T) {
 		t.Errorf("a memo hit allocates %.0f times, want at most 1 (its key)", n)
 	}
 }
+
+// TestColdPointAllocs pins what a memo-missed solo point allocates once
+// the machine pool is warm: the run rebuilds a released machine, so
+// what is left is the Report and its Threads, the instruction stream,
+// and the thread's job source. Allocating the machine anew adds about
+// seven more and 3.8 KB.
+func TestColdPointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops machines at random")
+	}
+	w := testWorkload(t)
+	s := New(WithoutMemo(), WithJobs(1))
+	spec := Solo(w, WithMemLatency(50))
+	ctx := context.Background()
+	if _, err := s.Run(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, src, err := s.RunTracked(ctx, spec); err != nil || src != SourceSim {
+			t.Fatalf("cold point: src=%v err=%v", src, err)
+		}
+	})
+	// 5 on Go 1.24.
+	const pinned = 5
+	if n > pinned {
+		t.Errorf("a cold point allocates %.0f times, want at most %d", n, pinned)
+	}
+}

@@ -22,7 +22,7 @@ func TestAddBusyClampsOverlap(t *testing.T) {
 	if got := unitBusy(b, UnitLD); got != 14 {
 		t.Errorf("degenerate intervals changed busy cycles: %d, want 14", got)
 	}
-	if busy := b.Total() - b.AllIdle(); busy != 14 {
+	if busy := b.Total() - b[0]; busy != 14 {
 		t.Errorf("sweep busy = %d, want 14", busy)
 	}
 }
@@ -66,8 +66,8 @@ func TestSweepIntervalPastHorizon(t *testing.T) {
 	if b.Total() != 10 {
 		t.Errorf("total = %d, want 10", b.Total())
 	}
-	if b.AllIdle() != 8 {
-		t.Errorf("idle = %d, want 8", b.AllIdle())
+	if b[0] != 8 {
+		t.Errorf("idle = %d, want 8", b[0])
 	}
 	if got := b[1<<UnitFU1]; got != 2 {
 		t.Errorf("FU1-only cycles = %d, want 2", got)

@@ -62,9 +62,6 @@ func (b *Breakdown) MemIdle() Cycle {
 	return t
 }
 
-// AllIdle returns the cycles where no vector unit is working.
-func (b *Breakdown) AllIdle() Cycle { return b[0] }
-
 // UnitTimeline books per-unit busy intervals into the state breakdown
 // as a run goes, and keeps no list of them. Intervals must arrive in
 // non-decreasing start order across all units, not only per unit:

@@ -177,9 +177,6 @@ func TestMemIdle(t *testing.T) {
 	if got := b.MemIdle(); got != 17 {
 		t.Fatalf("MemIdle = %d, want 17", got)
 	}
-	if b.AllIdle() != 10 {
-		t.Fatalf("AllIdle = %d", b.AllIdle())
-	}
 }
 
 func TestSweepPropertyTotalAndBusy(t *testing.T) {

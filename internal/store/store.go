@@ -63,6 +63,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -113,6 +114,9 @@ type Dir struct {
 	lockPoll time.Duration
 
 	log *os.File // records.log, appended to and read at offsets
+	// appending orders this Dir's appends, so that the log descriptor's
+	// offset after a write is where that write's line ends.
+	appending sync.Mutex
 
 	mu sync.Mutex
 	// locks is the file whose bytes are the keys' locks (see
@@ -480,6 +484,12 @@ var lineBufs = sync.Pool{New: func() any {
 // the log. Concurrent writers of one key write identical records
 // (simulations are pure functions of their key), so which one a reader
 // indexes is harmless.
+//
+// A Dir indexes its own appends: when the line starts where the index
+// stops, Put indexes it and moves s.scanned past it, so a later miss
+// reads nothing it wrote. When another process appended in between, or
+// a lookup has already caught up past the line, s.scanned stays and
+// catchUp reads or has read both lines.
 func (s *Dir) Put(key string, rep *stats.Report) error {
 	b := lineBufs.Get().(*lineBuf)
 	defer lineBufs.Put(b)
@@ -489,10 +499,29 @@ func (s *Dir) Put(key string, rep *stats.Report) error {
 	}
 	payload := bytes.TrimSuffix(b.payload.Bytes(), []byte{'\n'})
 	b.line = append(appendRecord(append(b.line[:0], '\n'), key, payload), '\n')
-	if _, err := s.log.Write(b.line); err != nil {
+	s.appending.Lock()
+	_, err := s.log.Write(b.line)
+	end, seekErr := s.log.Seek(0, io.SeekCurrent)
+	s.appending.Unlock()
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.writes.Add(1)
+	if seekErr != nil {
+		return nil // the next miss reads the line instead
+	}
+	// A lookup holding the index leaves the line to the next catch-up:
+	// waiting for it here parked Put for longer than reading the line
+	// back costs.
+	sum := keySum(key)
+	if !s.mu.TryLock() {
+		return nil
+	}
+	if start := end - int64(len(b.line)); start == s.scanned {
+		s.index[sum] = span{start + 1, len(b.line) - 2}
+		s.scanned = end
+	}
+	s.mu.Unlock()
 	return nil
 }
 

@@ -694,6 +694,113 @@ func TestLogVisibility(t *testing.T) {
 	if got, tier := a.Get("k"); tier != TierLocal || !reflect.DeepEqual(got, sampleReport()) {
 		t.Fatalf("another Dir's record reads %v", tier)
 	}
+
+	// Interleaved appends: each Dir indexes its own line only when it
+	// follows what that Dir has indexed, and finds every record either
+	// way.
+	report := func(k int) *stats.Report {
+		rep := sampleReport()
+		rep.Cycles = int64(k)
+		return rep
+	}
+	const n = 8
+	for k := 0; k < n; k++ {
+		d := a
+		if k%3 == 1 {
+			d = b
+		}
+		if err := d.Put(fmt.Sprint("i-", k), report(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range []*Dir{a, b} {
+		for k := 0; k < n; k++ {
+			if got, tier := d.Get(fmt.Sprint("i-", k)); tier != TierLocal || !reflect.DeepEqual(got, report(k)) {
+				t.Errorf("record i-%d reads %v", k, tier)
+			}
+		}
+		if d.scanned != int64(len(readLog(t, d))) {
+			t.Errorf("a Dir indexed the log to %d of %d bytes", d.scanned, len(readLog(t, d)))
+		}
+	}
+}
+
+// TestPutIndexesOwnAppends: with no other writer, a Dir indexes its own
+// records as it appends them, so a miss after them reads no bytes.
+func TestPutIndexesOwnAppends(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 5
+	for i := 0; i < k; i++ {
+		if err := s.Put(fmt.Sprint("own-", i), sampleReport()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := int64(len(readLog(t, s)))
+	if s.scanned != size || len(s.index) != k {
+		t.Fatalf("after %d Puts: scanned %d of %d bytes, %d records indexed", k, s.scanned, size, len(s.index))
+	}
+	if _, tier := s.Get("absent"); tier.Hit() {
+		t.Fatal("absent key hit")
+	}
+	// catchUp reads from s.scanned to the end of the log: nothing.
+	if s.scanned != size || len(s.index) != k {
+		t.Fatalf("a miss moved the index: scanned %d of %d bytes, %d records indexed", s.scanned, size, len(s.index))
+	}
+	for i := 0; i < k; i++ {
+		if got, tier := s.Get(fmt.Sprint("own-", i)); tier != TierLocal || !reflect.DeepEqual(got, sampleReport()) {
+			t.Errorf("own-%d reads %v", i, tier)
+		}
+	}
+}
+
+// TestConcurrentAppendsIndexed: goroutines of two Dirs append and look
+// up at once; afterwards both Dirs find every record. Run it under the
+// race detector: Put indexes a Dir's own lines while lookups catch up.
+func TestConcurrentAppendsIndexed(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func(k int) *stats.Report {
+		rep := sampleReport()
+		rep.Cycles = int64(k)
+		return rep
+	}
+	const writers, each = 4, 16
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		d := a
+		if w == writers-1 {
+			d = b
+		}
+		wg.Add(1)
+		go func(w int, d *Dir) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				k := w*each + i
+				if err := d.Put(fmt.Sprint("c-", k), report(k)); err != nil {
+					t.Error(err)
+				}
+				d.Get(fmt.Sprint("c-", k+1))
+			}
+		}(w, d)
+	}
+	wg.Wait()
+	for _, d := range []*Dir{a, b} {
+		for k := 0; k < writers*each; k++ {
+			if got, tier := d.Get(fmt.Sprint("c-", k)); tier != TierLocal || !reflect.DeepEqual(got, report(k)) {
+				t.Errorf("record c-%d reads %v", k, tier)
+			}
+		}
+	}
 }
 
 // TestLongRecordLine: a record longer than the scan buffer is indexed

@@ -77,7 +77,8 @@ type (
 	// Config selects a machine variant (contexts, latencies, memory,
 	// policy, dual-scalar mode).
 	Config = core.Config
-	// Machine is one single-use simulation instance.
+	// Machine is one simulation instance. It runs once; Release then
+	// recycles it for a later NewMachine.
 	Machine = core.Machine
 	// Stop tells Run when to finish.
 	Stop = core.Stop
@@ -195,7 +196,8 @@ const DefaultScale = workload.DefaultScale
 // memory latency, Table 1 latencies).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// NewMachine builds a machine.
+// NewMachine builds a machine, reusing one a caller released
+// (Machine.Release) when there is one.
 func NewMachine(cfg Config) (*Machine, error) { return core.New(cfg) }
 
 // Workloads returns the ten benchmark specs in Table 3 order.
